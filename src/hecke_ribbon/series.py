@@ -13,7 +13,10 @@ the multiplicative rule for h, and monotone box splittings for s; in
 types B and D these are one-sided comodule maps whose right factor is
 the type A space.  Everything else (duality pairing, antipode, skew
 elements, characteristics, q-ribbon numbers, truncated realizations as
-honest power series) is built on top of these.
+honest power series) is built on top of these.  Skews are read off the
+dual basis: M and h are dual under the pairing <h_a, M_b> = delta, and
+so are F and s, so the dual element is converted once and each
+coproduct term's coefficient is looked up in it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, product
 
 from . import groups, linalg, modules, tableaux
 from .qpoly import ONE, QPoly, det_bareiss, q_factorial, q_factorial_quotient, q_multinomial
@@ -53,6 +56,7 @@ SPACE_KIND = {
 QSYM_SIDE = ("QSym", "QSymB", "QSymD")
 NSYM_SIDE = ("NSym", "NSymB", "NSymD")
 BASES = {"M": QSYM_SIDE, "F": QSYM_SIDE, "h": NSYM_SIDE, "s": NSYM_SIDE}
+_DUAL_BASIS = {"M": "h", "h": "M", "F": "s", "s": "F"}
 
 
 def _check_key(space: str, parts: Parts) -> Parts:
@@ -61,6 +65,15 @@ def _check_key(space: str, parts: Parts) -> Parts:
     if space in ("QSymD", "NSymD") and sum(parts) < 2:
         raise ShapeError(f"type D series live in degrees >= 2, got {parts}")
     return tuple(parts)
+
+
+def _collect(pairs) -> dict:
+    """Sum (key, coefficient) pairs into a sparse dict, dropping the keys
+    whose coefficients sum to zero; coefficients are QPoly or int."""
+    out = {}
+    for key, c in pairs:
+        out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
 
 
 @dataclass
@@ -78,21 +91,11 @@ class SeriesElement:
             tuple(k): QPoly.of(v) for k, v in self.terms.items() if QPoly.of(v)
         }
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SeriesElement)
-            and self.space == other.space
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
     def __add__(self, other: "SeriesElement") -> "SeriesElement":
         if (self.space, self.basis) != (other.space, other.basis):
             raise ValueError("cannot add elements in different bases")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, QPoly()) + v
-        return SeriesElement(self.space, self.basis, out)
+        terms = _collect(chain(self.terms.items(), other.terms.items()))
+        return SeriesElement(self.space, self.basis, terms)
 
     def __sub__(self, other: "SeriesElement") -> "SeriesElement":
         return self + other.scale(-1)
@@ -164,11 +167,12 @@ def convert(elem: SeriesElement, target: str) -> SeriesElement:
     if BASES[target] is not BASES[elem.basis]:
         raise ValueError(f"no conversion from {elem.basis} to {target}")
     kind = SPACE_KIND[elem.space]
-    out: dict[Parts, QPoly] = {}
-    for parts, coeff in elem.terms.items():
-        for other, sign in _conversion(parts, kind, elem.basis, target):
-            out[other] = out.get(other, QPoly()) + coeff * sign
-    return SeriesElement(elem.space, target, out)
+    terms = _collect(
+        (other, coeff * sign)
+        for parts, coeff in elem.terms.items()
+        for other, sign in _conversion(parts, kind, elem.basis, target)
+    )
+    return SeriesElement(elem.space, target, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +185,7 @@ def _shuffle_f(a: Parts, b: Parts) -> tuple[tuple[Parts, int], ...]:
     m, n = sum(a), sum(b)
     u = groups.class_minimum("A", m, parts_descents(a)).window
     v = [x + m for x in groups.class_minimum("A", n, parts_descents(b)).window]
-    acc: dict[Parts, int] = {}
+    keys = []
     for spots in combinations(range(m + n), m):
         word = [0] * (m + n)
         ui = iter(u)
@@ -190,9 +194,8 @@ def _shuffle_f(a: Parts, b: Parts) -> tuple[tuple[Parts, int], ...]:
         for i in range(m + n):
             word[i] = next(ui) if i in spot_set else next(vi)
         w = groups.GroupElement("A", tuple(word))
-        key = parts_from_descents(groups.descents(w), m + n, "A")
-        acc[key] = acc.get(key, 0) + 1
-    return tuple(sorted(acc.items()))
+        keys.append(parts_from_descents(groups.descents(w), m + n, "A"))
+    return tuple(sorted(_collect((key, 1) for key in keys).items()))
 
 
 def qsym_product(f: SeriesElement, g: SeriesElement) -> SeriesElement:
@@ -200,12 +203,13 @@ def qsym_product(f: SeriesElement, g: SeriesElement) -> SeriesElement:
     if f.space != "QSym" or g.space != "QSym":
         raise ValueError("the internal product is available in the type A space only")
     ff, gg = convert(f, "F"), convert(g, "F")
-    out: dict[Parts, QPoly] = {}
-    for a, ca in ff.terms.items():
-        for b, cb in gg.terms.items():
-            for key, mult in _shuffle_f(a, b):
-                out[key] = out.get(key, QPoly()) + ca * cb * mult
-    return SeriesElement("QSym", "F", out)
+    terms = _collect(
+        (key, ca * cb * mult)
+        for a, ca in ff.terms.items()
+        for b, cb in gg.terms.items()
+        for key, mult in _shuffle_f(a, b)
+    )
+    return SeriesElement("QSym", "F", terms)
 
 
 def nsym_product(f: SeriesElement, g: SeriesElement) -> SeriesElement:
@@ -218,7 +222,7 @@ def nsym_product(f: SeriesElement, g: SeriesElement) -> SeriesElement:
         raise ValueError("products need an NSym right factor and an NSym-side left factor")
     basis = f.basis
     gg = convert(g, basis)
-    out: dict[Parts, QPoly] = {}
+    pairs = []
     for a, ca in f.terms.items():
         for b, cb in gg.terms.items():
             c = ca * cb
@@ -230,9 +234,8 @@ def nsym_product(f: SeriesElement, g: SeriesElement) -> SeriesElement:
                 keys = [a + b]
             else:
                 keys = [glue_parts(a, b, "dot"), glue_parts(a, b, "triangle")]
-            for key in keys:
-                out[key] = out.get(key, QPoly()) + c
-    return SeriesElement(f.space, basis, out)
+            pairs.extend((key, c) for key in keys)
+    return SeriesElement(f.space, basis, _collect(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +249,12 @@ def coproduct_spaces(space: str) -> tuple[str, str]:
 def schur_coproduct(shape: Shape) -> dict[tuple[Parts, Parts], QPoly]:
     """Coproduct of the ribbon function of a generalized type A shape,
     as a sum over monotone box splittings expanded over bracket sets."""
-    out: dict[tuple[Parts, Parts], QPoly] = {}
-    for dec in decompositions(shape):
-        for left in bracket_set(dec.beta):
-            for right in bracket_set(dec.gamma):
-                key = (left.parts, right.parts)
-                out[key] = out.get(key, QPoly()) + 1
-    return out
+    return _collect(
+        ((left.parts, right.parts), ONE)
+        for dec in decompositions(shape)
+        for left in bracket_set(dec.beta)
+        for right in bracket_set(dec.gamma)
+    )
 
 
 def _cut_parts(parts: Parts, kind: str, i: int) -> tuple[Parts, Parts]:
@@ -272,18 +274,12 @@ def coproduct(elem: SeriesElement) -> tuple[tuple[Parts, Parts, QPoly], ...]:
     """
     space, basis = elem.space, elem.basis
     kind = SPACE_KIND[space]
-    acc: dict[tuple[Parts, Parts], QPoly] = {}
-
-    def add(left: Parts, right: Parts, c: QPoly) -> None:
-        acc[(left, right)] = acc.get((left, right), QPoly()) + c
-
+    pairs = []
     for parts, coeff in elem.terms.items():
         n = sum(parts)
         if basis == "F":
             start = 2 if kind == "D" else 0
-            for i in range(start, n + 1):
-                left, right = _cut_parts(parts, kind, i)
-                add(left, right, coeff)
+            pairs.extend((_cut_parts(parts, kind, i), coeff) for i in range(start, n + 1))
         elif basis == "M":
             ell = len(parts)
             if kind == "A":
@@ -295,32 +291,28 @@ def coproduct(elem: SeriesElement) -> tuple[tuple[Parts, Parts, QPoly], ...]:
                 valid = range(k, ell + 1)
             for i in valid:
                 left = parts[:i] if (kind == "A" or i > 0) else (0,)
-                if kind != "A" and not left:
-                    left = (0,)
-                add(left, parts[i:], coeff)
+                pairs.append(((left, parts[i:]), coeff))
         elif basis == "h":
             if space != "NSym":
                 raise ValueError(f"no coproduct on the {space} side in basis h")
-            for left, right, mult in _h_splits(parts):
-                add(left, right, coeff * mult)
+            pairs.extend(((left, right), coeff * mult) for left, right, mult in _h_splits(parts))
         elif basis == "s":
             if space != "NSym":
                 raise ValueError(f"no coproduct on the {space} side in basis s")
-            for (left, right), mult in schur_coproduct(composition(parts)).items():
-                add(left, right, coeff * mult)
-    return tuple((l, r, c) for (l, r), c in sorted(acc.items()) if c)
+            for key, mult in schur_coproduct(composition(parts)).items():
+                pairs.append((key, coeff * mult))
+    return tuple((l, r, c) for (l, r), c in sorted(_collect(pairs).items()))
 
 
 @lru_cache(maxsize=None)
 def _h_splits(parts: Parts) -> tuple[tuple[Parts, Parts, int], ...]:
     splits: dict[tuple[Parts, Parts], int] = {((), ()): 1}
     for p in parts:
-        nxt: dict[tuple[Parts, Parts], int] = {}
-        for (left, right), mult in splits.items():
-            for c in range(p + 1):
-                key = (left + ((c,) if c else ()), right + ((p - c,) if p - c else ()))
-                nxt[key] = nxt.get(key, 0) + mult
-        splits = nxt
+        splits = _collect(
+            ((left + ((c,) if c else ()), right + ((p - c,) if p - c else ())), mult)
+            for (left, right), mult in splits.items()
+            for c in range(p + 1)
+        )
     return tuple((l, r, m) for (l, r), m in sorted(splits.items()))
 
 
@@ -328,16 +320,18 @@ def _h_splits(parts: Parts) -> tuple[tuple[Parts, Parts, int], ...]:
 # duality pairing, antipode, skew elements
 
 
+def _check_dual(space: str, other: str) -> None:
+    """Raise ValueError unless the two spaces are paired by the duality."""
+    if (space in NSYM_SIDE) == (other in NSYM_SIDE):
+        raise ValueError("pairing needs one element on each side of the duality")
+    if SPACE_KIND[space] != SPACE_KIND[other]:
+        raise ValueError("pairing needs matching types")
+
+
 def pairing(f: SeriesElement, g: SeriesElement) -> QPoly:
     """The bilinear pairing with <h_a, M_b> = delta, in matching types."""
-    if f.space in NSYM_SIDE and g.space in QSYM_SIDE:
-        nsym, qsym = f, g
-    elif f.space in QSYM_SIDE and g.space in NSYM_SIDE:
-        nsym, qsym = g, f
-    else:
-        raise ValueError("pairing needs one element on each side of the duality")
-    if SPACE_KIND[nsym.space] != SPACE_KIND[qsym.space]:
-        raise ValueError("pairing needs matching types")
+    _check_dual(f.space, g.space)
+    nsym, qsym = (f, g) if f.space in NSYM_SIDE else (g, f)
     hh = convert(nsym, "h")
     mm = convert(qsym, "M")
     out = QPoly()
@@ -355,34 +349,28 @@ def antipode(elem: SeriesElement) -> SeriesElement:
         raise ValueError("the antipode is available in the type A spaces only")
     basis = elem.basis
     work = convert(elem, "F" if elem.space == "QSym" else "s")
-    out: dict[Parts, QPoly] = {}
-    for parts, c in work.terms.items():
-        key = transpose(composition(parts)).parts
-        sign = (-1) ** sum(parts)
-        out[key] = out.get(key, QPoly()) + c * sign
-    return convert(SeriesElement(work.space, work.basis, out), basis)
+    terms = _collect(
+        (transpose(composition(parts)).parts, c * (-1) ** sum(parts))
+        for parts, c in work.terms.items()
+    )
+    return convert(SeriesElement(work.space, work.basis, terms), basis)
 
 
 def skew(a: SeriesElement, f: SeriesElement, side: str = "right") -> SeriesElement:
     """Skew a by the dual element f: a/f pairs f with the right tensor
-    factor of the coproduct, f\\a with the left factor."""
-    lspace, rspace = coproduct_spaces(a.space)
-    out: dict[Parts, QPoly] = {}
-    if side == "right":
-        result_space = lspace
-        for left, right, c in coproduct(a):
-            val = pairing(f, element(rspace, a.basis, right))
-            if val:
-                out[left] = out.get(left, QPoly()) + c * val
-    elif side == "left":
-        result_space = rspace
-        for left, right, c in coproduct(a):
-            val = pairing(f, element(lspace, a.basis, left))
-            if val:
-                out[right] = out.get(right, QPoly()) + c * val
-    else:
+    factor of the coproduct, f\\a with the left factor.
+
+    The pairing of f with a basis element of the paired factor is the
+    coefficient of the dual label in f written in the dual basis."""
+    if side not in ("right", "left"):
         raise ValueError(f"unknown side {side!r}")
-    return SeriesElement(result_space, a.basis, out)
+    lspace, rspace = coproduct_spaces(a.space)
+    kept_space, paired_space = (lspace, rspace) if side == "right" else (rspace, lspace)
+    _check_dual(f.space, paired_space)
+    dual = convert(f, _DUAL_BASIS[a.basis]).terms
+    terms = ((l, r, c) if side == "right" else (r, l, c) for l, r, c in coproduct(a))
+    out = _collect((kept, c * dual[paired]) for kept, paired, c in terms if paired in dual)
+    return SeriesElement(kept_space, a.basis, out)
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +386,18 @@ def quasisymmetric_characteristic(module, graded: bool = False) -> SeriesElement
     a tableau module; with ``graded``, weight each factor by q to the
     length above a cyclic generator."""
     space = _QSYM_OF_KIND[module.kind]
-    out: dict[Parts, QPoly] = {}
+    keys = [
+        parts_from_descents(tableaux.tableau_descents(t), module.n, module.kind)
+        for t in module.basis
+    ]
     if not graded:
-        for t in module.basis:
-            key = parts_from_descents(tableaux.tableau_descents(t), module.n, module.kind)
-            out[key] = out.get(key, QPoly()) + 1
-        return SeriesElement(space, "F", out)
+        return SeriesElement(space, "F", _collect((key, 1) for key in keys))
     lengths = [groups.length(tableaux.reading_word(t)) for t in module.basis]
     base = min(lengths)
     generator = lengths.index(base)
     modules.length_filtration(module, generator)  # certifies cyclicity and layers
-    for t, ell in zip(module.basis, lengths):
-        key = parts_from_descents(tableaux.tableau_descents(t), module.n, module.kind)
-        out[key] = out.get(key, QPoly()) + QPoly.q(ell - base)
-    return SeriesElement(space, "F", out)
+    terms = _collect((key, QPoly.q(ell - base)) for key, ell in zip(keys, lengths))
+    return SeriesElement(space, "F", terms)
 
 
 def graded_characteristic_direct(shape: Shape) -> SeriesElement:
@@ -419,20 +405,21 @@ def graded_characteristic_direct(shape: Shape) -> SeriesElement:
     lower, upper = descent_band(shape)
     words = groups.band_elements(shape.kind, shape.size, lower, upper)
     base = min(groups.length(w) for w in words)
-    out: dict[Parts, QPoly] = {}
-    for w in words:
-        key = parts_from_descents(groups.descents(groups.inverse(w)), shape.size, shape.kind)
-        out[key] = out.get(key, QPoly()) + QPoly.q(groups.length(w) - base)
-    return SeriesElement(_QSYM_OF_KIND[shape.kind], "F", out)
+    terms = _collect((_inverse_descents(w), QPoly.q(groups.length(w) - base)) for w in words)
+    return SeriesElement(_QSYM_OF_KIND[shape.kind], "F", terms)
+
+
+def _inverse_descents(w: groups.GroupElement) -> Parts:
+    """The label of the fundamental that w contributes: D(w^-1)."""
+    return parts_from_descents(groups.descents(groups.inverse(w)), w.n, w.kind)
 
 
 def noncommutative_characteristic(labels, kind: str) -> SeriesElement:
     """Sum of ribbon functions over a multiset of projective labels."""
-    out: dict[Parts, QPoly] = {}
-    for label in labels:
-        parts = label.parts if isinstance(label, Shape) else tuple(label)
-        out[parts] = out.get(parts, QPoly()) + 1
-    return SeriesElement(_NSYM_OF_KIND[kind], "s", out)
+    terms = _collect(
+        (label.parts if isinstance(label, Shape) else tuple(label), 1) for label in labels
+    )
+    return SeriesElement(_NSYM_OF_KIND[kind], "s", terms)
 
 
 # ---------------------------------------------------------------------------
@@ -481,17 +468,17 @@ def band_product_identity(shape: Shape):
         raise ShapeError("the band identity is stated for type A shapes")
     n = shape.size
     lower, upper = descent_band(shape)
-    lhs: dict[Parts, QPoly] = {}
-    for w in groups.band_elements("A", n, lower, upper):
-        key = parts_from_descents(groups.descents(groups.inverse(w)), n, "A")
-        lhs[key] = lhs.get(key, QPoly()) + QPoly.q(groups.inv_count(w))
+    lhs = _collect(
+        (_inverse_descents(w), QPoly.q(groups.inv_count(w)))
+        for w in groups.band_elements("A", n, lower, upper)
+    )
     sizes = tuple(sum(c) for c in shape.components)
     reps = groups.min_coset_reps("A", composition(sizes))
     classes = [
         groups.descent_class("A", composition(comp)).elements for comp in shape.components
     ]
-    rhs: dict[Parts, QPoly] = {}
-    for combo in _tuples(classes):
+    rhs = []
+    for combo in product(*classes):
         block = []
         offset = 0
         weight = 0
@@ -502,21 +489,11 @@ def band_product_identity(shape: Shape):
         embedded = groups.GroupElement("A", tuple(block))
         for z in reps:
             w = groups.multiply(z, embedded)
-            key = parts_from_descents(groups.descents(groups.inverse(w)), n, "A")
-            rhs[key] = rhs.get(key, QPoly()) + QPoly.q(weight + groups.inv_count(z))
+            rhs.append((_inverse_descents(w), QPoly.q(weight + groups.inv_count(z))))
     return (
         SeriesElement("QSym", "F", lhs),
-        SeriesElement("QSym", "F", rhs),
+        SeriesElement("QSym", "F", _collect(rhs)),
     )
-
-
-def _tuples(pools):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _tuples(pools[1:]):
-            yield (head,) + rest
 
 
 def ribbon_sum_identity(beta: Parts, gamma: Parts) -> tuple[QPoly, QPoly]:
@@ -556,27 +533,18 @@ class TruncatedNCSeries:
     window: tuple[int, ...]
     terms: dict[tuple[int, ...], int]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedNCSeries)
-            and self.window == other.window
-            and {k: v for k, v in self.terms.items() if v}
-            == {k: v for k, v in other.terms.items() if v}
-        )
+    def __post_init__(self):
+        self.terms = {k: v for k, v in self.terms.items() if v}
 
     def __add__(self, other: "TruncatedNCSeries") -> "TruncatedNCSeries":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return TruncatedNCSeries(self.window, {k: v for k, v in out.items() if v})
+        terms = _collect(chain(self.terms.items(), other.terms.items()))
+        return TruncatedNCSeries(self.window, terms)
 
     def __mul__(self, other: "TruncatedNCSeries") -> "TruncatedNCSeries":
-        out: dict[tuple[int, ...], int] = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = a + b
-                out[key] = out.get(key, 0) + ca * cb
-        return TruncatedNCSeries(self.window, {k: v for k, v in out.items() if v})
+        terms = _collect(
+            (a + b, ca * cb) for a, ca in self.terms.items() for b, cb in other.terms.items()
+        )
+        return TruncatedNCSeries(self.window, terms)
 
 
 def _int_coeff(c: QPoly) -> int:
@@ -592,15 +560,14 @@ def evaluate_noncommutative(elem: SeriesElement, window) -> TruncatedNCSeries:
         raise ValueError("noncommutative evaluation applies to the NSym side")
     window = tuple(sorted(set(window)))
     kind = SPACE_KIND[elem.space]
-    out: dict[tuple[int, ...], int] = {}
+    pairs = []
     for parts, coeff in elem.terms.items():
         c = _int_coeff(coeff)
         shape = ribbon_shape(parts, kind)
         if elem.basis == "h":
             shape = split_rows(shape)
-        for t in tableaux.semistandard_tableaux(shape, window):
-            out[t.entries] = out.get(t.entries, 0) + c
-    return TruncatedNCSeries(window, {k: v for k, v in out.items() if v})
+        pairs.extend((t.entries, c) for t in tableaux.semistandard_tableaux(shape, window))
+    return TruncatedNCSeries(window, _collect(pairs))
 
 
 def evaluate_commutative(elem: SeriesElement, window) -> dict[tuple[int, ...], int]:
@@ -612,22 +579,15 @@ def evaluate_commutative(elem: SeriesElement, window) -> dict[tuple[int, ...], i
     kind = SPACE_KIND[elem.space]
     if kind == "B" and any(v < 0 for v in window):
         raise ValueError("the type B variable window starts at 0")
-    pos = {v: i for i, v in enumerate(window)}
-    out: dict[tuple[int, ...], int] = {}
+    exact = elem.basis == "M"
+    pairs = []
     for parts, coeff in elem.terms.items():
         c = _int_coeff(coeff)
-        n = sum(parts)
         dset = parts_descents(parts)
-        exact = elem.basis == "M"
-        for word in combinations_with_replacement(window, n):
-            if not _word_matches(word, dset, kind, exact):
-                continue
-            expo = [0] * len(window)
-            for v in word:
-                expo[pos[v]] += 1
-            key = tuple(expo)
-            out[key] = out.get(key, 0) + c
-    return {k: v for k, v in out.items() if v}
+        for word in combinations_with_replacement(window, sum(parts)):
+            if _word_matches(word, dset, kind, exact):
+                pairs.append((tuple(word.count(v) for v in window), c))
+    return _collect(pairs)
 
 
 def _word_matches(word, dset, kind: str, exact: bool) -> bool:

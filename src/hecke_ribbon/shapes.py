@@ -191,17 +191,6 @@ def coarsenings(shape: Shape) -> tuple[Shape, ...]:
     return tuple(sorted(out, key=descent_key))
 
 
-def refinements(shape: Shape) -> tuple[Shape, ...]:
-    """All shapes whose descent set contains D(shape)."""
-    d = descent_set(shape)
-    free = sorted(set(positions(shape.kind, shape.size)) - d)
-    out = []
-    for mask in range(1 << len(free)):
-        extra = {free[i] for i in range(len(free)) if mask >> i & 1}
-        out.append(from_descents(d | extra, shape.size, shape.kind))
-    return tuple(sorted(out, key=descent_key))
-
-
 def enumerate_shapes(n: int, kind: str) -> tuple[Shape, ...]:
     """All single-ribbon shapes of size n, smallest descent sets first."""
     pos = list(positions(kind, n))

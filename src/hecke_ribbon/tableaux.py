@@ -49,15 +49,6 @@ def reading_word(t: Tableau) -> groups.GroupElement:
     return groups.GroupElement(t.shape.kind, t.entries)
 
 
-def zero_value(t: Tableau) -> int | None:
-    """The comparison value of the extra 0-box, if the shape has one."""
-    if t.shape.kind == "B":
-        return 0
-    if t.shape.kind == "D":
-        return -t.entries[1]
-    return None
-
-
 def is_semistandard(shape: Shape, entries: tuple[int, ...]) -> bool:
     return _filling_ok(shape, entries, strict_rows=False)
 

@@ -1,5 +1,6 @@
-"""Acceptance suite: one test per acceptance criterion, each printing a
-pass line.  Every check is exact (integer or Z[q] equality); the sizes
+"""Acceptance suite: one test per acceptance criterion, each checking its
+summary line against the expected counts and printing it as a pass
+line.  Every check is exact (integer or Z[q] equality); the sizes
 are the contractually fixed desk-scale bounds.
 
 Criterion map:
@@ -21,7 +22,44 @@ Criterion map:
 from hecke_ribbon import verify
 
 
+# The detail line each certificate prints at its contractual sizes.  A
+# change that sweeps fewer objects changes a count here and fails.
+EXPECTED = {
+    "01 relations": (
+        "189 modules of type A pass the quadratic and braid relations; "
+        "90 modules of type B pass the quadratic and braid relations; "
+        "84 modules of type D pass the quadratic and braid relations"
+    ),
+    "02 dimensions": (
+        "63 dimension identities verified in type A; "
+        "30 dimension identities verified in type B; "
+        "28 dimension identities verified in type D"
+    ),
+    "03 induction": (
+        "303 descent filtrations certified in type A; "
+        "110 descent filtrations certified in type B; "
+        "107 descent filtrations certified in type D"
+    ),
+    "04 restriction": "384 restriction certificates pass in type A",
+    "05 coproduct": (
+        "799 ribbon coproducts agree along both routes; "
+        "121 ribbon coproducts agree along both routes"
+    ),
+    "06 duality": "dual bases exact; 1200 product/coproduct pairings agree",
+    "07 antipode": "antipode formulas, axiom, and 63 twisted-top checks pass",
+    "08 symmetry": "121 symmetry intertwiners certified",
+    "09 skew": "skew regression and 2730 left/right agreements pass",
+    "10 q-identities": (
+        "q-ribbon numbers by 3 methods, 364 interval identities, 303 band identities"
+    ),
+    "11 demazure": "operator relations on 462 monomials; 31 certified polynomial modules",
+    "12 truncation": "truncation identities pass; 69 product rules verified (window radius 5)",
+    "13 characteristics": "142 characteristic computations agree along independent routes",
+}
+
+
 def _report(number: str, detail: str) -> None:
+    assert detail == EXPECTED[number]
     print(f"PASS acceptance[{number}]: {detail}")
 
 

@@ -196,6 +196,10 @@ def test_coproduct_is_algebra_map_on_samples():
         assert {k: v for k, v in lhs.items() if v} == {k: v for k, v in rhs.items() if v}
 
 
+def labels(kind, sizes):
+    return [s.parts for n in sizes for s in shapes.enumerate_shapes(n, kind)]
+
+
 def test_pairing():
     assert pairing(E("NSym", "h", (2, 1)), E("QSym", "M", (2, 1))) == ONE
     assert pairing(E("NSym", "h", (2, 1)), E("QSym", "M", (1, 2))) == QPoly()
@@ -204,6 +208,16 @@ def test_pairing():
             for b in shapes.enumerate_shapes(n, "A"):
                 want = QPoly.of(1 if a == b else 0)
                 assert pairing(E("NSym", "s", a.parts), E("QSym", "F", b.parts)) == want
+    # s/F and h/M are dual bases in types B and D too; skew relies on it
+    for nsym, qsym, kind, sizes in (
+        ("NSymB", "QSymB", "B", range(4)),
+        ("NSymD", "QSymD", "D", range(2, 5)),
+    ):
+        for a in labels(kind, sizes):
+            for b in labels(kind, sizes):
+                want = QPoly.of(1 if a == b else 0)
+                assert pairing(E(nsym, "s", a), E(qsym, "F", b)) == want, (a, b)
+                assert pairing(E(nsym, "h", a), E(qsym, "M", b)) == want, (a, b)
 
 
 def test_antipode():
@@ -222,6 +236,44 @@ def test_skew():
     assert skew(E("QSym", "F", (2, 3)), E("NSym", "s", (1, 2))).is_zero()
     left = skew(E("QSymB", "F", (0, 2, 1)), E("NSymB", "s", (0, 2)), "left")
     assert left == E("QSym", "F", (1,))
+    # f is checked against the paired factor even when a is zero
+    with pytest.raises(ValueError):
+        skew(SeriesElement("NSym", "s", {}), E("NSym", "s", (1,)))
+    with pytest.raises(ValueError):
+        skew(SeriesElement("NSym", "s", {}), E("QSymB", "F", (0, 1)))
+
+
+def skew_by_pairing(a, f, side):
+    """The defining sum: c * <f, paired factor> over the coproduct of a."""
+    lspace, rspace = series.coproduct_spaces(a.space)
+    out = SeriesElement(lspace if side == "right" else rspace, a.basis, {})
+    for left, right, c in coproduct(a):
+        kept, paired, space = (left, right, rspace) if side == "right" else (right, left, lspace)
+        out = out + SeriesElement(
+            out.space, a.basis, {kept: c * pairing(f, E(space, a.basis, paired))}
+        )
+    return out
+
+
+def test_skew_matches_pairing_definition():
+    sizes = {"A": range(4), "B": range(4), "D": range(2, 4)}
+    dual = dict(zip(series.QSYM_SIDE, series.NSYM_SIDE))
+    dual.update({n: q for q, n in dual.items()})
+    cases = 0
+    for space, bases in (("QSym", "MF"), ("QSymB", "MF"), ("QSymD", "MF"), ("NSym", "hs")):
+        lspace, rspace = series.coproduct_spaces(space)
+        for basis in bases:
+            for parts in labels(series.SPACE_KIND[space], sizes[series.SPACE_KIND[space]]):
+                a = E(space, basis, parts)
+                for side, paired in (("right", rspace), ("left", lspace)):
+                    fspace = dual[paired]
+                    fkind = series.SPACE_KIND[fspace]
+                    for fbasis in "MF" if fspace in series.QSYM_SIDE else "hs":
+                        for fparts in labels(fkind, sizes[fkind]):
+                            f = E(fspace, fbasis, fparts)
+                            assert skew(a, f, side) == skew_by_pairing(a, f, side), (a, f, side)
+                            cases += 1
+    assert cases == 3364
 
 
 def test_schur_coproduct_of_generalized_shapes():
