@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import groups, modules
 from .shapes import (
@@ -236,9 +237,9 @@ def strictly_smaller(m: Monomial, reference: Monomial) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _bar_images(alpha: Parts) -> dict[tuple[int, ...], Poly]:
+def _bar_images(alpha: Parts) -> MappingProxyType[tuple[int, ...], Poly]:
     """pi-bar_w applied to x_alpha for every w with D(w) <= D(alpha),
-    computed along the weak order."""
+    computed along the weak order; a read-only cached mapping."""
     n = sum(alpha)
     base = x_alpha(alpha)
     reps = groups.min_coset_reps("A", composition(alpha))
@@ -255,7 +256,7 @@ def _bar_images(alpha: Parts) -> dict[tuple[int, ...], Poly]:
             i = min(groups.descents(groups.inverse(w)))
             prev = groups.multiply(gens[i], w)
             images[w.window] = demazure_bar(i, images[prev.window])
-    return images
+    return MappingProxyType(images)
 
 
 def triangularity_check(alpha: Shape | Parts) -> list[str]:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
+from types import MappingProxyType
 
 from .shapes import Shape, descent_set, parts_from_descents, positions
 
@@ -216,10 +217,11 @@ def _descent_buckets(kind: str, n: int):
     buckets: dict[frozenset[int], list[GroupElement]] = {}
     for w in _enumerate(kind, n):
         buckets.setdefault(descents(w), []).append(w)
-    return {d: tuple(ws) for d, ws in buckets.items()}
+    return MappingProxyType({d: tuple(ws) for d, ws in buckets.items()})
 
 
-def descent_buckets(kind: str, n: int) -> dict[frozenset[int], tuple[GroupElement, ...]]:
+def descent_buckets(kind: str, n: int) -> MappingProxyType[frozenset[int], tuple]:
+    """The group elements by descent set, as a read-only cached mapping."""
     enumerate_group(kind, n)
     return _descent_buckets(kind, n)
 

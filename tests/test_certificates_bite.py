@@ -1,0 +1,154 @@
+"""Every certificate can fail.
+
+Each certificate gets one planted bug, a plausible wrong variant of a
+routine it relies on, and must raise CertificationError at small sizes.
+The checks must also survive ``python -O``, so ``verify.py`` may hold no
+``assert`` statement.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from hecke_ribbon import demazure, groups, modules, qpoly, series, shapes, verify
+from hecke_ribbon.qpoly import QPoly
+
+
+@pytest.fixture(autouse=True)
+def _fresh_caches():
+    """A planted bug must not leave wrong values in the package's caches."""
+    yield
+    for module in (demazure, groups, modules, qpoly, series, shapes):
+        for value in list(vars(module).values()):
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def _zero_skew(a, f, side="right"):
+    space = series.coproduct_spaces(a.space)[0 if side == "right" else 1]
+    return series.SeriesElement(space, a.basis, {})
+
+
+def _dot_only_product(f, g):
+    """nsym_product without the triangle gluing term."""
+    terms = {}
+    for a, ca in f.terms.items():
+        for b, cb in g.terms.items():
+            terms[a + b] = terms.get(a + b, QPoly()) + ca * cb
+    return series.SeriesElement(f.space, f.basis, terms)
+
+
+def _drop_first(elem):
+    return series.SeriesElement(elem.space, elem.basis, dict(list(elem.terms.items())[1:]))
+
+
+def _planted(name):
+    """(module, attribute, wrong variant) for the bug planted against one
+    certificate; the variants wrap the routines as they are now."""
+    coarsenings, bracket_set = shapes.coarsenings, shapes.bracket_set
+    restrict_p, schur_coproduct = modules.restrict_p, series.schur_coproduct
+    q_ribbon, bar, convert = series.q_ribbon, demazure.demazure_bar, series.convert
+    direct = series.graded_characteristic_direct
+    return {
+        "relations": (modules, "coxeter_order", lambda kind, i, j: 2),
+        "dimensions": (shapes, "coarsenings", lambda shape: coarsenings(shape)[1:]),
+        "induction": (shapes, "bracket_set", lambda shape: bracket_set(shape)[:-1]),
+        "restriction": (modules, "restrict_p", lambda shape, m: restrict_p(shape, m)[1:]),
+        "coproduct": (
+            series,
+            "schur_coproduct",
+            lambda shape: dict(list(schur_coproduct(shape).items())[1:]),
+        ),
+        "duality": (series, "nsym_product", _dot_only_product),
+        "antipode": (shapes, "transpose", shapes.complement),
+        "symmetry": (
+            groups,
+            "diagram_automorphism",
+            lambda kind, n: {i: i for i in groups.generators(kind, n)},
+        ),
+        "skew": (series, "skew", _zero_skew),
+        "qidentities": (
+            series,
+            "q_ribbon",
+            lambda parts, method="det": q_ribbon(parts, method)
+            * (QPoly.q(1) if method == "brute" else QPoly.of(1)),
+        ),
+        "demazure": (
+            demazure,
+            "demazure_bar",
+            lambda i, f: demazure.demazure(i, f) if i == 1 else bar(i, f),
+        ),
+        "truncation": (
+            series,
+            "convert",
+            lambda elem, target: _drop_first(convert(elem, target))
+            if (elem.basis, target) == ("F", "M")
+            else convert(elem, target),
+        ),
+        "characteristics": (
+            series,
+            "graded_characteristic_direct",
+            lambda shape: direct(shape).specialize_q(1),
+        ),
+    }[name]
+
+
+SMALL = {
+    "relations": lambda: verify.cert_relations("A", 3),
+    "dimensions": lambda: verify.cert_dimensions("A", 3),
+    "induction": lambda: verify.cert_induction("A", 3),
+    "restriction": lambda: verify.cert_restriction(3),
+    "coproduct": lambda: verify.cert_coproduct(3, 3),
+    "duality": lambda: verify.cert_duality(3, 3, 20),
+    "antipode": lambda: verify.cert_antipode(3),
+    "symmetry": lambda: verify.cert_symmetry(3, 3),
+    "skew": lambda: verify.cert_skew(3),
+    "qidentities": lambda: verify.cert_qidentities(3, 3, 3),
+    "demazure": lambda: verify.cert_demazure(3, 2, 3),
+    "truncation": lambda: verify.cert_truncation(3, 2),
+    "characteristics": lambda: verify.cert_characteristics(3),
+}
+
+
+def test_every_certificate_has_a_planted_bug():
+    assert set(SMALL) == set(verify.CERTIFICATES)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_certificate_passes_at_small_sizes(name):
+    SMALL[name]()
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_planted_bug_bites(name, monkeypatch):
+    module, attr, wrong = _planted(name)
+    monkeypatch.setattr(module, attr, wrong)
+    with pytest.raises(modules.CertificationError):
+        SMALL[name]()
+
+
+def test_checks_survive_optimize():
+    script = (
+        "from hecke_ribbon import series, verify\n"
+        "def zero_skew(a, f, side='right'):\n"
+        "    space = series.coproduct_spaces(a.space)[0 if side == 'right' else 1]\n"
+        "    return series.SeriesElement(space, a.basis, {})\n"
+        "series.skew = zero_skew\n"
+        "print(__debug__, verify.run(['skew'], max_size=3)[0].passed)\n"
+    )
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["False", "False"]
+
+
+def test_verify_has_no_assert_statement():
+    tree = ast.parse(Path(verify.__file__).read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"verify.py uses assert at lines {lines}; use _require"

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hecke_ribbon import cli, modules, series, shapes
+from hecke_ribbon import cli, groups, modules, series, shapes, verify
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +113,31 @@ def test_verify_command(capsys):
     code, out = run_cli(capsys, "verify", "relations", "--max-size", "2", "--type", "all")
     assert code == 0
     assert out.count("PASS") == 3
+
+
+@pytest.mark.parametrize(
+    "exc", [shapes.ShapeError("not cyclic"), ValueError("bad split"), ZeroDivisionError("by 0")]
+)
+def test_verify_reports_exceptions_as_failures(capsys, monkeypatch, exc):
+    def broken(max_size=6):
+        raise exc
+
+    monkeypatch.setitem(verify.CERTIFICATES, "restriction", broken)
+    results = verify.run(["restriction", "antipode"], max_size=2)
+    assert [(r.name, r.passed) for r in results] == [("restriction", False), ("antipode", True)]
+    assert results[0].detail == f"{type(exc).__name__}: {exc}"
+    code, out = run_cli(capsys, "verify", "restriction")
+    assert code == 1
+    assert out.splitlines()[0] == f"FAIL restriction: {type(exc).__name__}: {exc}"
+
+
+def test_verify_guard_hit_exits_3(capsys, monkeypatch):
+    def guarded(max_size=6):
+        raise groups.ResourceLimitError("too many elements")
+
+    monkeypatch.setitem(verify.CERTIFICATES, "restriction", guarded)
+    code, _ = run_cli(capsys, "verify", "restriction")
+    assert code == 3
 
 
 def test_exit_codes(capsys):

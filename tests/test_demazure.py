@@ -119,3 +119,9 @@ def test_one_dimensional_cases():
     module, _ = build_polynomial_module(composition((3,)))
     assert module.dim == 1
     assert all(col == ((),) for col in (module.gens[i] for i in (1, 2)))
+
+
+def test_bar_images_are_read_only():
+    images = demazure._bar_images((2, 1))
+    with pytest.raises(TypeError):
+        images[(1, 2, 3)] = Poly(3, ())

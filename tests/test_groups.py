@@ -187,3 +187,9 @@ def test_validate():
         groups.validate(GroupElement("D", (-1, 2)))
     with pytest.raises(ValueError):
         groups.validate(GroupElement("B", (1, 1)))
+
+
+def test_descent_buckets_are_read_only():
+    buckets = groups.descent_buckets("A", 3)
+    with pytest.raises(TypeError):
+        buckets[frozenset()] = ()
