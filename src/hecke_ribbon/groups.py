@@ -299,8 +299,9 @@ def longest_element(kind: str, n: int) -> GroupElement:
 
 
 @lru_cache(maxsize=None)
-def diagram_automorphism(kind: str, n: int) -> dict[int, int]:
-    """The index map i -> j with w0 s_i w0 = s_j."""
+def diagram_automorphism(kind: str, n: int) -> MappingProxyType[int, int]:
+    """The index map i -> j with w0 s_i w0 = s_j, as a read-only cached
+    mapping."""
     w0 = longest_element(kind, n)
     gens = generators(kind, n)
     table = {}
@@ -310,7 +311,7 @@ def diagram_automorphism(kind: str, n: int) -> dict[int, int]:
         if len(matches) != 1:
             raise AssertionError(f"conjugation by w0 does not permute generators ({kind}, {n})")
         table[i] = matches[0]
-    return table
+    return MappingProxyType(table)
 
 
 def reduced_word(w: GroupElement) -> tuple[int, ...]:

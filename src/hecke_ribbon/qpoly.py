@@ -5,38 +5,90 @@ The q-analogs provided are the q-integer [k], the q-factorial [k]!, and
 q-binomial/multinomial coefficients, built by the Pascal recurrence so
 that no division is ever needed.  A fraction-free (Bareiss) determinant
 over Z[q] supports the determinant formula for q-ribbon numbers.
+
+``QPoly`` is the coefficient ring of every series identity, so its
+arithmetic is the kernel the certificates spend their time in.  Every
+instance is trimmed (no trailing zero coefficient) and immutable, so the
+arithmetic returns ``ZERO`` or an operand itself whenever the result
+equals it, and handles integers and constants without the general loops.
+
+Products whose shorter operand has at least ``KRONECKER_MIN_LEN``
+coefficients use Kronecker substitution: both operands are evaluated at
+q = 2^b, multiplied as one Python integer, and the product's
+coefficients are read off as balanced (signed) base-2^b digits.  Every
+coefficient of a*b is a sum of at most min(len a, len b) products, so
+|c_k| <= min(len a, len b) * max|a_i| * max|b_j| = M.  Taking
+b = M.bit_length() + 1 gives |c_k| < 2^(b-1), the range in which a
+balanced digit is exact, for coefficients of any sign.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+
+# Shorter-operand length from which a product goes through one integer
+# product.  Measured on a 2-core Xeon (2.1 GHz, Python 3.11.7), median
+# over 30 random pairs with the longer operand up to 8 longer and
+# coefficients up to 2^2..2^32: schoolbook time over Kronecker time is
+# 0.94 at length 5, 1.03-1.06 at 6, 1.23 at 7, 1.38 at 8, 2.3 at 16 and
+# 3.6 at 32 (134 against 38 us).
+KRONECKER_MIN_LEN = 7
 
 
 def _trim(coeffs) -> tuple[int, ...]:
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+    coeffs = tuple(coeffs)
+    n = len(coeffs)
+    while n and coeffs[n - 1] == 0:
+        n -= 1
+    return coeffs[:n]
 
 
-@dataclass(frozen=True)
 class QPoly:
-    """A polynomial in q with integer coefficients, ascending powers."""
+    """A polynomial in q with integer coefficients, ascending powers.
 
-    coeffs: tuple[int, ...] = ()
+    Instances are immutable values: ``coeffs`` cannot be assigned or
+    deleted, equality holds only between ``QPoly``s, and the hash is that
+    of ``(coeffs,)``.  The constructor drops trailing zero coefficients.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...] = ()):
+        _set_coeffs(self, _trim(coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"QPoly(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return QPoly, (self.coeffs,)
 
     @staticmethod
     def of(value) -> "QPoly":
         if isinstance(value, QPoly):
             return value
+        if value.__class__ is int:
+            return _wrap((value,)) if value else ZERO
         if isinstance(value, int):
-            return QPoly(_trim((value,)))
-        return QPoly(_trim(value))
+            return QPoly((value,))
+        return QPoly(value)
 
     @staticmethod
     def q(power: int = 1, coeff: int = 1) -> "QPoly":
-        return QPoly(_trim((0,) * power + (coeff,)))
+        return QPoly((0,) * power + (coeff,))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -46,19 +98,34 @@ class QPoly:
         return len(self.coeffs) - 1 if self.coeffs else -1
 
     def __add__(self, other) -> "QPoly":
-        other = QPoly.of(other)
-        a, b = self.coeffs, other.coeffs
+        a = self.coeffs
+        if other.__class__ is int:
+            if not other:
+                return self
+            return _plus_constant(self, other) if a else _wrap((other,))
+        if other.__class__ is not QPoly:
+            other = QPoly.of(other)
+        b = other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other
+        if len(b) == 1:
+            return _plus_constant(self, b[0])
+        if len(a) == 1:
+            return _plus_constant(other, a[0])
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(_trim(out))
+        out = [x + y for x, y in zip(a, b)]
+        if len(a) > len(b):
+            out.extend(a[len(b):])
+            return _wrap(tuple(out))
+        return _wrap(_trim(out))
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self.coeffs))
+        return _wrap(tuple([-c for c in self.coeffs])) if self.coeffs else ZERO
 
     def __sub__(self, other) -> "QPoly":
         return self + (-QPoly.of(other))
@@ -67,36 +134,57 @@ class QPoly:
         return QPoly.of(other) - self
 
     def __mul__(self, other) -> "QPoly":
-        other = QPoly.of(other)
-        a, b = self.coeffs, other.coeffs
+        a = self.coeffs
+        if other.__class__ is int:
+            return _scale(self, other) if other and a else ZERO
+        if other.__class__ is not QPoly:
+            other = QPoly.of(other)
+        b = other.coeffs
         if not a or not b:
-            return QPoly()
+            return ZERO
+        if len(a) == 1:
+            return _scale(other, a[0])
+        if len(b) == 1:
+            return _scale(self, b[0])
+        # both leading coefficients are nonzero, so is their product: the
+        # result needs no trimming
+        if min(len(a), len(b)) >= KRONECKER_MIN_LEN:
+            return _wrap(_kronecker(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return QPoly(_trim(out))
+        return _wrap(tuple(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "QPoly":
-        result = QPoly.of(1)
+        result = ONE
         for _ in range(exponent):
             result = result * self
         return result
 
     def exact_div(self, other: "QPoly") -> "QPoly":
         """Divide exactly, raising ArithmeticError on a nonzero remainder."""
-        other = QPoly.of(other)
-        if not other:
+        div = QPoly.of(other).coeffs
+        if not div:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return QPoly()
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dd = len(div) - 1
+        if not self.coeffs:
+            return ZERO
         lead = div[-1]
+        if len(div) == 1:
+            if lead == 1:
+                return self
+            out = []
+            for c in self.coeffs:
+                f, r = divmod(c, lead)
+                if r:
+                    raise ArithmeticError("inexact polynomial division")
+                out.append(f)
+            return _wrap(tuple(out))
+        rem = list(self.coeffs)
+        dd = len(div) - 1
         out = [0] * (len(rem) - dd)
         for k in range(len(rem) - 1, dd - 1, -1):
             c = rem[k]
@@ -110,7 +198,8 @@ class QPoly:
                 rem[k - dd + i] -= f * dv
         if any(rem):
             raise ArithmeticError("inexact polynomial division")
-        return QPoly(_trim(out))
+        # the quotient's leading coefficient is lead(self) / lead(other) != 0
+        return _wrap(tuple(out))
 
     def __call__(self, value: int) -> int:
         result = 0
@@ -133,6 +222,55 @@ class QPoly:
                 pieces.append(f"{head}{q}")
         text = " + ".join(pieces)
         return text.replace("+ -", "- ")
+
+
+_set_coeffs = QPoly.coeffs.__set__
+
+
+def _wrap(coeffs: tuple[int, ...]) -> QPoly:
+    """A QPoly around a tuple that is already trimmed."""
+    p = object.__new__(QPoly)
+    _set_coeffs(p, coeffs)
+    return p
+
+
+def _plus_constant(p: QPoly, c: int) -> QPoly:
+    """p plus an integer c, for a nonzero p."""
+    a = p.coeffs
+    s = a[0] + c
+    if len(a) > 1:
+        return _wrap((s,) + a[1:])
+    return _wrap((s,)) if s else ZERO
+
+
+def _scale(p: QPoly, c: int) -> QPoly:
+    """p times a nonzero integer c, for a nonzero p."""
+    if c == 1:
+        return p
+    return _wrap(tuple([x * c for x in p.coeffs]))
+
+
+def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficients of a*b through one integer product at q = 2^bits
+    (the bound on ``bits`` is in the module docstring)."""
+    bits = (min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))).bit_length() + 1
+    x = 0
+    for c in reversed(a):
+        x = (x << bits) + c
+    y = 0
+    for c in reversed(b):
+        y = (y << bits) + c
+    z = x * y
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    out = []
+    for _ in range(len(a) + len(b) - 1):
+        d = z & mask
+        if d >= half:
+            d -= mask + 1
+        out.append(d)
+        z = (z - d) >> bits
+    return tuple(out)
 
 
 ZERO = QPoly()

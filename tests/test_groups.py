@@ -193,3 +193,10 @@ def test_descent_buckets_are_read_only():
     buckets = groups.descent_buckets("A", 3)
     with pytest.raises(TypeError):
         buckets[frozenset()] = ()
+
+
+def test_diagram_automorphism_is_read_only():
+    sigma = groups.diagram_automorphism("D", 3)
+    with pytest.raises(TypeError):
+        sigma[0] = 0
+    assert groups.diagram_automorphism("D", 3) == {0: 1, 1: 0, 2: 2}

@@ -295,6 +295,22 @@ def test_q_ribbon():
     assert q_ribbon((2, 1), "det") == QPoly.of((0, 1, 1))
 
 
+# a composition of n is its descent set, a subset of 1..n-1; at most seven
+# parts, because the det route's cost climbs steeply with the number of
+# parts ((1,) * 10 alone takes over a second)
+LARGE_COMPOSITIONS = st.integers(8, 10).flatmap(
+    lambda n: st.sets(st.integers(1, n - 1), max_size=6).map(
+        lambda dset: shapes.parts_from_descents(dset, n, "A")
+    )
+)
+
+
+@settings(deadline=None, max_examples=15)
+@given(LARGE_COMPOSITIONS)
+def test_q_ribbon_det_matches_ie_above_desk_scale(parts):
+    assert q_ribbon(parts, "det") == q_ribbon(parts, "ie")
+
+
 def test_q_multinomial_specialization():
     # the sum of q-ribbon numbers over coarsenings is the q-multinomial
     for parts in comps(5):
