@@ -8,9 +8,10 @@ over Z[q] supports the determinant formula for q-ribbon numbers.
 
 ``QPoly`` is the coefficient ring of every series identity, so its
 arithmetic is the kernel the certificates spend their time in.  Every
-instance is trimmed (no trailing zero coefficient) and immutable, so the
-arithmetic returns ``ZERO`` or an operand itself whenever the result
-equals it, and handles integers and constants without the general loops.
+instance is trimmed (no trailing zero coefficient) and immutable, so sums
+and products return ``ZERO`` or an operand itself whenever the result
+equals it, and add or multiply integers and constants without the
+general loops.
 
 Products whose shorter operand has at least ``KRONECKER_MIN_LEN``
 coefficients use Kronecker substitution: both operands are evaluated at
@@ -80,10 +81,8 @@ class QPoly:
     def of(value) -> "QPoly":
         if isinstance(value, QPoly):
             return value
-        if value.__class__ is int:
-            return _wrap((value,)) if value else ZERO
         if isinstance(value, int):
-            return QPoly((value,))
+            return _wrap((value,)) if value else ZERO
         return QPoly(value)
 
     @staticmethod
@@ -99,7 +98,7 @@ class QPoly:
 
     def __add__(self, other) -> "QPoly":
         a = self.coeffs
-        if other.__class__ is int:
+        if isinstance(other, int):
             if not other:
                 return self
             return _plus_constant(self, other) if a else _wrap((other,))
@@ -135,7 +134,7 @@ class QPoly:
 
     def __mul__(self, other) -> "QPoly":
         a = self.coeffs
-        if other.__class__ is int:
+        if isinstance(other, int):
             return _scale(self, other) if other and a else ZERO
         if other.__class__ is not QPoly:
             other = QPoly.of(other)
@@ -173,16 +172,6 @@ class QPoly:
         if not self.coeffs:
             return ZERO
         lead = div[-1]
-        if len(div) == 1:
-            if lead == 1:
-                return self
-            out = []
-            for c in self.coeffs:
-                f, r = divmod(c, lead)
-                if r:
-                    raise ArithmeticError("inexact polynomial division")
-                out.append(f)
-            return _wrap(tuple(out))
         rem = list(self.coeffs)
         dd = len(div) - 1
         out = [0] * (len(rem) - dd)
