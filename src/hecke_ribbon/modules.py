@@ -16,9 +16,11 @@ an exact linear solve.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import groups, linalg, tableaux
 from .shapes import (
@@ -95,15 +97,20 @@ def mat_from_dense(rows: list[list[int]]) -> Mat:
     )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HeckeModule:
-    """A finite 0-Hecke module: a basis plus one matrix per generator."""
+    """A finite 0-Hecke module: a basis plus one matrix per generator.
+    Read-only, as ``build_p`` shares cached ones: ``gens`` is a read-only
+    copy of the mapping passed in."""
 
     kind: str
     n: int
     basis: tuple
-    gens: dict[int, Mat]
+    gens: Mapping[int, Mat]
     shape: Shape | None = field(default=None)
+
+    def __post_init__(self):
+        object.__setattr__(self, "gens", MappingProxyType(dict(self.gens)))
 
     @property
     def dim(self) -> int:

@@ -3,8 +3,7 @@
 Coefficients are Python integers, so every computation here is exact.
 The q-analogs provided are the q-integer [k], the q-factorial [k]!, and
 q-binomial/multinomial coefficients, built by the Pascal recurrence so
-that no division is ever needed.  A fraction-free (Bareiss) determinant
-over Z[q] supports the determinant formula for q-ribbon numbers.
+that no division is ever needed.
 
 ``QPoly`` is the coefficient ring of every series identity, so its
 arithmetic is the kernel the certificates spend their time in.  Every
@@ -159,36 +158,12 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "QPoly":
+        if exponent < 0:
+            raise ValueError("negative powers are not polynomials")
         result = ONE
         for _ in range(exponent):
             result = result * self
         return result
-
-    def exact_div(self, other: "QPoly") -> "QPoly":
-        """Divide exactly, raising ArithmeticError on a nonzero remainder."""
-        div = QPoly.of(other).coeffs
-        if not div:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self.coeffs:
-            return ZERO
-        lead = div[-1]
-        rem = list(self.coeffs)
-        dd = len(div) - 1
-        out = [0] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c == 0:
-                continue
-            if c % lead:
-                raise ArithmeticError("inexact polynomial division")
-            f = c // lead
-            out[k - dd] = f
-            for i, dv in enumerate(div):
-                rem[k - dd + i] -= f * dv
-        if any(rem):
-            raise ArithmeticError("inexact polynomial division")
-        # the quotient's leading coefficient is lead(self) / lead(other) != 0
-        return _wrap(tuple(out))
 
     def __call__(self, value: int) -> int:
         result = 0
@@ -278,16 +253,6 @@ def q_factorial(k: int) -> QPoly:
     return q_factorial(k - 1) * q_int(k)
 
 
-def q_factorial_quotient(n: int, m: int) -> QPoly:
-    """[n]! / [m]! as the product [m+1][m+2]...[n]; zero when m < 0."""
-    if m < 0:
-        return ZERO
-    result = ONE
-    for j in range(m + 1, n + 1):
-        result = result * q_int(j)
-    return result
-
-
 @lru_cache(maxsize=None)
 def q_binomial(n: int, k: int) -> QPoly:
     if k < 0 or k > n:
@@ -307,28 +272,3 @@ def q_multinomial(n: int, parts: tuple[int, ...]) -> QPoly:
         result = result * q_binomial(rest, p)
         rest -= p
     return result
-
-
-def det_bareiss(rows: list[list[QPoly]]) -> QPoly:
-    """Fraction-free determinant of a square matrix over Z[q]."""
-    n = len(rows)
-    if n == 0:
-        return ONE
-    m = [[QPoly.of(entry) for entry in row] for row in rows]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = ZERO
-        prev = m[k][k]
-    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]

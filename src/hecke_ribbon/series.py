@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import accumulate, chain, combinations, combinations_with_replacement, product
 
 from . import groups, linalg, modules, tableaux
-from .qpoly import ONE, QPoly, det_bareiss, q_factorial, q_factorial_quotient, q_multinomial
+from .qpoly import ONE, QPoly, q_binomial, q_multinomial
 from .shapes import (
     Parts,
     Shape,
@@ -427,7 +427,19 @@ def noncommutative_characteristic(labels, kind: str) -> SeriesElement:
 
 
 def q_ribbon(parts: Parts, method: str = "det") -> QPoly:
-    """The inversion generating function of a type A descent class."""
+    """β_q(α), the inversion generating function of the type A descent
+    class of a composition α of n.  ``brute`` sums q^inv(w) over the class,
+    ``ie`` is inclusion-exclusion over the descent set with q-multinomials,
+    and ``det`` is the q-analogue of Stanley, *EC1*, Example 2.2.5: with
+    σ_i = α_1 + ... + α_i, β_q(α) = det[[n − σ_i choose σ_{j+1} − σ_i]_q]
+    for i, j = 0..ℓ−1.  That matrix is upper Hessenberg with subdiagonal
+    [· choose 0]_q = 1, so its determinant is the division-free recurrence
+    D_0 = 1, D_k = Σ_{i<k} (−1)^(k−1−i) [n − σ_i choose σ_k − σ_i]_q D_i,
+    and β_q(α) = D_ℓ.  ``det`` and ``ie`` share ``q_binomial``, which
+    ``test_qpoly`` certifies against a brute count; ``brute`` is independent.
+    Every route raises ``ShapeError`` unless α is a composition.
+    """
+    composition(parts)
     n = sum(parts)
     if method == "brute":
         dset = parts_descents(parts)
@@ -446,17 +458,14 @@ def q_ribbon(parts: Parts, method: str = "det") -> QPoly:
             out = out + sign * q_multinomial(n, beta)
         return out
     if method == "det":
-        sigma = [0]
-        for p in parts:
-            sigma.append(sigma[-1] + p)
-        ell = len(parts)
-        rows = [
-            [q_factorial_quotient(n, sigma[j + 1] - sigma[i]) for j in range(ell)]
-            for i in range(ell)
-        ]
-        det = det_bareiss(rows)
-        divisor = q_factorial(n) ** (ell - 1)
-        return det.exact_div(divisor)
+        sigma = (0, *accumulate(parts))
+        dets = [ONE]
+        for k in range(1, len(parts) + 1):
+            d = QPoly()  # each step negates the sum so far: sign (-1)^(k-1-i)
+            for i in range(k):
+                d = q_binomial(n - sigma[i], sigma[k] - sigma[i]) * dets[i] - d
+            dets.append(d)
+        return dets[-1]
     raise ValueError(f"unknown method {method!r}")
 
 

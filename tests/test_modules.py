@@ -65,6 +65,23 @@ def test_relations_and_negative_control():
     assert check_relations(corrupted)
 
 
+def test_build_p_is_read_only():
+    module = build_p(composition((2, 1, 1)))
+    gens = dict(module.gens)
+    with pytest.raises(TypeError):
+        module.gens[1] = mat_identity(module.dim)
+    with pytest.raises(AttributeError):
+        module.gens = {}
+    with pytest.raises(AttributeError):
+        module.basis = ()
+    # a module keeps its own copy of the generator mapping it was given
+    source = dict(gens)
+    copied = modules.HeckeModule(module.kind, module.n, module.basis, source, module.shape)
+    source[1] = mat_identity(module.dim)
+    assert copied.gens == gens
+    assert build_p(composition((2, 1, 1))).gens == gens
+
+
 def test_action_sparsity_and_cyclicity():
     for shape in all_single("B", 3):
         module = build_p(shape)

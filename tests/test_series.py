@@ -289,17 +289,22 @@ def test_q_ribbon():
         for parts in comps(n):
             det = q_ribbon(parts, "det")
             assert det == q_ribbon(parts, "ie") == q_ribbon(parts, "brute"), parts
-    n = 5
-    assert q_ribbon((1,) * n, "det") == QPoly.q(n * (n - 1) // 2)
-    assert q_ribbon((n,), "det") == ONE
+    for n in range(5, 13):
+        assert q_ribbon((1,) * n, "det") == QPoly.q(n * (n - 1) // 2)
+        assert q_ribbon((n,), "det") == ONE
     assert q_ribbon((2, 1), "det") == QPoly.of((0, 1, 1))
 
 
-# a composition of n is its descent set, a subset of 1..n-1; at most seven
-# parts, because the det route's cost climbs steeply with the number of
-# parts ((1,) * 10 alone takes over a second)
-LARGE_COMPOSITIONS = st.integers(8, 10).flatmap(
-    lambda n: st.sets(st.integers(1, n - 1), max_size=6).map(
+@pytest.mark.parametrize("method", ["det", "ie", "brute"])
+@pytest.mark.parametrize("parts", [(2, 0, 1), (-1, 2)])
+def test_q_ribbon_rejects_non_compositions(parts, method):
+    with pytest.raises(shapes.ShapeError):
+        q_ribbon(parts, method)
+
+
+# a composition of n is its descent set, a subset of 1..n-1
+LARGE_COMPOSITIONS = st.integers(8, 12).flatmap(
+    lambda n: st.sets(st.integers(1, n - 1)).map(
         lambda dset: shapes.parts_from_descents(dset, n, "A")
     )
 )
