@@ -34,6 +34,14 @@ def _parse_element(text: str, kind: str) -> series.SeriesElement:
     return series.element(space, basis, parts)
 
 
+def _need(args, option: str):
+    """The value of a per-action option, or a usage error naming it."""
+    value = getattr(args, option)
+    if value is None:
+        raise ValueError(f"this action needs --{option}")
+    return value
+
+
 def _emit(args, payload, text_lines) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -58,13 +66,11 @@ def _series_out(args, elem: series.SeriesElement):
 
 
 def cmd_shape(args) -> int:
-    s = shapes.parse_shape(args.shape, args.type) if args.shape else None
     if args.action == "enumerate":
         out = [shapes.format_shape(x) for x in shapes.enumerate_shapes(args.size, args.type)]
         _emit(args, {"shapes": out}, out)
         return 0
-    if s is None:
-        raise ValueError("this action needs --shape")
+    s = shapes.parse_shape(_need(args, "shape"), args.type)
     if args.action == "descents":
         d = sorted(shapes.descent_set(s))
         _emit(args, {"descents": d}, [" ".join(map(str, d)) or "(empty)"])
@@ -103,7 +109,7 @@ def cmd_group(args) -> int:
         _emit(args, {"elements": out, "order": len(out)}, out + [f"order {len(out)}"])
         return 0
     if args.action in ("class", "reps"):
-        s = shapes.parse_shape(args.shape, args.type)
+        s = shapes.parse_shape(_need(args, "shape"), args.type)
         if args.action == "class":
             dc = groups.descent_class(args.type, s)
             out = {
@@ -118,7 +124,7 @@ def cmd_group(args) -> int:
             _emit(args, {"representatives": out}, out)
         return 0
     w = groups.validate(
-        groups.GroupElement(args.type, tuple(int(x) for x in args.element.split(",")))
+        groups.GroupElement(args.type, tuple(int(x) for x in _need(args, "element").split(",")))
     )
     if args.action == "descents":
         d = sorted(groups.descents(w))
@@ -146,12 +152,12 @@ def cmd_tableau(args) -> int:
         out = {"tableau": str(t), "word": str(tableaux.reading_word(t))}
         _emit(args, out, [out["tableau"], f"word {out['word']}"])
     elif args.action == "theta":
-        t = tableaux.parse_tableau(args.tableau, s)
+        t = tableaux.parse_tableau(_need(args, "tableau"), s)
         image = tableaux.theta_map(t)
         out = {"tableau": str(image), "shape": shapes.format_shape(image.shape)}
         _emit(args, out, [out["tableau"], f"shape {out['shape']}"])
     elif args.action == "word":
-        t = tableaux.parse_tableau(args.tableau, s)
+        t = tableaux.parse_tableau(_need(args, "tableau"), s)
         out = {"word": str(tableaux.reading_word(t)), "descents": sorted(tableaux.tableau_descents(t))}
         _emit(args, out, [out["word"], "descents " + " ".join(map(str, out["descents"]))])
     else:
@@ -221,19 +227,19 @@ def cmd_module(args) -> int:
 def cmd_series(args) -> int:
     kind = args.type
     if args.action == "qribbon":
-        s = shapes.parse_shape(args.shape, "A")
+        s = shapes.parse_shape(_need(args, "shape"), "A")
         poly = series.q_ribbon(s.parts, args.method)
         payload = {"coeffs": _qpoly_out(args, poly)}
         _emit(args, payload, [str(poly) if args.q_at is None else str(poly(args.q_at))])
         return 0
     if args.action == "identity":
         if args.which == "band-product":
-            s = shapes.parse_shape(args.shape, "A")
+            s = shapes.parse_shape(_need(args, "shape"), "A")
             lhs, rhs = series.band_product_identity(s)
             ok = lhs == rhs
         elif args.which == "ribbon-sum":
-            beta = shapes.parse_shape(args.beta, "A").parts
-            gamma = shapes.parse_shape(args.gamma, "A").parts
+            beta = shapes.parse_shape(_need(args, "beta"), "A").parts
+            gamma = shapes.parse_shape(_need(args, "gamma"), "A").parts
             lhs, rhs = series.ribbon_sum_identity(beta, gamma)
             ok = lhs == rhs
         else:
@@ -241,9 +247,9 @@ def cmd_series(args) -> int:
         payload = {"holds": ok}
         _emit(args, payload, ["identity holds" if ok else "identity FAILS"])
         return 0 if ok else 1
-    left = _parse_element(args.num if args.action == "skew" else args.left, kind)
+    left = _parse_element(_need(args, "num" if args.action == "skew" else "left"), kind)
     if args.action == "convert":
-        out = series.convert(left, args.to)
+        out = series.convert(left, _need(args, "to"))
         _emit(args, _series_out(args, out), [str(out)])
     elif args.action == "antipode":
         out = series.antipode(left)
@@ -261,7 +267,7 @@ def cmd_series(args) -> int:
         _emit(args, {"terms": payload}, [f"{p['left']} (x) {p['right']} : {p['coeff']}" for p in payload])
     elif args.action in ("mul", "pair"):
         right_kind = kind if args.action == "pair" or args.right_type is None else args.right_type
-        right = _parse_element(args.right, right_kind if args.action == "mul" else kind)
+        right = _parse_element(_need(args, "right"), right_kind if args.action == "mul" else kind)
         if args.action == "mul":
             if left.space in series.QSYM_SIDE:
                 out = series.qsym_product(left, right)
@@ -272,7 +278,7 @@ def cmd_series(args) -> int:
             val = series.pairing(left, right)
             _emit(args, {"value": _qpoly_out(args, val)}, [str(val)])
     elif args.action == "skew":
-        den = _parse_element(args.den, kind)
+        den = _parse_element(_need(args, "den"), kind)
         out = series.skew(left, den, args.side)
         _emit(args, _series_out(args, out), [str(out)])
     elif args.action == "eval":
@@ -296,12 +302,12 @@ def cmd_series(args) -> int:
 
 def cmd_demazure(args) -> int:
     if args.action == "xalpha":
-        s = shapes.parse_shape(args.shape, "A")
+        s = shapes.parse_shape(_need(args, "shape"), "A")
         poly = demazure.x_alpha(s)
         _emit(args, {"poly": str(poly)}, [str(poly)])
         return 0
     if args.action == "apply":
-        f = demazure.parse_poly(args.poly, args.vars)
+        f = demazure.parse_poly(_need(args, "poly"), args.vars)
         for op in reversed(args.op.split()):
             bar = op.startswith("pibar")
             i = int(op[5:] if bar else op[2:])
@@ -309,7 +315,7 @@ def cmd_demazure(args) -> int:
         _emit(args, {"poly": str(f)}, [str(f)])
         return 0
     if args.action == "module":
-        s = shapes.parse_shape(args.shape, "A")
+        s = shapes.parse_shape(_need(args, "shape"), "A")
         module, label = demazure.build_polynomial_module(s, args.model)
         payload = {
             "dimension": module.dim,

@@ -276,10 +276,7 @@ def descent_band(shape: Shape) -> tuple[frozenset[int], frozenset[int]]:
 
 def split_rows(shape: Shape) -> Shape:
     """The generalized shape whose components are the single rows of a ribbon."""
-    parts = shape.parts
-    if shape.kind == "A":
-        return Shape("A", tuple((p,) for p in parts))
-    return Shape(shape.kind, tuple((p,) for p in parts))
+    return Shape(shape.kind, tuple((p,) for p in shape.parts))
 
 
 # ---------------------------------------------------------------------------
@@ -290,34 +287,31 @@ class Diagram:
     """Box coordinates of a shape, in reading order.
 
     Attributes: ``boxes`` (list of (row, col)), ``zero_box`` (coordinate
-    or None), ``component_of`` (component index per box), neighbor index
-    tables ``left_of``/``below`` (box index, None, or "zero" for
-    left_of), and ``above_zero`` (index of the box sitting on top of the
-    0-box, if any).
+    or None), neighbor index tables ``left_of``/``below`` (box index,
+    None, or "zero" for left_of), and ``above_zero`` (index of the box
+    sitting on top of the 0-box, if any).  Two boxes touch only when they
+    are consecutive in reading order, so a box's left or lower neighbor,
+    if any, is the box before it.
     """
 
     def __init__(self, shape: Shape):
         self.shape = shape
         boxes: list[tuple[int, int]] = []
-        comp_of: list[int] = []
         zero_box = None
         row_off = col_off = 0
         for ci, parts in enumerate(shape.components):
             coords, zb = _ribbon_coords(parts, shape.kind if ci == 0 else "A")
             coords = [(r + row_off, c + col_off) for r, c in coords]
-            if zb is not None:
-                zero_box = (zb[0] + row_off, zb[1] + col_off)
             boxes.extend(coords)
-            comp_of.extend([ci] * len(coords))
-            cells = coords + ([zero_box] if zb is not None else [])
-            if cells:
-                row_off = max(r for r, _ in cells) + 1
-                col_off = max(c for _, c in cells) + 1
+            if zb is not None:
+                zero_box = zb  # only the first component has one, unshifted
+                coords.append(zb)
+            if coords:
+                row_off = max(r for r, _ in coords) + 1
+                col_off = max(c for _, c in coords) + 1
         self.boxes = tuple(boxes)
         self.zero_box = zero_box
-        self.component_of = tuple(comp_of)
         index = {coord: i for i, coord in enumerate(boxes)}
-        self.index = index
         self.left_of = tuple(
             index.get((r, c - 1), "zero" if zero_box == (r, c - 1) else None)
             for r, c in boxes
@@ -337,34 +331,26 @@ class Diagram:
             out.setdefault(r, []).append(i)
         return [out[r] for r in sorted(out)]
 
-    def columns(self, include_zero: bool = False) -> list[list]:
-        out: dict[int, list] = {}
-        for i, (r, c) in enumerate(self.boxes):
-            out.setdefault(c, []).append((r, i))
-        if include_zero and self.zero_box is not None:
-            out.setdefault(self.zero_box[1], []).append((self.zero_box[0], "zero"))
-        return [[i for _, i in sorted(out[c])] for c in sorted(out)]
+    def columns(self) -> list[list[int]]:
+        """Box indices per column, left to right, each bottom to top."""
+        out: dict[int, list[int]] = {}
+        for i, (_, c) in enumerate(self.boxes):
+            out.setdefault(c, []).append(i)
+        return [out[c] for c in sorted(out)]
 
 
 def _ribbon_coords(parts: Parts, kind: str):
-    """Coordinates of one (pseudo-)ribbon, plus its 0-box coordinate."""
-    if kind == "A":
-        rows = parts
-        zero = None
-        first_row = 1
-    else:
-        if parts[0] == 0:
-            rows = parts[1:]
-            zero = (0, 1)
-        else:
-            rows = parts
-            zero = (1, 0)
-        first_row = 1
+    """Coordinates of one (pseudo-)ribbon from row 1, column 1, plus its
+    0-box coordinate."""
+    zero = None
+    if kind != "A":
+        zero = (0, 1) if parts[0] == 0 else (1, 0)
+        parts = parts[1:] if parts[0] == 0 else parts
     coords = []
     col = 1
-    for i, p in enumerate(rows):
-        coords.extend((first_row + i, col + j) for j in range(p))
-        col = col + p - 1
+    for row, p in enumerate(parts, start=1):
+        coords.extend((row, col + j) for j in range(p))
+        col += p - 1
     return coords, zero
 
 
@@ -387,130 +373,91 @@ class Decomposition:
     assignment: tuple[str, ...]
 
 
-def _extract_components(coords: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-    remaining = set(coords)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        stack, comp = [seed], set()
-        remaining.discard(seed)
-        while stack:
-            r, c = stack.pop()
-            comp.add((r, c))
-            for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if nb in remaining:
-                    remaining.discard(nb)
-                    stack.append(nb)
-        comps.append(sorted(comp))
-    comps.sort(key=lambda comp: comp[0][0])
-    return comps
-
-
-def _component_parts(comp: list[tuple[int, int]]) -> Parts:
-    rows: dict[int, list[int]] = {}
-    for r, c in comp:
-        rows.setdefault(r, []).append(c)
-    parts = []
-    prev_end = None
-    for r in sorted(rows):
-        cols = sorted(rows[r])
-        if cols != list(range(cols[0], cols[-1] + 1)):
-            raise ShapeError("picked boxes do not form a ribbon row")
-        if prev_end is not None and cols[0] != prev_end:
-            raise ShapeError("picked boxes do not overlap like a ribbon")
-        parts.append(len(cols))
-        prev_end = cols[-1]
-    return tuple(parts)
-
-
 def subshape_of_boxes(shape: Shape, picked: list[int], with_zero: bool = False):
     """The generalized shape formed by a subset of boxes, and the order in
-    which those boxes are visited by the subshape's own reading order."""
+    which those boxes are visited by the subshape's own reading order.
+
+    Two boxes touch only when they are consecutive in reading order, so
+    one pass over the picked boxes in that order reads off the shape: a
+    box right of the previous picked box extends its row, a box on top of
+    it starts the next row of its component, and any other box starts a
+    new component.  The order is therefore ``sorted(picked)``.  With
+    ``with_zero`` (kinds B and D) the 0-box joins the subshape: under a
+    picked first box it makes a leading zero part, left of one it leaves
+    the parts as they are, and otherwise it is a bare leading component.
+    """
     diag = diagram(shape)
-    coords = [diag.boxes[i] for i in picked]
-    comps = _extract_components(coords)
-    parts_list = [_component_parts(c) for c in comps]
-    kind = shape.kind
-    if with_zero and kind != "A":
-        zb = diag.zero_box
-        first = comps[0] if comps else []
-        if comps and (zb[0] + 1, zb[1]) == first[0]:
-            parts_list[0] = (0,) + parts_list[0]
-        elif comps and (zb[0], zb[1] + 1) == first[0]:
-            pass  # a positive-start pseudo-composition keeps its parts
+    order = sorted(picked)
+    comps: list[list[int]] = []
+    for k, i in enumerate(order):
+        if k and diag.left_of[i] == order[k - 1]:
+            comps[-1][-1] += 1
+        elif k and diag.below[i] == order[k - 1]:
+            comps[-1].append(1)
         else:
-            parts_list = [(0,)] + parts_list
-        sub_kind = kind if kind != "D" or sum(map(sum, parts_list)) >= 2 else "B"
-        sub = Shape(sub_kind, tuple(parts_list))
-    else:
-        sub = Shape("A", tuple(parts_list))
-    order = [diag.index[coord] for comp in comps for coord in sorted(comp)]
-    return sub, order
+            comps.append([1])
+    parts_list = [tuple(c) for c in comps]
+    if not with_zero or shape.kind == "A":
+        return Shape("A", tuple(parts_list)), order
+    if order and order[0] == diag.above_zero:
+        parts_list[0] = (0,) + parts_list[0]
+    elif not (order and diag.left_of[order[0]] == "zero"):
+        parts_list.insert(0, (0,))
+    kind = "B" if shape.kind == "D" and len(order) < 2 else shape.kind
+    return Shape(kind, tuple(parts_list)), order
 
 
 def decompositions(shape: Shape) -> tuple[Decomposition, ...]:
-    """All monotone beta/gamma fillings of the boxes of the shape.
+    """All monotone beta/gamma fillings of the boxes of the shape, in
+    lexicographic order of their assignments.
 
     Along every row (left to right) and every column (top to bottom) the
-    labels weakly increase, with beta < gamma.  In kinds B and D the
-    0-box is not assignable: it counts as a beta cell in the monotonicity
-    check and is attached to the beta factor, which is therefore a
-    pseudo-shape while gamma is a type A shape.
+    labels weakly increase, with beta < gamma.  Two boxes touch only when
+    they are consecutive in reading order, so labelling the boxes in that
+    order checks each new label against the previous one alone, and
+    trying beta before gamma keeps the fillings sorted.  In kinds B and D
+    the 0-box is not assignable: it counts as a beta cell in the
+    monotonicity check (so the box on top of it is beta) and is attached
+    to the beta factor, which is therefore a pseudo-shape while gamma is
+    a type A shape.
     """
     diag = diagram(shape)
-    n = diag.n
+    assignments: list[tuple[str, ...]] = [()]
+    for i in range(diag.n):
+        right_of_prev = diag.left_of[i] == i - 1
+        on_top_of_prev = diag.below[i] == i - 1
+        labels = "b" if i == diag.above_zero else "bg"
+        assignments = [
+            a + (label,)
+            for a in assignments
+            for label in labels
+            if not (right_of_prev and label < a[-1] or on_top_of_prev and label > a[-1])
+        ]
+    with_zero = shape.kind != "A"
     out = []
-    for assignment in cartesian("bg", repeat=n):
-        ok = True
-        for i in range(n):
-            left = diag.left_of[i]
-            if left == "zero":
-                pass  # the 0-box counts as beta, never above/right of anything
-            elif left is not None and assignment[left] > assignment[i]:
-                ok = False
-                break
-            b = diag.below[i]
-            if b is not None and assignment[i] > assignment[b]:
-                ok = False
-                break
-        if not ok:
-            continue
-        if diag.above_zero is not None and assignment[diag.above_zero] == "g":
-            continue  # a gamma cell may not sit on top of the 0-box
-        beta_boxes = [i for i in range(n) if assignment[i] == "b"]
-        gamma_boxes = [i for i in range(n) if assignment[i] == "g"]
-        beta, _ = subshape_of_boxes(shape, beta_boxes, with_zero=shape.kind != "A")
-        gamma, _ = subshape_of_boxes(shape, gamma_boxes)
-        out.append(Decomposition(beta, gamma, assignment))
-    out.sort(key=lambda d: d.assignment)
+    for a in assignments:
+        beta, _ = subshape_of_boxes(shape, [i for i, x in enumerate(a) if x == "b"], with_zero)
+        gamma, _ = subshape_of_boxes(shape, [i for i, x in enumerate(a) if x == "g"])
+        out.append(Decomposition(beta, gamma, a))
     return tuple(out)
 
 
 def enumerate_generalized(n: int, kind: str, max_components: int) -> list[Shape]:
     """All generalized shapes of size n with at most the given number of
-    components; in kinds B and D the leading component may have size 0."""
+    components; in kinds B and D the leading component may have size 0.
+    Distinct component counts, sizes and parts give distinct shapes, so
+    the list has no repeats."""
+    if kind == "D" and n < 2:
+        return []
+    first_kind = "A" if kind == "A" else "B"
     out = []
     for k in range(1, max_components + 1):
-        first_sizes = range(n + 1) if kind != "A" else range(1, n + 1)
-        for first in first_sizes:
-            rest = n - first
-            for sizes in _compositions_of(rest, k - 1):
-                if kind == "A":
-                    pools = [[c.parts for c in enumerate_shapes(first, "A")]]
-                else:
-                    pools = [[c.parts for c in enumerate_shapes(first, "B")]]
+        for first in range(1 if kind == "A" else 0, n + 1):
+            for sizes in _compositions_of(n - first, k - 1):
+                pools = [[c.parts for c in enumerate_shapes(first, first_kind)]]
                 pools += [[c.parts for c in enumerate_shapes(s, "A")] for s in sizes]
-                for combo in cartesian(*pools):
-                    if kind == "D" and n < 2:
-                        continue
-                    out.append(Shape(kind, combo))
-    seen = set()
-    unique = []
-    for s in out:
-        if s not in seen:
-            seen.add(s)
-            unique.append(s)
-    return unique
+                out.extend(Shape(kind, combo) for combo in cartesian(*pools))
+    return out
 
 
 def _compositions_of(n: int, k: int) -> list[tuple[int, ...]]:

@@ -26,6 +26,31 @@ def test_shape_commands(capsys):
     assert json.loads(out)["shapes"] == ["[3]", "[2,1]", "[1,2]", "[1,1,1]"]
 
 
+def test_shape_decompose_output(capsys):
+    # the splittings come in lexicographic order of their assignments
+    code, out = run_cli(capsys, "shape", "decompose", "--shape", "[2]+[1,1]", "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"decompositions": ['
+        '{"assignment": "bbbb", "beta": "[2]+[1,1]", "gamma": "[]"}, '
+        '{"assignment": "bbgb", "beta": "[2]+[1]", "gamma": "[1]"}, '
+        '{"assignment": "bbgg", "beta": "[2]", "gamma": "[1,1]"}, '
+        '{"assignment": "bgbb", "beta": "[1]+[1,1]", "gamma": "[1]"}, '
+        '{"assignment": "bggb", "beta": "[1]+[1]", "gamma": "[1]+[1]"}, '
+        '{"assignment": "bggg", "beta": "[1]", "gamma": "[1]+[1,1]"}, '
+        '{"assignment": "ggbb", "beta": "[1,1]", "gamma": "[2]"}, '
+        '{"assignment": "gggb", "beta": "[1]", "gamma": "[2]+[1]"}, '
+        '{"assignment": "gggg", "beta": "[]", "gamma": "[2]+[1,1]"}]}\n'
+    )
+    code, out = run_cli(capsys, "shape", "decompose", "--shape", "[0,2]", "--type", "B", "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"decompositions": ['
+        '{"assignment": "bb", "beta": "[0,2]", "gamma": "[]"}, '
+        '{"assignment": "bg", "beta": "[0,1]", "gamma": "[1]"}]}\n'
+    )
+
+
 def test_group_commands(capsys):
     code, out = run_cli(capsys, "group", "descents", "--element", "2,-4,-1,3", "--type", "B")
     assert code == 0 and out.strip() == "1"
@@ -145,6 +170,23 @@ def test_exit_codes(capsys):
     assert code == 3
     code, _ = run_cli(capsys, "shape", "descents")  # missing --shape
     assert code == 2
+    for argv, option in [
+        (("tableau", "theta", "--shape", "[2,1]"), "--tableau"),
+        (("group", "descents"), "--element"),
+        (("group", "class"), "--shape"),
+        (("series", "skew"), "--num"),
+        (("series", "skew", "--num", "s[2]"), "--den"),
+        (("series", "qribbon"), "--shape"),
+        (("series", "convert", "--to", "M"), "--left"),
+        (("series", "convert", "--left", "F[1]"), "--to"),
+        (("series", "mul", "--left", "F[1]"), "--right"),
+        (("series", "identity", "--which", "ribbon-sum", "--beta", "[1]"), "--gamma"),
+        (("demazure", "apply"), "--poly"),
+    ]:
+        code = cli.main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err == f"usage error: this action needs {option}\n", argv
     with pytest.raises(SystemExit) as err:
         cli.main(["shape", "bogus-action"])
     assert err.value.code == 2

@@ -137,14 +137,18 @@ def test_bracket_band_coherence():
         assert len(seen) == 2 ** len(junctions) == len(bracket_set(shape))
 
 
-def brute_decomposition_count(parts):
+def brute_decomposition_count(components):
     """Independent oracle: monotone two-colorings of explicitly built
-    ribbon coordinates (rows bottom to top, overlap in one column)."""
+    ribbon coordinates (rows bottom to top, overlap in one column), each
+    component placed one row and one column clear of the previous one."""
     coords = []
-    col = 1
-    for r, p in enumerate(parts, start=1):
-        coords.extend((r, col + j) for j in range(p))
-        col += p - 1
+    row = col = 1
+    for parts in components:
+        for r, p in enumerate(parts, start=row):
+            coords.extend((r, col + j) for j in range(p))
+            col += p - 1
+        row = max(r for r, _ in coords) + 2
+        col += 2
     n = len(coords)
     count = 0
     for colors in cartesian((0, 1), repeat=n):
@@ -162,11 +166,29 @@ def brute_decomposition_count(parts):
 def test_decomposition_counts_against_oracle():
     frozen = {(1, 3): 7, (1, 1): 3, (3,): 4, (2, 2): 8}
     for parts, expected in frozen.items():
-        assert brute_decomposition_count(parts) == expected
+        assert brute_decomposition_count([parts]) == expected
         assert len(decompositions(composition(parts))) == expected
+    assert brute_decomposition_count([(2,), (1, 1)]) == 3 * 3
     for n in range(1, 7):
-        for s in enumerate_shapes(n, "A"):
-            assert len(decompositions(s)) == brute_decomposition_count(s.parts)
+        for s in shapes.enumerate_generalized(n, "A", 3):
+            assert len(decompositions(s)) == brute_decomposition_count(s.components)
+
+
+def test_decompositions_are_sorted_and_sized():
+    # lexicographic in the assignment (b < g), and each factor has as many
+    # boxes as its label; in kinds B and D the bare 0-box adds nothing
+    for kind, top in (("A", 6), ("B", 5), ("D", 5)):
+        for n in range(top + 1):
+            for s in shapes.enumerate_generalized(n, kind, 3):
+                decs = decompositions(s)
+                assignments = [d.assignment for d in decs]
+                assert assignments == sorted(assignments)
+                assert len(set(assignments)) == len(assignments)
+                for d in decs:
+                    assert d.beta.size == d.assignment.count("b")
+                    assert d.gamma.size == d.assignment.count("g")
+                    assert d.gamma.kind == "A"
+                    assert (d.beta.kind == "A") == (kind == "A")
 
 
 def test_decomposition_structure():
