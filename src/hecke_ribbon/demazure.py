@@ -1,13 +1,14 @@
 """The type A polynomial model: Demazure operators on exact polynomials.
 
 The isobaric divided difference pi_i sends f to
-(x_i f - x_{i+1} s_i(f)) / (x_i - x_{i+1}); the numerator is always
-divisible and the division is performed synthetically along the
-x_i-degree, aborting on any nonzero remainder.  The bar operator is
-pi_i - 1.  Collecting the images of the staircase-like monomial of a
-composition under all bar operators rebuilds the row-separated tableau
-module and, started from a suitable bar word, the ribbon module; both
-identifications are certified matrix-by-matrix.
+(x_i f - x_{i+1} s_i(f)) / (x_i - x_{i+1}).  No division is performed:
+pi_i is computed term by term from its closed form on monomials, and
+``verify.cert_demazure`` checks it against the defining identity by
+multiplication.  The bar operator is pi_i - 1.  Collecting the images
+of the staircase-like monomial of a composition under all bar operators
+rebuilds the row-separated tableau module and, started from a suitable
+bar word, the ribbon module; both identifications are certified
+matrix-by-matrix.
 """
 
 from __future__ import annotations
@@ -79,24 +80,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def times_variable(self, i: int, power: int = 1) -> "Poly":
-        """Multiply by x_i (1-indexed)."""
-        return Poly(
-            self.n,
-            tuple(
-                (m[: i - 1] + (m[i - 1] + power,) + m[i:], c) for m, c in self.terms
-            ),
-        )
-
-    def swap_variables(self, i: int) -> "Poly":
-        """Exchange x_i and x_{i+1} (1-indexed)."""
-        out = []
-        for m, c in self.terms:
-            mm = list(m)
-            mm[i - 1], mm[i] = mm[i], mm[i - 1]
-            out.append((tuple(mm), c))
-        return Poly(self.n, tuple(sorted(out)))
-
     def permute(self, w: groups.GroupElement) -> "Poly":
         """The variable substitution x_i -> x_{w(i)}."""
         out = []
@@ -144,10 +127,14 @@ def parse_poly(text: str, n: int) -> Poly:
         expo = [0] * n
         for factor in chunk.split("*"):
             if not factor:
-                continue
+                raise ValueError(f"empty factor in {chunk!r}")
             if factor.startswith("x"):
-                var, _, power = factor[1:].partition("^")
-                expo[int(var) - 1] += int(power) if power else 1
+                var, caret, power = factor[1:].partition("^")
+                if not (var.isdigit() and 1 <= int(var) <= n):
+                    raise ValueError(f"unknown variable {factor!r}: use x1..x{n}")
+                if caret and not power.isdigit():
+                    raise ValueError(f"exponent in {factor!r} is not a non-negative integer")
+                expo[int(var) - 1] += int(power) if caret else 1
             else:
                 coeff *= int(factor)
         key = tuple(expo)
@@ -159,45 +146,20 @@ def parse_poly(text: str, n: int) -> Poly:
 # operators
 
 
-def _divide_by_difference(f: Poly, i: int) -> Poly:
-    """Exact division by x_i - x_{i+1}, synthetically along the x_i-degree."""
-    by_degree: dict[int, dict[Monomial, int]] = {}
-    for m, c in f.terms:
-        d = m[i - 1]
-        key = m[: i - 1] + (0,) + m[i:]
-        level = by_degree.setdefault(d, {})
-        level[key] = level.get(key, 0) + c
-    if not by_degree:
-        return Poly(f.n, ())
-    top = max(by_degree)
-    quotient: dict[Monomial, int] = {}
-    carry: dict[Monomial, int] = {}
-    for d in range(top, 0, -1):
-        level = dict(by_degree.get(d, {}))
-        for m, c in carry.items():
-            level[m] = level.get(m, 0) + c
-        carry = {}
-        for m, c in level.items():
-            if not c:
-                continue
-            out_key = m[: i - 1] + (d - 1,) + m[i:]
-            quotient[out_key] = quotient.get(out_key, 0) + c
-            shifted = m[:i] + (m[i] + 1,) + m[i + 1 :]
-            carry[shifted] = carry.get(shifted, 0) + c
-    remainder = dict(by_degree.get(0, {}))
-    for m, c in carry.items():
-        remainder[m] = remainder.get(m, 0) + c
-    if any(remainder.values()):
-        raise ArithmeticError("inexact division by the variable difference")
-    return Poly.from_dict(f.n, quotient)
-
-
 def demazure(i: int, f: Poly) -> Poly:
-    """pi_i(f) = (x_i f - x_{i+1} s_i(f)) / (x_i - x_{i+1})."""
+    """pi_i(f) = (x_i f - x_{i+1} s_i(f)) / (x_i - x_{i+1}), term by term:
+    pi_i(x_i^a x_{i+1}^b) is the sum of x_i^(a+b-j) x_{i+1}^j over
+    b <= j <= a when a >= b, and minus that sum over a < j < b otherwise."""
     if not 1 <= i <= f.n - 1:
         raise ValueError(f"operator index {i} out of range for {f.n} variables")
-    numerator = f.times_variable(i) - f.swap_variables(i).times_variable(i + 1)
-    return _divide_by_difference(numerator, i)
+    out: dict[Monomial, int] = {}
+    for m, c in f.terms:
+        a, b = m[i - 1], m[i]
+        span, sign = (range(b, a + 1), c) if a >= b else (range(a + 1, b), -c)
+        for j in span:
+            key = m[: i - 1] + (a + b - j, j) + m[i + 1 :]
+            out[key] = out.get(key, 0) + sign
+    return Poly.from_dict(f.n, out)
 
 
 def demazure_bar(i: int, f: Poly) -> Poly:

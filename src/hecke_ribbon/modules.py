@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -417,16 +416,16 @@ def _lift(sub: Column, sub_mod: HeckeModule, locate) -> Column:
 def one_dim_quotients(module: HeckeModule) -> frozenset[frozenset[int]]:
     """All characters of one-dimensional quotients: covectors phi with
     phi M_i = lambda_i phi and lambda_i in {0, -1}, solved exactly over
-    the rationals; labeled by {i : lambda_i = -1}."""
+    the integers; labeled by {i : lambda_i = -1}."""
     dim = module.dim
-    states: list[tuple[frozenset[int], list[list[Fraction]]]] = [
-        (frozenset(), [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)])
+    states: list[tuple[frozenset[int], list[list[int]]]] = [
+        (frozenset(), [[int(i == j) for j in range(dim)] for i in range(dim)])
     ]
     for i in module.generator_indices():
         dense = mat_to_dense(module.gens[i], dim)
         nxt = []
         for label, rows in states:
-            image = [_row_times_dense(r, dense) for r in rows]
+            image = linalg.mat_mul_rows(rows, dense)
             for with_i, target in ((False, image), (True, [
                 [a + b for a, b in zip(img, row)] for img, row in zip(image, rows)
             ])):
@@ -436,18 +435,6 @@ def one_dim_quotients(module: HeckeModule) -> frozenset[frozenset[int]]:
                     nxt.append((label | {i} if with_i else label, new_rows))
         states = nxt
     return frozenset(label for label, rows in states if rows)
-
-
-def _row_times_dense(row: list[Fraction], dense: list[list[int]]) -> list[Fraction]:
-    dim = len(row)
-    out = [Fraction(0)] * dim
-    for r, x in enumerate(row):
-        if x:
-            drow = dense[r]
-            for j in range(dim):
-                if drow[j]:
-                    out[j] += x * drow[j]
-    return out
 
 
 # ---------------------------------------------------------------------------

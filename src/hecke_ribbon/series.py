@@ -22,7 +22,6 @@ coproduct term's coefficient is looked up in it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, combinations_with_replacement, product
 
@@ -639,9 +638,9 @@ def truncation_independent(series_list) -> bool:
     index = {w: i for i, w in enumerate(words)}
     rows = []
     for s in series_list:
-        row = [Fraction(0)] * len(words)
+        row = [0] * len(words)
         for w, c in s.terms.items():
-            row[index[w]] = Fraction(c)
+            row[index[w]] = c
         rows.append(row)
     return linalg.rank(rows) == len(series_list)
 

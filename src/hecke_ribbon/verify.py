@@ -324,10 +324,14 @@ def cert_qidentities(max_size: int = 6, ribbon_size: int = 7, band_size: int = 6
 def cert_demazure(max_size: int = 5, op_degree: int = 6, op_vars: int = 5) -> str:
     pi, bar = demazure.demazure, demazure.demazure_bar
     mono = [m for m in product(range(op_degree + 1), repeat=op_vars) if sum(m) <= op_degree]
+    x = {i: demazure.parse_poly(f"x{i}", op_vars) for i in range(1, op_vars + 1)}
     for m in mono:
         f = demazure.Poly.monomial(op_vars, m)
         for i in range(1, op_vars):
             pf = pi(i, f)
+            sf = f.permute(groups.generator("A", op_vars, i))
+            lhs, rhs = (x[i] - x[i + 1]) * pf, x[i] * f - x[i + 1] * sf
+            _require(lhs == rhs, "pi_{} fails its defining identity on {}", i, m)
             _require(pi(i, pf) == pf, "pi_{} not idempotent on {}", i, m)
             bf = bar(i, f)
             _require(bar(i, bf) == -1 * bf, "bar relation fails on {}", m)

@@ -3,7 +3,7 @@
 Each certificate gets one planted bug, a plausible wrong variant of a
 routine it relies on, and must raise CertificationError at small sizes.
 The checks must also survive ``python -O``, so ``verify.py`` may hold no
-``assert`` statement.
+``assert`` statement; and the package stays integer-only.
 """
 
 import ast
@@ -148,7 +148,38 @@ def test_checks_survive_optimize():
     assert done.stdout.split() == ["False", "False"]
 
 
+def test_demazure_checks_the_defining_identity(monkeypatch):
+    pi = demazure.demazure
+
+    def flipped(i, f):
+        """The closed form with the sign of its a < b branch flipped."""
+        out = demazure.Poly(f.n, ())
+        for m, c in f.terms:
+            image = pi(i, demazure.Poly.monomial(f.n, m, c))
+            out = out + (-image if m[i - 1] < m[i] else image)
+        return out
+
+    monkeypatch.setattr(demazure, "demazure", flipped)
+    with pytest.raises(modules.CertificationError, match="defining identity"):
+        verify.cert_demazure(3, 2, 3)
+
+
 def test_verify_has_no_assert_statement():
     tree = ast.parse(Path(verify.__file__).read_text())
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"verify.py uses assert at lines {lines}; use _require"
+
+
+def test_package_is_integer_only():
+    """No fractions import and no true division anywhere in the package;
+    the only division left is the exact floor division in linalg.rref."""
+    found = []
+    for path in sorted(Path(verify.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{path.name}:{node.lineno}: true division")
+            elif isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+                found.append(f"{path.name}:{node.lineno}: import fractions")
+            elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+                found.append(f"{path.name}:{node.lineno}: from fractions import")
+    assert not found, found

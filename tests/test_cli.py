@@ -187,6 +187,10 @@ def test_exit_codes(capsys):
         err = capsys.readouterr().err
         assert code == 2, argv
         assert err == f"usage error: this action needs {option}\n", argv
+    for poly in ("x0", "x9", "x1^-1"):  # out-of-range variables, a negative exponent
+        code = cli.main(["demazure", "apply", "--poly", poly, "--vars", "3"])
+        assert code == 2, poly
+        assert capsys.readouterr().err.startswith("usage error: "), poly
     with pytest.raises(SystemExit) as err:
         cli.main(["shape", "bogus-action"])
     assert err.value.code == 2

@@ -2,7 +2,7 @@ from itertools import product as cartesian
 
 import pytest
 
-from hecke_ribbon import demazure, modules, shapes
+from hecke_ribbon import demazure, groups, modules, shapes
 from hecke_ribbon.demazure import (
     Poly,
     apply_bar_word,
@@ -53,9 +53,32 @@ def test_operator_relations_exhaustive_small():
         assert pi(1, pi(2, pi(1, f))) == pi(2, pi(1, pi(2, f)))
 
 
-def test_divisibility_guard():
-    with pytest.raises(ArithmeticError):
-        demazure._divide_by_difference(Poly.monomial(2, (1, 0)), 1)
+def test_closed_form_satisfies_defining_identity():
+    # (x_i - x_{i+1}) pi_i(f) = x_i f - x_{i+1} s_i(f), checked by multiplication
+    for n in range(2, 6):
+        x = {i: parse_poly(f"x{i}", n) for i in range(1, n + 1)}
+        for m in cartesian(range(9), repeat=n):
+            if sum(m) > 8:
+                continue
+            f = Poly.monomial(n, m)
+            for i in range(1, n):
+                swapped = f.permute(groups.generator("A", n, i))
+                assert (x[i] - x[i + 1]) * pi(i, f) == x[i] * f - x[i + 1] * swapped, (m, i)
+
+
+def test_closed_form_cases():
+    assert pi(1, parse_poly("x1^3*x2*x3", 3)) == parse_poly(
+        "x1^3*x2*x3 + x1^2*x2^2*x3 + x1*x2^3*x3", 3
+    )  # a >= b
+    assert pi(1, parse_poly("x1^2*x2^2", 2)) == parse_poly("x1^2*x2^2", 2)  # a == b
+    assert pi(2, parse_poly("x1*x2^2*x3^3", 3)) == Poly(3, ())  # b == a + 1
+    assert pi(1, parse_poly("x2^4", 2)) == parse_poly("-x1^3*x2 - x1^2*x2^2 - x1*x2^3", 2)
+
+
+def test_parse_poly_rejects_bad_input():
+    for text in ("x0", "x9", "x1^-1", "x1^", "x^2", "xa", "x1^2.5", "x1*-2", "x1*"):
+        with pytest.raises(ValueError):
+            parse_poly(text, 3)
 
 
 def test_parse_format_round_trip():
@@ -65,8 +88,6 @@ def test_parse_format_round_trip():
 
 
 def test_permute_leading_terms():
-    from hecke_ribbon import groups
-
     base = x_alpha((2, 1))
     seen = set()
     for w in groups.min_coset_reps("A", composition((2, 1))):
@@ -84,8 +105,6 @@ def test_triangularity():
 def test_bar_word_application():
     # pibar over a reduced word matches the cached weak-order traversal
     for parts in [(2, 1), (1, 1, 1)]:
-        from hecke_ribbon import groups
-
         base = x_alpha(parts)
         for w in groups.min_coset_reps("A", composition(parts)):
             word = groups.reduced_word(w)
