@@ -182,6 +182,10 @@ def _module_dot(module: modules.HeckeModule) -> str:
 
 def cmd_module(args) -> int:
     s = shapes.parse_shape(args.shape, args.type)
+    if args.action == "restrict" and args.module_kind != "P":
+        raise ValueError("this action needs a P module")
+    if args.action == "filtrate" and args.module_kind == "C":
+        raise ValueError("this action needs a P or M module")
     builder = {"P": modules.build_p, "M": modules.build_m, "C": modules.build_c}[args.module_kind]
     module = builder(s)
     if args.action == "build":

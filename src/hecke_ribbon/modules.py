@@ -1,10 +1,14 @@
 """Explicit 0-Hecke modules on tableau bases, as integer matrices.
 
 A module stores one square matrix per generator index, acting on the
-basis from the left; columns index source basis vectors.  The defining
+basis from the left; columns index source basis vectors, and a column
+lists its nonzero entries (row, value) by increasing row.  The defining
 generator matrices of the tableau modules send each basis vector to
-minus itself, to zero, or to another basis vector, so matrices are kept
-column-sparse; products and relation checks stay sparse as well.
+minus itself, to zero, or to another basis vector: every column has at
+most one entry, and it is 1 or -1.  Products of such matrices keep this
+property, so ``mat_mul`` takes a single-entry column of its right factor
+as a column of its left factor, scaled by the entry; only twisted
+matrices, with two-entry columns, go through the general sum.
 
 The main constructions: build_p (standard tableaux of a generalized
 shape), build_m (the same with the ribbon's rows pulled apart), build_c
@@ -48,14 +52,6 @@ def mat_identity(dim: int) -> Mat:
     return tuple(((j, 1),) for j in range(dim))
 
 
-def mat_from_colmap(colmap) -> Mat:
-    """Build a matrix from per-column entries (None, or (sign, row))."""
-    cols = []
-    for entry in colmap:
-        cols.append(() if entry is None else ((entry[1], entry[0]),))
-    return tuple(cols)
-
-
 def mat_add(a: Mat, b: Mat) -> Mat:
     cols = []
     for ca, cb in zip(a, b):
@@ -73,6 +69,13 @@ def mat_neg(a: Mat) -> Mat:
 def mat_mul(a: Mat, b: Mat) -> Mat:
     cols = []
     for col in b:
+        if not col:
+            cols.append(())
+            continue
+        if len(col) == 1:  # the common case: a column of a generator product
+            k, v = col[0]
+            cols.append(a[k] if v == 1 else tuple((r, v * w) for r, w in a[k]))
+            continue
         acc: dict[int, int] = {}
         for k, v in col:
             for r, w in a[k]:
@@ -123,41 +126,49 @@ class HeckeModule:
 # the defining actions
 
 
-def _column_action(t: tableaux.Tableau, i: int, index_of) -> tuple[int, int] | None:
-    """Action of the i-th bar generator on one basis tableau."""
-    kind = t.shape.kind
-    if kind == "A":
-        diag_boxes = tableaux.diagram(t.shape).boxes
-        p, q = t.entries.index(i), t.entries.index(i + 1)
-        row_p, row_q = diag_boxes[p][0], diag_boxes[q][0]
-        if row_p > row_q:
-            return (-1, index_of[t.entries])
-        if row_p == row_q:
-            return None
-        swapped = tableaux.apply_generator(t, i)
-        return (1, index_of[swapped.entries])
-    if kind == "B":
-        desc = tableaux.tableau_descents(t)
-    else:
-        desc = groups.descents(groups.inverse(tableaux.reading_word(t)))
-    if i in desc:
-        return (-1, index_of[t.entries])
-    swapped = tableaux.apply_generator(t, i)
-    if tableaux.is_standard(t.shape, swapped.entries):
-        return (1, index_of[swapped.entries])
-    return None
-
-
 @lru_cache(maxsize=None)
 def build_p(shape: Shape) -> HeckeModule:
-    """The module on standard tableaux of a generalized shape."""
+    """The module on standard tableaux of a generalized shape.
+
+    The bar generator i sends a tableau T to -T when i is a descent of
+    T, to s_i T when that filling is standard, and to 0 otherwise.  One
+    pass over the basis locates every value of T and its descent set
+    once, then appends T's column to every generator matrix.
+    """
     basis = tableaux.standard_tableaux(shape)
     index_of = {t.entries: j for j, t in enumerate(basis)}
-    n = shape.size
-    gens = {}
-    for i in positions(shape.kind, n):
-        gens[i] = mat_from_colmap(_column_action(t, i, index_of) for t in basis)
-    return HeckeModule(shape.kind, n, basis, gens, shape)
+    kind, n = shape.kind, shape.size
+    idx = positions(kind, n)
+    cols: dict[int, list[Column]] = {i: [] for i in idx}
+    box_rows = [r for r, _ in tableaux.diagram(shape).boxes]
+    for t in basis:
+        entries = t.entries
+        j = index_of[entries]  # the int index_of holds: one object per row, not two
+        pos = tableaux.value_positions(entries)
+        if kind == "A":
+            rows = [box_rows[pos[k]] for k in range(1, n + 1)]  # rows[k - 1]: row of k
+            for i in idx:
+                row_i, row_next = rows[i - 1], rows[i]
+                if row_i > row_next:
+                    cols[i].append(((j, -1),))
+                elif row_i == row_next:
+                    cols[i].append(())
+                else:
+                    swapped = tableaux.swap_entries(kind, entries, i, pos)
+                    cols[i].append(((index_of[swapped], 1),))
+            continue
+        desc = tableaux.tableau_descents(t)
+        for i in idx:
+            if i in desc:
+                cols[i].append(((j, -1),))
+                continue
+            swapped = tableaux.swap_entries(kind, entries, i, pos)
+            if tableaux.is_standard(shape, swapped):
+                cols[i].append(((index_of[swapped], 1),))
+            else:
+                cols[i].append(())
+    gens = {i: tuple(c) for i, c in cols.items()}
+    return HeckeModule(kind, n, basis, gens, shape)
 
 
 def build_m(alpha: Shape) -> HeckeModule:
@@ -546,9 +557,23 @@ def module_from_json(data: dict) -> HeckeModule:
     from .shapes import parse_shape
 
     shape = parse_shape(data["shape"], data["kind"]) if data.get("shape") else None
-    if shape is not None:
-        basis = tuple(tableaux.parse_tableau(text, shape) for text in data["basis"])
-    else:
+    if shape is None:
         basis = tuple(data["basis"])
-    gens = {int(i): mat_from_dense(rows) for i, rows in data["generators"].items()}
+    elif shape.size != data["n"]:
+        raise ValueError(f"rank {data['n']} does not match the shape {data['shape']}")
+    else:
+        basis = tuple(tableaux.parse_tableau(text, shape) for text in data["basis"])
+    gens = {int(i): rows for i, rows in data["generators"].items()}
+    if len(gens) != len(data["generators"]) or sorted(gens) != list(
+        positions(data["kind"], data["n"])
+    ):
+        raise ValueError(
+            f"generators {sorted(data['generators'])} do not match "
+            f"type {data['kind']} of rank {data['n']}"
+        )
+    dim = len(basis)
+    for i, rows in gens.items():
+        if len(rows) != dim or any(len(row) != dim for row in rows):
+            raise ValueError(f"generator {i} is not a {dim} x {dim} matrix")
+    gens = {i: mat_from_dense(rows) for i, rows in gens.items()}
     return HeckeModule(data["kind"], data["n"], basis, gens, shape)

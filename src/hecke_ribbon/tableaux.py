@@ -25,6 +25,7 @@ from .shapes import (
     descent_band,
     diagram,
     glue,
+    positions,
     subshape_of_boxes,
     transpose,
 )
@@ -140,39 +141,45 @@ def tableau_descents(t: Tableau) -> frozenset[int]:
 
 
 def apply_generator(t: Tableau, i: int) -> Tableau:
-    """The entrywise action of the Coxeter generator s_i on a filling.
-
-    Type A swaps the values i and i+1.  Type B negates the value with
-    absolute value 1 when i = 0, and otherwise swaps the absolute values
-    i and i+1 leaving the signs in place.  Type D at i = 0 swaps the
-    absolute values 1 and 2 and negates both signs.
-    """
+    """The entrywise action of the Coxeter generator s_i on a standard
+    filling; ``swap_entries`` holds the rule."""
     kind = t.shape.kind
-    entries = list(t.entries)
-    if i == 0:
-        if kind == "B":
-            p = _position_of_abs(entries, 1)
-            entries[p] = -entries[p]
-        elif kind == "D":
-            p = _position_of_abs(entries, 1)
-            q = _position_of_abs(entries, 2)
-            sp = 1 if entries[p] > 0 else -1
-            sq = 1 if entries[q] > 0 else -1
-            entries[p] = -sp * 2
-            entries[q] = -sq * 1
-        else:
-            raise ValueError("type A has no generator 0")
-    elif kind == "A":
-        p, q = entries.index(i), entries.index(i + 1)
-        entries[p], entries[q] = entries[q], entries[p]
+    if i not in positions(kind, t.n):
+        raise ValueError(f"no generator {i} in type {kind} of rank {t.n}")
+    return Tableau(t.shape, swap_entries(kind, t.entries, i, value_positions(t.entries)))
+
+
+def value_positions(entries: tuple[int, ...]) -> list[int]:
+    """pos[k] is the index of the entry with absolute value k, for the
+    entries of a standard filling; pos[0] is unused."""
+    pos = [0] * (len(entries) + 1)
+    for p, v in enumerate(entries):
+        pos[abs(v)] = p
+    return pos
+
+
+def swap_entries(kind: str, entries: tuple[int, ...], i: int, pos: list[int]) -> tuple[int, ...]:
+    """The entries of s_i applied to a standard filling, located through
+    ``pos = value_positions(entries)``.
+
+    For i >= 1 the absolute values i and i+1 trade places and the signs
+    stay in place (type A swaps the values i and i+1).  At i = 0, type B
+    negates the entry of absolute value 1, and type D trades the
+    absolute values 1 and 2 and flips both signs.
+    """
+    out = list(entries)
+    if i:
+        p, q = pos[i], pos[i + 1]
+        out[p] = i + 1 if entries[p] > 0 else -i - 1
+        out[q] = i if entries[q] > 0 else -i
+    elif kind == "B":
+        p = pos[1]
+        out[p] = -entries[p]
     else:
-        p = _position_of_abs(entries, i)
-        q = _position_of_abs(entries, i + 1)
-        sp = 1 if entries[p] > 0 else -1
-        sq = 1 if entries[q] > 0 else -1
-        entries[p] = sp * (i + 1)
-        entries[q] = sq * i
-    return Tableau(t.shape, tuple(entries))
+        p, q = pos[1], pos[2]
+        out[p] = -2 if entries[p] > 0 else 2
+        out[q] = -1 if entries[q] > 0 else 1
+    return tuple(out)
 
 
 def _position_of_abs(entries, k: int) -> int:

@@ -191,6 +191,14 @@ def test_exit_codes(capsys):
         code = cli.main(["demazure", "apply", "--poly", poly, "--vars", "3"])
         assert code == 2, poly
         assert capsys.readouterr().err.startswith("usage error: "), poly
+    for action, kind, need in (
+        ("filtrate", "C", "a P or M module"),
+        ("restrict", "M", "a P module"),
+        ("restrict", "C", "a P module"),
+    ):
+        code = cli.main(["module", action, "--shape", "[2,1]", "--module-kind", kind])
+        assert code == 2, (action, kind)
+        assert capsys.readouterr().err == f"usage error: this action needs {need}\n"
     with pytest.raises(SystemExit) as err:
         cli.main(["shape", "bogus-action"])
     assert err.value.code == 2

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hecke_ribbon import groups, modules, shapes, tableaux
@@ -11,6 +13,8 @@ from hecke_ribbon.modules import (
     intertwiner_check,
     length_filtration,
     mat_identity,
+    mat_mul,
+    mat_to_dense,
     module_from_json,
     module_to_json,
     one_dim_quotients,
@@ -50,6 +54,72 @@ def test_displayed_small_modules():
     trivial = build_p(composition((4,)))
     assert trivial.dim == 1
     assert all(col == ((),) for col in (trivial.gens[i] for i in (1, 2, 3)))
+
+
+def test_build_p_matches_defining_rule():
+    """Each column of a generator matrix follows the defining rule: -T on
+    a descent, s_i T when that filling is standard, and 0 otherwise."""
+    family = [Shape("A", ())]
+    for kind, top in (("A", 6), ("B", 4), ("D", 4)):
+        for n in range(top + 1):
+            family.extend(shapes.enumerate_generalized(n, kind, 3))
+    for shape in family:
+        module = build_p(shape)
+        index_of = {t.entries: j for j, t in enumerate(module.basis)}
+        expected = {i: [] for i in shapes.positions(shape.kind, shape.size)}
+        for j, t in enumerate(module.basis):
+            desc = tableaux.tableau_descents(t)
+            for i, col in expected.items():
+                if i in desc:
+                    col.append(((j, -1),))
+                    continue
+                swapped = tableaux.apply_generator(t, i).entries
+                if tableaux.is_standard(shape, swapped):
+                    col.append(((index_of[swapped], 1),))
+                else:
+                    col.append(())
+        assert dict(module.gens) == {i: tuple(c) for i, c in expected.items()}, shape
+
+
+def _random_column(rng, dim):
+    roll = rng.random()
+    if dim == 0 or roll < 0.2:
+        return ()
+    if roll < 0.6:
+        return ((rng.randrange(dim), rng.choice((1, -1, 2, -2))),)
+    rows = sorted(rng.sample(range(dim), rng.randint(min(2, dim), dim)))
+    return tuple((r, rng.choice((1, -1, 2, -2, 3))) for r in rows)
+
+
+def test_mat_mul_matches_dense_product():
+    rng = random.Random(20151)
+    for _ in range(400):
+        dim = rng.randint(0, 7)
+        a = tuple(_random_column(rng, dim) for _ in range(dim))
+        b = tuple(_random_column(rng, dim) for _ in range(dim))
+        da, db = mat_to_dense(a, dim), mat_to_dense(b, dim)
+        dense = [
+            [sum(da[r][k] * db[k][c] for k in range(dim)) for c in range(dim)]
+            for r in range(dim)
+        ]
+        product = mat_mul(a, b)
+        assert mat_to_dense(product, dim) == dense
+        for col in product:
+            rows = [r for r, _ in col]
+            assert rows == sorted(set(rows))
+            assert all(v for _, v in col)
+
+
+def test_theta_twists_pass_relations():
+    """Theta-twisted matrices have two-entry columns, which take the
+    general path of mat_mul."""
+    two_entry = 0
+    for kind, top in (("A", 4), ("B", 3), ("D", 3)):
+        for alpha in all_single(kind, top):
+            twisted = twist(build_p(alpha), "theta")
+            two_entry += sum(len(col) == 2 for m in twisted.gens.values() for col in m)
+            assert check_relations(twisted) == [], alpha
+    assert two_entry
 
 
 def test_relations_and_negative_control():
@@ -237,3 +307,19 @@ def test_module_json_round_trip():
         assert back.kind == module.kind and back.n == module.n
         assert back.basis == module.basis
         assert back.gens == module.gens
+
+
+def test_module_json_rejects_malformed_generators():
+    data = module_to_json(build_p(composition((2, 1))))
+    assert module_from_json(data).dim == 2
+    for bad in (
+        {"1": [[0]], "2": data["generators"]["2"]},  # 1 x 1 on a 2-dimensional module
+        {**data["generators"], "7": data["generators"]["1"]},  # no generator 7 in rank 3
+        {"1": data["generators"]["1"]},  # generator 2 missing
+        {"1": data["generators"]["1"], "2": [[0, 0], [0]]},  # a short row
+    ):
+        with pytest.raises(ValueError):
+            module_from_json({**data, "generators": bad})
+    four = {str(i): [[0, 0], [0, 0]] for i in range(1, 5)}
+    with pytest.raises(ValueError):  # rank 5 on a shape of size 3
+        module_from_json({**data, "n": 5, "generators": four})
