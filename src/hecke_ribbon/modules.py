@@ -16,6 +16,13 @@ shape), build_m (the same with the ribbon's rows pulled apart), build_c
 decomposition over the bracket set, restriction certificates, twists by
 the two algebra automorphisms, and one-dimensional quotients computed by
 an exact linear solve.
+
+In types B and D, build_p reads each tableau's descents off the
+positions of its values, and tests a swapped filling only at the
+comparisons the swap can change: between the two moved boxes, and at the
+0-box.  The test is exact, because an entry the swap did not move has an
+absolute value other than the swapped ones, so it compares with the
+moved values as before.
 """
 
 from __future__ import annotations
@@ -30,7 +37,9 @@ from .shapes import (
     Shape,
     ShapeError,
     descent_set,
+    format_shape,
     from_descents,
+    parse_shape,
     positions,
     reverse,
     split_rows,
@@ -132,15 +141,26 @@ def build_p(shape: Shape) -> HeckeModule:
 
     The bar generator i sends a tableau T to -T when i is a descent of
     T, to s_i T when that filling is standard, and to 0 otherwise.  One
-    pass over the basis locates every value of T and its descent set
-    once, then appends T's column to every generator matrix.
+    pass over the basis locates every value of T once, then appends T's
+    column to every generator matrix.
+
+    Type A reads both tests off the rows of i and i+1.  Types B and D
+    read the descents of T, those of w(T)^-1, off the value positions:
+    w^-1(k) is +-(pos[k] + 1), signed like the entry of absolute value k.
+    i >= 1 is a descent when w^-1(i) > w^-1(i+1), and 0 when w^-1(1) < 0
+    (B) or w^-1(1) + w^-1(2) < 0 (D).  Standardness of s_i T is tested
+    only where the swap can change a comparison
+    (``tableaux.swap_is_standard``).  Every swap goes through
+    ``index_of``, so a standard filling missing from the basis raises
+    ``KeyError``.
     """
     basis = tableaux.standard_tableaux(shape)
     index_of = {t.entries: j for j, t in enumerate(basis)}
     kind, n = shape.kind, shape.size
     idx = positions(kind, n)
     cols: dict[int, list[Column]] = {i: [] for i in idx}
-    box_rows = [r for r, _ in tableaux.diagram(shape).boxes]
+    diag = tableaux.diagram(shape)
+    box_rows = [r for r, _ in diag.boxes]
     for t in basis:
         entries = t.entries
         j = index_of[entries]  # the int index_of holds: one object per row, not two
@@ -157,13 +177,22 @@ def build_p(shape: Shape) -> HeckeModule:
                     swapped = tableaux.swap_entries(kind, entries, i, pos)
                     cols[i].append(((index_of[swapped], 1),))
             continue
-        desc = tableaux.tableau_descents(t)
+        inv = [0] + [at + 1 if entries[at] > 0 else -at - 1 for at in pos[1:]]  # w^-1(k)
         for i in idx:
-            if i in desc:
+            if i:
+                descent = inv[i] > inv[i + 1]
+                p, q = pos[i], pos[i + 1]
+            elif kind == "B":
+                descent = inv[1] < 0
+                p = q = pos[1]
+            else:
+                descent = inv[1] + inv[2] < 0
+                p, q = pos[1], pos[2]
+            if descent:
                 cols[i].append(((j, -1),))
                 continue
             swapped = tableaux.swap_entries(kind, entries, i, pos)
-            if tableaux.is_standard(shape, swapped):
+            if tableaux.swap_is_standard(diag, kind, swapped, p, q):
                 cols[i].append(((index_of[swapped], 1),))
             else:
                 cols[i].append(())
@@ -540,9 +569,11 @@ def submodule_embedding_check(alpha: Shape) -> list[str]:
 
 
 def module_to_json(module: HeckeModule) -> dict:
-    from .shapes import format_shape
-
-    return {
+    """The module as JSON.  A basis of tableaux on another shape than the
+    module's (the type A C module, labeled on the reversed ribbon, and
+    twisted modules, which carry no shape) names that shape under
+    ``basis_shape``, so that the tableaux read back."""
+    data = {
         "kind": module.kind,
         "n": module.n,
         "shape": format_shape(module.shape) if module.shape is not None else None,
@@ -551,29 +582,42 @@ def module_to_json(module: HeckeModule) -> dict:
             str(i): mat_to_dense(m, module.dim) for i, m in sorted(module.gens.items())
         },
     }
+    first = module.basis[0] if module.basis else None
+    if isinstance(first, tableaux.Tableau) and first.shape != module.shape:
+        data["basis_shape"] = format_shape(first.shape)
+    return data
 
 
 def module_from_json(data: dict) -> HeckeModule:
-    from .shapes import parse_shape
-
-    shape = parse_shape(data["shape"], data["kind"]) if data.get("shape") else None
-    if shape is None:
+    """Read back what ``module_to_json`` writes.  When the basis is read
+    as tableaux (a shape or a basis shape is given), every tableau must be
+    standard and no two may be equal."""
+    kind = data["kind"]
+    shape = parse_shape(data["shape"], kind) if data.get("shape") else None
+    tableau_shape = parse_shape(data["basis_shape"], kind) if data.get("basis_shape") else shape
+    for given in {shape, tableau_shape} - {None}:
+        if given.size != data["n"]:
+            raise ValueError(f"rank {data['n']} does not match the shape {format_shape(given)}")
+    if tableau_shape is None:
         basis = tuple(data["basis"])
-    elif shape.size != data["n"]:
-        raise ValueError(f"rank {data['n']} does not match the shape {data['shape']}")
     else:
-        basis = tuple(tableaux.parse_tableau(text, shape) for text in data["basis"])
+        basis = tuple(tableaux.parse_tableau(text, tableau_shape) for text in data["basis"])
+        for t in basis:
+            if not tableaux.is_standard(tableau_shape, t.entries):
+                raise ValueError(f"basis tableau {t} is not standard")
+        if len(set(basis)) != len(basis):
+            raise ValueError("the basis repeats a tableau")
     gens = {int(i): rows for i, rows in data["generators"].items()}
     if len(gens) != len(data["generators"]) or sorted(gens) != list(
-        positions(data["kind"], data["n"])
+        positions(kind, data["n"])
     ):
         raise ValueError(
             f"generators {sorted(data['generators'])} do not match "
-            f"type {data['kind']} of rank {data['n']}"
+            f"type {kind} of rank {data['n']}"
         )
     dim = len(basis)
     for i, rows in gens.items():
         if len(rows) != dim or any(len(row) != dim for row in rows):
             raise ValueError(f"generator {i} is not a {dim} x {dim} matrix")
     gens = {i: mat_from_dense(rows) for i, rows in gens.items()}
-    return HeckeModule(data["kind"], data["n"], basis, gens, shape)
+    return HeckeModule(kind, data["n"], basis, gens, shape)

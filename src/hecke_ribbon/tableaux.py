@@ -19,6 +19,7 @@ from functools import lru_cache
 
 from . import groups
 from .shapes import (
+    Diagram,
     Shape,
     ShapeError,
     complement,
@@ -180,6 +181,32 @@ def swap_entries(kind: str, entries: tuple[int, ...], i: int, pos: list[int]) ->
         out[p] = -2 if entries[p] > 0 else 2
         out[q] = -1 if entries[q] > 0 else 1
     return tuple(out)
+
+
+def swap_is_standard(diag: Diagram, kind: str, out: tuple[int, ...], p: int, q: int) -> bool:
+    """Whether ``out``, the filling ``swap_entries`` made from a standard
+    filling of a type B or D shape by moving the boxes p and q (p == q
+    for B's s_0), is standard.
+
+    ``out`` is a signed permutation of the right parity, and an entry v
+    the swap did not move compares with every moved value as before: |v|
+    is not one of the absolute values the swap moved (i and i+1; at s_0,
+    1 in type B and 1 and 2 in type D), so no moved value crosses v or
+    -v.  Only two kinds of comparison can change, and only they are
+    made: p against q when they are consecutive in reading order (two
+    boxes touch only then), and the 0-box comparisons, whose value
+    -out[1] in type D moves with the entry in box 1.
+    """
+    a, b = (p, q) if p < q else (q, p)
+    if b == a + 1:
+        if diag.left_of[b] == a and out[a] > out[b]:
+            return False
+        if diag.below[b] == a and out[a] < out[b]:
+            return False
+    zval = 0 if kind == "B" else -out[1]
+    if diag.left_of[0] == "zero" and out[0] <= zval:
+        return False
+    return diag.above_zero is None or out[diag.above_zero] < zval
 
 
 def _position_of_abs(entries, k: int) -> int:

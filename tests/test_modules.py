@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hecke_ribbon import groups, modules, shapes, tableaux
 from hecke_ribbon.modules import (
@@ -58,11 +60,15 @@ def test_displayed_small_modules():
 
 def test_build_p_matches_defining_rule():
     """Each column of a generator matrix follows the defining rule: -T on
-    a descent, s_i T when that filling is standard, and 0 otherwise."""
+    a descent, s_i T when that filling is standard, and 0 otherwise.  The
+    B/D single ribbons of size 5 add 14,400 swaps to the local test of
+    ``build_p``."""
     family = [Shape("A", ())]
     for kind, top in (("A", 6), ("B", 4), ("D", 4)):
         for n in range(top + 1):
             family.extend(shapes.enumerate_generalized(n, kind, 3))
+    for kind in ("B", "D"):
+        family.extend(Shape(kind, s.components) for s in shapes.enumerate_shapes(5, "B"))
     for shape in family:
         module = build_p(shape)
         index_of = {t.entries: j for j, t in enumerate(module.basis)}
@@ -79,6 +85,19 @@ def test_build_p_matches_defining_rule():
                 else:
                     col.append(())
         assert dict(module.gens) == {i: tuple(c) for i, c in expected.items()}, shape
+
+
+def test_build_p_raises_for_a_standard_swap_missing_from_the_basis(monkeypatch):
+    for shape in (composition((2, 1)), pseudo_composition((1, 2)), pseudo_composition((1, 2), "D")):
+        module = build_p(shape)
+        target = next(  # a tableau that is s_i T of another
+            r for m in module.gens.values() for j, col in enumerate(m) for r, v in col if r != j
+        )
+        short = module.basis[:target] + module.basis[target + 1 :]
+        monkeypatch.setattr(tableaux, "standard_tableaux", lambda s: short)
+        with pytest.raises(KeyError):
+            build_p.__wrapped__(shape)
+        monkeypatch.undo()
 
 
 def _random_column(rng, dim):
@@ -307,6 +326,58 @@ def test_module_json_round_trip():
         assert back.kind == module.kind and back.n == module.n
         assert back.basis == module.basis
         assert back.gens == module.gens
+
+
+@st.composite
+def module_cases(draw):
+    """A P, M or C module of a single ribbon, of size at most 5 in type A
+    and 4 in types B and D, untwisted or twisted by theta or phi."""
+    kind = draw(st.sampled_from("ABD"))
+    size = draw(st.integers(2 if kind == "D" else 1, 5 if kind == "A" else 4))
+    idx = shapes.positions(kind, size)
+    picks = draw(st.lists(st.booleans(), min_size=len(idx), max_size=len(idx)))
+    alpha = shapes.from_descents(frozenset(i for i, b in zip(idx, picks) if b), size, kind)
+    builder = draw(st.sampled_from((build_p, build_m, build_c)))
+    module = builder(alpha)
+    which = draw(st.sampled_from((None, "theta", "phi")))
+    return module if which is None else twist(module, which)
+
+
+@settings(deadline=None, max_examples=60)
+@given(module_cases())
+def test_module_json_round_trip_all_kinds(module):
+    data = module_to_json(module)
+    back = module_from_json(json.loads(json.dumps(data)))
+    assert (back.kind, back.n, back.shape) == (module.kind, module.n, module.shape)
+    assert back.basis == module.basis
+    assert back.gens == module.gens
+    assert module_to_json(back) == data
+
+
+def test_module_json_names_a_basis_shape_only_when_it_differs():
+    # P and M write no basis_shape, so their JSON is as before; the type
+    # A C module is labeled by a tableau on the reversed ribbon
+    alpha = composition((2, 1))
+    for module in (build_p(alpha), build_m(alpha), build_c(pseudo_composition((0, 2)))):
+        assert "basis_shape" not in module_to_json(module)
+    data = module_to_json(build_c(alpha))
+    assert data["basis_shape"] == "[1,2]"
+    assert module_from_json(data).basis == build_c(alpha).basis
+
+
+def test_module_json_rejects_bad_basis():
+    data = module_to_json(build_p(composition((2, 1))))
+    first = data["basis"][0]
+    for basis in (
+        [first, first],  # a repeated tableau
+        ["3/1,2", data["basis"][1]],  # columns must increase downward
+        ["9/1,2", data["basis"][1]],  # 9 is out of range
+    ):
+        with pytest.raises(ValueError):
+            module_from_json({**data, "basis": basis})
+    c_data = module_to_json(build_c(composition((2, 1))))
+    with pytest.raises(ValueError):  # a standard tableau of size 4 in rank 3
+        module_from_json({**c_data, "basis_shape": "[1,2,1]", "basis": ["3/1,4/2"]})
 
 
 def test_module_json_rejects_malformed_generators():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -467,6 +468,34 @@ def test_series_json_round_trip():
     data = series_to_json(elem)
     assert series_from_json(data) == elem
     assert data["space"] == "NSym" and data["basis"] == "s"
+
+
+@st.composite
+def series_elements(draw):
+    """A sum of up to four basis elements of one space and basis, with
+    coefficients in Z[q] (possibly cancelling to zero)."""
+    space = draw(st.sampled_from(sorted(series.SPACE_KIND)))
+    basis = draw(st.sampled_from([b for b, sides in series.BASES.items() if space in sides]))
+    kind = series.SPACE_KIND[space]
+    elem = SeriesElement(space, basis, {})
+    for _ in range(draw(st.integers(0, 4))):
+        size = draw(st.integers(2 if kind == "D" else 0, 5))
+        idx = shapes.positions(kind, size)
+        picks = draw(st.lists(st.booleans(), min_size=len(idx), max_size=len(idx)))
+        parts = shapes.parts_from_descents(
+            frozenset(i for i, b in zip(idx, picks) if b), size, kind
+        )
+        coeff = QPoly.of(tuple(draw(st.lists(st.integers(-3, 3), max_size=4))))
+        elem = elem + E(space, basis, parts, coeff)
+    return elem
+
+
+@given(series_elements())
+def test_series_json_round_trip_all_spaces(elem):
+    data = series_to_json(elem)
+    back = series_from_json(json.loads(json.dumps(data)))
+    assert back == elem
+    assert series_to_json(back) == data
 
 
 @settings(max_examples=30)
