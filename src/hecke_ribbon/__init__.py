@@ -12,7 +12,7 @@ brute-force oracles at desk scale.
 from .groups import GroupElement, ResourceLimitError
 from .modules import CertificationError, Filtration, HeckeModule
 from .qpoly import QPoly
-from .series import SeriesElement, TruncatedNCSeries
+from .series import SeriesElement
 from .shapes import Decomposition, Shape, ShapeError
 from .tableaux import Tableau
 
@@ -28,7 +28,6 @@ __all__ = [
     "Shape",
     "ShapeError",
     "Tableau",
-    "TruncatedNCSeries",
 ]
 
 __version__ = "0.1.0"

@@ -288,17 +288,11 @@ def cmd_series(args) -> int:
     elif args.action == "eval":
         lo, hi = (int(x) for x in args.window.split(".."))
         window = tuple(range(lo, hi + 1))
-        if left.space in series.QSYM_SIDE:
-            ev = series.evaluate_commutative(left, window)
-            payload = {"window": list(window), "terms": {str(k): v for k, v in sorted(ev.items())}}
-            _emit(args, payload, [f"{k}: {v}" for k, v in sorted(ev.items())])
-        else:
-            ev = series.evaluate_noncommutative(left, window)
-            payload = {
-                "window": list(window),
-                "terms": {",".join(map(str, k)): v for k, v in sorted(ev.terms.items())},
-            }
-            _emit(args, payload, [f"{','.join(map(str, k))}: {v}" for k, v in sorted(ev.terms.items())])
+        qsym = left.space in series.QSYM_SIDE
+        ev = (series.evaluate_commutative if qsym else series.evaluate_noncommutative)(left, window)
+        # keys are exponent vectors on the QSym side and words on the NSym side
+        terms = {str(k) if qsym else ",".join(map(str, k)): v for k, v in sorted(ev.items())}
+        _emit(args, {"window": list(window), "terms": terms}, [f"{k}: {v}" for k, v in terms.items()])
     else:
         raise ValueError(f"unknown series action {args.action!r}")
     return 0

@@ -166,14 +166,6 @@ def demazure_bar(i: int, f: Poly) -> Poly:
     return demazure(i, f) - f
 
 
-def apply_bar_word(word, f: Poly) -> Poly:
-    """Apply the bar operators right to left: word (i1, ..., ik) acts as
-    the operator of s_{i1} ... s_{ik}."""
-    for i in reversed(tuple(word)):
-        f = demazure_bar(i, f)
-    return f
-
-
 def x_alpha(alpha: Shape | Parts) -> Poly:
     """The product over descents d of x_1 ... x_d, in |alpha| variables."""
     parts = alpha.parts if isinstance(alpha, Shape) else tuple(alpha)

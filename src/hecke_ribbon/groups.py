@@ -312,20 +312,3 @@ def diagram_automorphism(kind: str, n: int) -> MappingProxyType[int, int]:
             raise AssertionError(f"conjugation by w0 does not permute generators ({kind}, {n})")
         table[i] = matches[0]
     return MappingProxyType(table)
-
-
-def reduced_word(w: GroupElement) -> tuple[int, ...]:
-    """A reduced word i_1, ..., i_k with w = s_{i_1} ... s_{i_k}."""
-    word = []
-    cur = w
-    gens = generators(w.kind, w.n)
-    while True:
-        left = descents(inverse(cur))
-        if not left:
-            break
-        i = min(left)
-        word.append(i)
-        cur = multiply(gens[i], cur)
-    if cur != identity(w.kind, w.n):
-        raise AssertionError("descent peeling failed to reach the identity")
-    return tuple(word)

@@ -554,16 +554,6 @@ def intertwiner_check(
     return report
 
 
-def submodule_embedding_check(alpha: Shape) -> list[str]:
-    """Certify that the ribbon module embeds into its row-separated module
-    by the identity on reading words."""
-    small = build_p(alpha)
-    big = build_m(alpha)
-    big_index = {t.entries: j for j, t in enumerate(big.basis)}
-    candidate = {j: big_index[t.entries] for j, t in enumerate(small.basis)}
-    return intertwiner_check(small, big, candidate, mode="direct")
-
-
 # ---------------------------------------------------------------------------
 # JSON export
 

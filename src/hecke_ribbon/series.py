@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, combinations_with_replacement, product
+from itertools import accumulate, chain, combinations, product
 
 from . import groups, linalg, modules, tableaux
 from .qpoly import ONE, QPoly, q_binomial, q_multinomial
@@ -102,9 +102,6 @@ class SeriesElement:
     def scale(self, c) -> "SeriesElement":
         c = QPoly.of(c)
         return SeriesElement(self.space, self.basis, {k: v * c for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def specialize_q(self, value: int) -> "SeriesElement":
         return SeriesElement(
@@ -533,37 +530,17 @@ def ribbon_sum_identity(beta: Parts, gamma: Parts) -> tuple[QPoly, QPoly]:
 # truncated realizations
 
 
-@dataclass
-class TruncatedNCSeries:
-    """A finite noncommutative series: words over a window of variable
-    indices with integer coefficients."""
-
-    window: tuple[int, ...]
-    terms: dict[tuple[int, ...], int]
-
-    def __post_init__(self):
-        self.terms = {k: v for k, v in self.terms.items() if v}
-
-    def __add__(self, other: "TruncatedNCSeries") -> "TruncatedNCSeries":
-        terms = _collect(chain(self.terms.items(), other.terms.items()))
-        return TruncatedNCSeries(self.window, terms)
-
-    def __mul__(self, other: "TruncatedNCSeries") -> "TruncatedNCSeries":
-        terms = _collect(
-            (a + b, ca * cb) for a, ca in self.terms.items() for b, cb in other.terms.items()
-        )
-        return TruncatedNCSeries(self.window, terms)
-
-
 def _int_coeff(c: QPoly) -> int:
     if c.degree > 0:
         raise ValueError("truncated evaluation needs constant coefficients")
     return c.coeffs[0] if c.coeffs else 0
 
 
-def evaluate_noncommutative(elem: SeriesElement, window) -> TruncatedNCSeries:
-    """Evaluate an NSym-side element as a sum over semistandard tableaux
-    with entries in the window."""
+def evaluate_noncommutative(elem: SeriesElement, window) -> dict[tuple[int, ...], int]:
+    """Evaluate an NSym-side element on the noncommuting variables of the
+    window: s_a is the sum of the reading words of the semistandard
+    fillings of its ribbon, h_a the same on the row-separated shape.
+    Returns a dict from words to nonzero int coefficients."""
     if elem.space not in NSYM_SIDE:
         raise ValueError("noncommutative evaluation applies to the NSym side")
     window = tuple(sorted(set(window)))
@@ -574,59 +551,41 @@ def evaluate_noncommutative(elem: SeriesElement, window) -> TruncatedNCSeries:
         shape = ribbon_shape(parts, kind)
         if elem.basis == "h":
             shape = split_rows(shape)
-        pairs.extend((t.entries, c) for t in tableaux.semistandard_tableaux(shape, window))
-    return TruncatedNCSeries(window, _collect(pairs))
+        pairs.extend((w, c) for w in tableaux.semistandard_tableaux(shape, window))
+    return _collect(pairs)
 
 
 def evaluate_commutative(elem: SeriesElement, window) -> dict[tuple[int, ...], int]:
-    """Evaluate a QSym-side element from the index-sequence definitions;
-    keys are exponent vectors over the sorted window."""
+    """Evaluate a QSym-side element on the commuting variables of the
+    window, from the index-sequence definitions: F_a sums the weakly
+    increasing index words that rise strictly at the descents of a, M_a
+    those that rise strictly there and stay equal elsewhere; in types B
+    and D position 0 compares with the 0-box value in the same way.
+    Returns a dict from exponent vectors over the sorted window to
+    nonzero int coefficients.  Raises ``ResourceLimitError`` when one
+    term has more index words than the tableau guard allows."""
     if elem.space not in QSYM_SIDE:
         raise ValueError("commutative evaluation applies to the QSym side")
     window = tuple(sorted(set(window)))
     kind = SPACE_KIND[elem.space]
     if kind == "B" and any(v < 0 for v in window):
         raise ValueError("the type B variable window starts at 0")
-    exact = elem.basis == "M"
+    flat = "=" if elem.basis == "M" else "<="
     pairs = []
     for parts, coeff in elem.terms.items():
         c = _int_coeff(coeff)
         dset = parts_descents(parts)
-        for word in combinations_with_replacement(window, sum(parts)):
-            if _word_matches(word, dset, kind, exact):
-                pairs.append((tuple(word.count(v) for v in window), c))
+        pattern = ["<" if j in dset else flat for j in range(sum(parts))]
+        what = f"index words of {elem.basis}{list(parts)}"
+        words = tableaux.pattern_words(kind, pattern, window, what)
+        pairs.extend((tuple(w.count(v) for v in window), c) for w in words)
     return _collect(pairs)
 
 
-def _word_matches(word, dset, kind: str, exact: bool) -> bool:
-    n = len(word)
-    if kind == "A":
-        boundary = None
-    elif kind == "B":
-        boundary = 0
-    else:
-        if n < 2:
-            return False
-        boundary = -word[1]
-    if boundary is not None:
-        if boundary > word[0]:
-            return False
-        strict0 = boundary < word[0]
-        if exact and strict0 != (0 in dset):
-            return False
-        if not exact and 0 in dset and not strict0:
-            return False
-    for j in range(1, n):
-        strict = word[j - 1] < word[j]
-        if exact and strict != (j in dset):
-            return False
-        if not exact and j in dset and not strict:
-            return False
-    return True
-
-
 def truncation_independent(series_list) -> bool:
-    """Exact rank test: are the truncated series linearly independent?
+    """Exact rank test: are the truncated series (dicts from words or
+    exponent vectors to ints, as the evaluations return) linearly
+    independent?
 
     Independent truncations imply independent series, but not the
     converse: a window that is too small can make independent series
@@ -634,12 +593,12 @@ def truncation_independent(series_list) -> bool:
     letters, since r_(1^n) vanishes in fewer. For types B and D, the
     tests and ``verify.cert_truncation`` use a window of radius size + 1.
     """
-    words = sorted({w for s in series_list for w in s.terms})
+    words = sorted({w for s in series_list for w in s})
     index = {w: i for i, w in enumerate(words)}
     rows = []
     for s in series_list:
         row = [0] * len(words)
-        for w, c in s.terms.items():
+        for w, c in s.items():
             row[index[w]] = c
         rows.append(row)
     return linalg.rank(rows) == len(series_list)

@@ -174,13 +174,6 @@ def transpose(shape: Shape) -> Shape:
     return reverse(complement(shape))
 
 
-def refined_by(a: Shape, b: Shape) -> bool:
-    """True when b refines a, i.e. D(a) is contained in D(b)."""
-    if a.kind != b.kind or a.size != b.size:
-        return False
-    return descent_set(a) <= descent_set(b)
-
-
 def coarsenings(shape: Shape) -> tuple[Shape, ...]:
     """All shapes whose descent set is contained in D(shape)."""
     d = sorted(descent_set(shape))

@@ -9,13 +9,16 @@ in type D, where w(2) is the second letter of the reading word).
 
 Standard tableaux of a shape are in bijection, via reading words, with
 the group elements whose descent set lies in the band between the
-triangle-gluing and dot-gluing descent sets of the shape.
+triangle-gluing and dot-gluing descent sets of the shape.  Semistandard
+fillings are enumerated as words whose consecutive letters follow the
+weak/strict pattern the diagram prescribes (``pattern_words``).
 """
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import groups
 from .shapes import (
@@ -25,8 +28,6 @@ from .shapes import (
     complement,
     descent_band,
     diagram,
-    glue,
-    positions,
     subshape_of_boxes,
     transpose,
 )
@@ -95,20 +96,6 @@ def _filling_ok(shape: Shape, entries: tuple[int, ...], strict_rows: bool) -> bo
     return True
 
 
-def tableau_from_word(shape: Shape, w: groups.GroupElement) -> Tableau | None:
-    """The standard tableau of the shape with the given reading word, or
-    None when the word's descent set leaves the admissible band."""
-    if w.kind != shape.kind or w.n != shape.size:
-        raise ShapeError("word does not match the shape")
-    lower, upper = descent_band(shape)
-    if not lower <= groups.descents(w) <= upper:
-        return None
-    t = Tableau(shape, w.window)
-    if not is_standard(shape, t.entries):
-        raise AssertionError(f"band word {w} is not a standard filling of {shape}")
-    return t
-
-
 def standard_tableaux(shape: Shape) -> tuple[Tableau, ...]:
     """All standard tableaux, in reading-word lexicographic order."""
     lower, upper = descent_band(shape)
@@ -139,15 +126,6 @@ def tableau_descents(t: Tableau) -> frozenset[int]:
         elif i in row_of and -(i + 1) in row_of:
             out.add(i)
     return frozenset(out)
-
-
-def apply_generator(t: Tableau, i: int) -> Tableau:
-    """The entrywise action of the Coxeter generator s_i on a standard
-    filling; ``swap_entries`` holds the rule."""
-    kind = t.shape.kind
-    if i not in positions(kind, t.n):
-        raise ValueError(f"no generator {i} in type {kind} of rank {t.n}")
-    return Tableau(t.shape, swap_entries(kind, t.entries, i, value_positions(t.entries)))
 
 
 def value_positions(entries: tuple[int, ...]) -> list[int]:
@@ -409,27 +387,7 @@ def _transpose_a(t: Tableau) -> Tableau:
 
 
 # ---------------------------------------------------------------------------
-# gluing and splitting
-
-
-def glue_tableaux(t: Tableau, u: Tableau) -> Tableau:
-    """The unique semistandard gluing; concatenation of reading words.
-
-    The shapes are joined by near-concatenation when the last letter of
-    w(t) is at most the first letter of w(u), and stacked apart
-    otherwise.  A bare 0-box left factor compares through the value 0.
-    """
-    if u.shape.kind != "A":
-        raise ShapeError("the right gluing factor must be a type A tableau")
-    if not u.entries:
-        return t
-    last = t.entries[-1] if t.entries else 0
-    mode = "dot" if last > u.entries[0] else "triangle"
-    new_shape = glue(t.shape, u.shape, mode)
-    out = Tableau(new_shape, t.entries + u.entries)
-    if not is_semistandard(new_shape, out.entries):
-        raise AssertionError("glued filling is not semistandard")
-    return out
+# splitting
 
 
 def split_tableau(t: Tableau, m: int) -> tuple[Tableau, Tableau]:
@@ -449,58 +407,76 @@ def split_tableau(t: Tableau, m: int) -> tuple[Tableau, Tableau]:
 
 
 # ---------------------------------------------------------------------------
-# semistandard enumeration
+# semistandard enumeration: words with a prescribed weak/strict pattern
 
 
-def semistandard_tableaux(shape: Shape, alphabet, max_count: int | None = None):
-    """All fillings over the alphabet satisfying the type-specific row and
-    column conditions (weak rows, strict columns, 0-box included)."""
+_HOLDS = {"<=": operator.le, "<": operator.lt, "=": operator.eq, ">": operator.gt}
+
+
+def pattern_words(kind: str, pattern, alphabet, what: str) -> list[tuple[int, ...]]:
+    """The words over the alphabet whose consecutive letters follow the
+    pattern, in lexicographic order.
+
+    A word has ``len(pattern)`` letters.  For j >= 1, ``pattern[j]`` is
+    the relation "<=", "<", "=" or ">" of w[j-1] to w[j], or None for no
+    condition.  ``pattern[0]`` relates the 0-box value to w[0]: that
+    value is 0 in type B and -w[1] in type D, and type A has no 0-box.
+    Semistandard ribbon fillings and the index sequences of fundamental
+    and monomial quasisymmetric functions are all such words (Gessel,
+    *Multipartite P-partitions and inner products of skew Schur
+    functions*, 1984).  Words grow one position at a time by the letters
+    allowed after their last letter, taken in increasing order, so every
+    level stays sorted.  They are counted by last letter before any is
+    built, and ``ResourceLimitError`` (naming them by ``what``) is raised
+    exactly when there are more than the tableau guard allows, so an
+    enumeration too large to hold is never started.
+    """
+    if not pattern:
+        return [()]
+    letters = tuple(sorted(set(alphabet)))
+    after = {None: {}, "<=": {}, "<": {}, "=": {}, ">": {}}  # relation -> letter -> next letters
+    for i, v in enumerate(letters):
+        after[None][v], after["<="][v], after["<"][v] = letters, letters[i:], letters[i + 1 :]
+        after["="][v], after[">"][v] = (v,), letters[:i]
+    zero = None if kind == "A" else pattern[0]
+    words = [(v,) for v in letters if zero is None or kind == "D" or _HOLDS[zero](0, v)]
+    rest = pattern[1:]
+    if kind == "D" and zero is not None and rest:  # the 0-box value is -w[1]
+        holds = _HOLDS[zero]
+        words = [(v, u) for (v,) in words for u in after[rest[0]][v] if holds(-u, v)]
+        rest = rest[1:]
+    ends = Counter(w[-1] for w in words)
+    for rel in rest:
+        nxt, counts = after[rel], Counter()
+        for v, c in ends.items():
+            for u in nxt[v]:
+                counts[u] += c
+        ends = counts
+    groups.guard(sum(ends.values()), what, groups.tableau_limit())
+    for rel in rest:
+        nxt = after[rel]
+        words = [w + (v,) for w in words for v in nxt[w[-1]]]
+    return words
+
+
+def semistandard_tableaux(shape: Shape, alphabet) -> list[tuple[int, ...]]:
+    """The entry tuples (reading words) of all fillings over the alphabet
+    with weak rows and strict columns, the 0-box included, sorted.
+
+    Two boxes touch only when they are consecutive in reading order, so
+    the conditions are a pattern for ``pattern_words``: w[j-1] <= w[j]
+    when box j is right of box j-1, w[j-1] > w[j] when it is on top of
+    it, and none between components.  Box 0 relates to the 0-box in the
+    same way.  Raises ``ResourceLimitError`` when there are more words
+    than the tableau guard allows, before building them.
+    """
     diag = diagram(shape)
-    letters = sorted(set(alphabet))
-    limit = max_count if max_count is not None else groups.tableau_limit()
-    kind = shape.kind
-    n = diag.n
-    out: list[Tableau] = []
-    entries: list[int] = []
-
-    def zero_ok() -> bool:
-        zval = 0 if kind == "B" else -entries[1]
-        i = diag.above_zero
-        if i is not None and i < len(entries) and entries[i] >= zval:
-            return False
-        for j in range(n):
-            if diag.left_of[j] == "zero" and j < len(entries) and entries[j] < zval:
-                return False
-        return True
-
-    def place(i: int) -> None:
-        if i == n:
-            if kind == "A" or zero_ok():
-                groups.guard(len(out) + 1, f"semistandard tableaux of {shape}", limit)
-                out.append(Tableau(shape, tuple(entries)))
-            return
-        left = diag.left_of[i]
-        b = diag.below[i]
-        for v in letters:
-            if left not in (None, "zero") and entries[left] > v:
-                continue
-            if b is not None and entries[b] <= v:
-                continue
-            entries.append(v)
-            # in type D every zero-box comparison can shift with entry 2,
-            # so prune only on settled constraints and recheck at the leaf
-            if kind == "D" and len(entries) >= 2 and not zero_ok():
-                entries.pop()
-                continue
-            if kind == "B" and not zero_ok():
-                entries.pop()
-                continue
-            place(i + 1)
-            entries.pop()
-
-    place(0)
-    out.sort(key=lambda t: t.entries)
-    return tuple(out)
+    pattern = []
+    for j in range(diag.n):  # the box before box 0 is the 0-box
+        right_of_prev = diag.left_of[j] == (j - 1 if j else "zero")
+        on_top_of_prev = diag.below[j] == j - 1 if j else diag.above_zero == 0
+        pattern.append("<=" if right_of_prev else ">" if on_top_of_prev else None)
+    return pattern_words(shape.kind, pattern, alphabet, f"semistandard tableaux of {shape}")
 
 
 # ---------------------------------------------------------------------------

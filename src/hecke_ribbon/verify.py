@@ -379,10 +379,7 @@ def cert_truncation(max_size: int = 5, max_size_bd: int = 4) -> str:
     window = tuple(range(-radius, radius + 1))
     sb = [ev_nc(E("NSymB", "s", a.parts), window) for a in _single_shapes("B", max_size_bd, 0)]
     _require(series.truncation_independent(sb), "type B ribbon functions are dependent")
-    fd_rows = [
-        series.TruncatedNCSeries(window, dict(ev_c(E("QSymD", "F", a.parts), window)))
-        for a in _single_shapes("D", max_size_bd)
-    ]
+    fd_rows = [ev_c(E("QSymD", "F", a.parts), window) for a in _single_shapes("D", max_size_bd)]
     _require(series.truncation_independent(fd_rows), "type D fundamentals are dependent")
     rules = 0
     for kind in ("B", "D"):
@@ -397,21 +394,25 @@ def cert_truncation(max_size: int = 5, max_size_bd: int = 4) -> str:
                 ha, hb = series.convert(sa, "h"), series.convert(sb2, "h")
                 via_h = series.convert(series.nsym_product(ha, hb), "s")
                 _require(via_h == expected, "h-route product differs at {},{}", a, b)
-                ok = ev_nc(sa, window) * ev_nc(sb2, window) == ev_nc(expected, window)
+                ok = _concat(ev_nc(sa, window), ev_nc(sb2, window)) == ev_nc(expected, window)
                 _require(ok, "truncated product rule fails at {},{}", a, b)
                 rules += 1
     return f"truncation identities pass; {rules} product rules verified (window radius {radius})"
 
 
+def _concat(f: dict, g: dict) -> dict:
+    """The product of two truncated noncommutative series: words concatenate."""
+    return series._collect((a + b, ca * cb) for a, ca in f.items() for b, cb in g.items())
+
+
 def _eval_via_h(parts, window):
-    window = tuple(sorted(window))
-    total = series.TruncatedNCSeries(window, {})
+    pairs = []
     for hparts, coeff in series.convert(E("NSym", "s", parts), "h").terms.items():
-        piece = series.TruncatedNCSeries(window, {(): coeff.coeffs[0] if coeff.coeffs else 0})
+        piece = {(): series._int_coeff(coeff)}
         for k in hparts:
-            piece = piece * series.evaluate_noncommutative(E("NSym", "h", (k,)), window)
-        total = total + piece
-    return total
+            piece = _concat(piece, series.evaluate_noncommutative(E("NSym", "h", (k,)), window))
+        pairs.extend(piece.items())
+    return series._collect(pairs)
 
 
 # --- 13. characteristics ----------------------------------------------------

@@ -123,6 +123,11 @@ def test_series_commands(capsys):
     assert code == 0 and "F[1,1]" in out and "F[2]" in out
     code, out = run_cli(capsys, "series", "eval", "--left", "M[1,1]", "--window", "1..2", "--format", "json")
     assert json.loads(out)["terms"] == {"(1, 1)": 1}
+    # the type B unit evaluates to the empty word, as its NSymB counterpart
+    code, out = run_cli(capsys, "series", "eval", "--left", "F[]", "--type", "B", "--window", "0..2")
+    assert code == 0 and out == "(0, 0, 0): 1\n"
+    code, out = run_cli(capsys, "series", "eval", "--left", "s[]", "--type", "B", "--window", "0..2")
+    assert code == 0 and out == ": 1\n"
 
 
 def test_demazure_commands(capsys):

@@ -5,7 +5,6 @@ import pytest
 from hecke_ribbon import demazure, groups, modules, shapes
 from hecke_ribbon.demazure import (
     Poly,
-    apply_bar_word,
     build_polynomial_module,
     demazure as pi,
     demazure_bar as pibar,
@@ -103,12 +102,20 @@ def test_triangularity():
 
 
 def test_bar_word_application():
-    # pibar over a reduced word matches the cached weak-order traversal
-    for parts in [(2, 1), (1, 1, 1)]:
-        base = x_alpha(parts)
+    # pibar_w x_alpha does not depend on the reduced word of w: applying the
+    # bar operators along the word that peels the largest left descent
+    # matches the cached images, which peel the smallest
+    for parts in [(2, 1), (1, 1, 1), (1, 2, 1), (1, 1, 1, 1)]:
+        gens = groups.generators("A", sum(parts))
         for w in groups.min_coset_reps("A", composition(parts)):
-            word = groups.reduced_word(w)
-            assert apply_bar_word(word, base) == demazure._bar_images(parts)[w.window]
+            word, cur = [], w
+            while left := groups.descents(groups.inverse(cur)):
+                word.append(max(left))
+                cur = groups.multiply(gens[word[-1]], cur)
+            f = x_alpha(parts)
+            for i in reversed(word):
+                f = pibar(i, f)
+            assert f == demazure._bar_images(parts)[w.window], w
 
 
 def test_polynomial_module_matches_row_separated():

@@ -21,7 +21,6 @@ from hecke_ribbon.groups import (
     min_coset_reps,
     multiply,
     parabolic_longest_A,
-    reduced_word,
 )
 
 
@@ -146,18 +145,6 @@ def test_diagram_automorphism():
     assert diagram_automorphism("B", 3) == {0: 0, 1: 1, 2: 2}
     assert diagram_automorphism("D", 3) == {0: 1, 1: 0, 2: 2}
     assert diagram_automorphism("D", 4) == {0: 0, 1: 1, 2: 2, 3: 3}
-
-
-def test_reduced_words():
-    for kind, n in (("A", 4), ("B", 3), ("D", 3)):
-        gens = generators(kind, n)
-        for w in enumerate_group(kind, n):
-            word = reduced_word(w)
-            assert len(word) == length(w)
-            rebuilt = identity(kind, n)
-            for i in word:
-                rebuilt = multiply(rebuilt, gens[i])
-            assert rebuilt == w
 
 
 def test_resource_guard():

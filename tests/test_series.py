@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,6 @@ from hecke_ribbon import groups, modules, series, shapes
 from hecke_ribbon.qpoly import ONE, QPoly, q_factorial, q_multinomial
 from hecke_ribbon.series import (
     SeriesElement,
-    TruncatedNCSeries,
     antipode,
     band_product_identity,
     convert,
@@ -234,7 +234,7 @@ def test_skew():
     assert got == E("NSym", "s", (1, 2)) + E("NSym", "s", (2, 1)) + E("NSym", "s", (3,), 2)
     # skewing a fundamental by a ribbon function keeps only a matching suffix
     assert skew(E("QSym", "F", (2, 3)), E("NSym", "s", (3,))) == E("QSym", "F", (2,))
-    assert skew(E("QSym", "F", (2, 3)), E("NSym", "s", (1, 2))).is_zero()
+    assert skew(E("QSym", "F", (2, 3)), E("NSym", "s", (1, 2))).terms == {}
     left = skew(E("QSymB", "F", (0, 2, 1)), E("NSymB", "s", (0, 2)), "left")
     assert left == E("QSym", "F", (1,))
     # f is checked against the paired factor even when a is zero
@@ -379,9 +379,54 @@ def test_truncated_evaluation():
         (0, 2): 1,
     }
     ev = evaluate_noncommutative(E("NSym", "s", (1, 1)), (1, 2, 3))
-    assert ev.terms == {(2, 1): 1, (3, 1): 1, (3, 2): 1}
+    assert ev == {(2, 1): 1, (3, 1): 1, (3, 2): 1}
     with pytest.raises(ValueError):
         evaluate_commutative(E("QSymB", "F", (2,)), (-1, 0, 1))
+    # the type B units: the empty word, on both sides
+    for basis in ("F", "M"):
+        assert evaluate_commutative(E("QSymB", basis, (0,)), (0, 1, 2)) == {(0, 0, 0): 1}
+    assert evaluate_noncommutative(E("NSymB", "s", (0,)), (0, 1, 2)) == {(): 1}
+
+
+def test_monomial_evaluation_reads_exponents_in_window_order():
+    # M_a sums the monomials whose nonzero exponents, read in window
+    # order, are a: brute force over every exponent vector of size |a|
+    window = (1, 2, 3, 4)
+    for n in range(0, 5):
+        vectors = [v for v in product(range(n + 1), repeat=len(window)) if sum(v) == n]
+        for parts in comps(n):
+            got = evaluate_commutative(E("QSym", "M", parts), window)
+            expected = {v: 1 for v in vectors if tuple(e for e in v if e) == parts}
+            assert got == expected, parts
+
+
+def test_commutative_evaluation_against_index_words():
+    # F_a (M_a) in types B and D sums the weakly increasing index words
+    # that rise strictly at the descents of a (and stay equal elsewhere),
+    # position 0 comparing with the 0-box value: 0 in B, -w[1] in D
+    for kind, space, window, sizes in (
+        ("B", "QSymB", (0, 1, 2), range(0, 4)),
+        ("D", "QSymD", (-2, -1, 0, 1, 2), range(2, 5)),
+    ):
+        for n in sizes:
+            words = [w for w in product(window, repeat=n) if list(w) == sorted(w)]
+            for s in shapes.enumerate_shapes(n, "B"):
+                dset = shapes.parts_descents(s.parts)
+                for basis in ("F", "M"):
+
+                    def ok(w):
+                        prev = [0 if kind == "B" else -w[1], *w]  # prev[j] precedes w[j]
+                        for j in range(n):
+                            if j in dset:
+                                if not prev[j] < w[j]:
+                                    return False
+                            elif not (prev[j] <= w[j] if basis == "F" else prev[j] == w[j]):
+                                return False
+                        return True
+
+                    expected = {tuple(w.count(v) for v in window): 1 for w in words if ok(w)}
+                    got = evaluate_commutative(E(space, basis, s.parts), window)
+                    assert got == expected, (space, basis, s.parts)
 
 
 def test_truncation_identities():
@@ -413,7 +458,8 @@ def test_truncation_independence():
         for s in shapes.enumerate_shapes(n, "B")
     ]
     assert truncation_independent(elems)
-    dependent = elems[:2] + [elems[0] + elems[1]]
+    both = elems[0].keys() | elems[1].keys()
+    dependent = elems[:2] + [{w: elems[0].get(w, 0) + elems[1].get(w, 0) for w in both}]
     assert not truncation_independent(dependent)
     # NSym_n injects into k noncommuting letters only when k >= n: the
     # ribbon r_(1^n) needs n strictly increasing entries in one column
@@ -427,7 +473,7 @@ def test_truncation_independence():
     assert truncation_independent(plain((1, 2, 3, 4), 4))
     assert truncation_independent(plain((1, 2, 3), 3))
     assert not truncation_independent(plain((1, 2, 3), 4))
-    assert evaluate_noncommutative(E("NSym", "s", (1, 1, 1, 1)), (1, 2, 3)).terms == {}
+    assert evaluate_noncommutative(E("NSym", "s", (1, 1, 1, 1)), (1, 2, 3)) == {}
     window5 = tuple(range(-5, 6))
     dtype = [
         evaluate_noncommutative(E("NSymD", "s", s.parts), window5)

@@ -83,14 +83,6 @@ def test_involutions(parts):
     assert transpose(shape) == complement(reverse(shape))
 
 
-def test_refinement_is_subset_order():
-    for n in range(1, 6):
-        all_shapes = enumerate_shapes(n, "A")
-        for a in all_shapes:
-            for b in all_shapes:
-                assert shapes.refined_by(a, b) == (descent_set(a) <= descent_set(b))
-
-
 def test_enumerate_shapes_order_and_counts():
     assert [s.parts for s in enumerate_shapes(3, "A")] == [
         (3,),

@@ -1,22 +1,22 @@
-from itertools import combinations, permutations, product as cartesian
+import tracemalloc
+from itertools import product as cartesian
 
 import pytest
 
-from hecke_ribbon import groups, shapes, tableaux
+from hecke_ribbon import groups, shapes
 from hecke_ribbon.shapes import Shape, composition, pseudo_composition
 from hecke_ribbon.tableaux import (
     Tableau,
     format_tableau,
-    glue_tableaux,
     is_semistandard,
     is_standard,
     parse_tableau,
+    pattern_words,
     reading_word,
     semistandard_tableaux,
     split_tableau,
     standard_tableaux,
     tableau_descents,
-    tableau_from_word,
     tau0,
     tau1,
     theta_map,
@@ -64,24 +64,11 @@ def test_count_identity_bracket_classes():
 
 def test_displayed_signed_tableaux_round_trip():
     shape = pseudo_composition((2, 3, 1, 1))
-    word = groups.GroupElement("B", (2, 3, -4, -1, 6, -5, -7))
-    t = tableau_from_word(shape, word)
-    assert t is not None and reading_word(t) == word
+    t = Tableau(shape, (2, 3, -4, -1, 6, -5, -7))
+    assert is_standard(shape, t.entries)
     assert format_tableau(t) == "-7/-5/-4,-1,6/0*,2,3"
-    shape2 = pseudo_composition((0, 2, 3, 1, 1))
-    word2 = groups.GroupElement("B", (-6, 5, -4, 1, 7, 2, -3))
-    t2 = tableau_from_word(shape2, word2)
-    assert t2 is not None and reading_word(t2) == word2
-
-
-def test_tableau_from_word_cases():
-    shape = composition((4,))
-    for w in groups.enumerate_group("A", 4):
-        t = tableau_from_word(shape, w)
-        assert (t is not None) == (w == groups.identity("A", 4))
-    for s in shapes.enumerate_shapes(4, "A"):
-        for t in standard_tableaux(s):
-            assert tableau_from_word(s, reading_word(t)) == t
+    assert parse_tableau(format_tableau(t), shape) == t
+    assert is_standard(pseudo_composition((0, 2, 3, 1, 1)), (-6, 5, -4, 1, 7, 2, -3))
 
 
 def test_tableau_descents_equal_inverse_word_descents():
@@ -138,25 +125,6 @@ def test_theta_identities():
                         assert theta_map(image) == t
 
 
-def test_glue_tableaux():
-    one = Tableau(composition((1,)), (1,))
-    two = Tableau(composition((1,)), (2,))
-    assert glue_tableaux(one, two).shape.parts == (2,)
-    assert glue_tableaux(two, one).shape.parts == (1, 1)
-    # a displayed semistandard gluing: rows 14/22 times 14/1334 stack into
-    # the connected ribbon (2,2,2,4)
-    left = Tableau(Shape("A", ((2, 2),)), (1, 4, 2, 2))
-    right = Tableau(Shape("A", ((2, 4),)), (1, 4, 1, 3, 3, 4))
-    glued = glue_tableaux(left, right)
-    assert glued.shape.components == ((2, 2, 2, 4),)
-    assert glued.entries == left.entries + right.entries
-    # while 13/23 times 44/15/34 merges rows into (2,4,2,2)
-    left2 = Tableau(Shape("A", ((2, 2),)), (2, 3, 1, 3))
-    right2 = Tableau(Shape("A", ((2, 2, 2),)), (3, 4, 1, 5, 4, 4))
-    glued2 = glue_tableaux(left2, right2)
-    assert glued2.shape.components == ((2, 4, 2, 2),)
-
-
 def test_split_reassembly_round_trip():
     # the two pieces are standard, their shapes decompose the ambient
     # shape, and writing them back into their box regions recovers the
@@ -193,7 +161,7 @@ def test_semistandard_counts():
         if 0 <= a <= b
     ]
     got = semistandard_tableaux(pseudo_composition((2,)), (-1, 0, 1))
-    assert sorted(t.entries for t in got) == sorted(brute)
+    assert got == sorted(brute)
 
 
 def test_semistandard_unique_word_pseudo_ribbon():
@@ -203,8 +171,8 @@ def test_semistandard_unique_word_pseudo_ribbon():
     n = 3
     by_word = {}
     for s in shapes.enumerate_shapes(n, "B"):
-        for t in semistandard_tableaux(s, window):
-            by_word.setdefault(t.entries, []).append(s.parts)
+        for word in semistandard_tableaux(s, window):
+            by_word.setdefault(word, []).append(s.parts)
     for word in cartesian(window, repeat=n):
         assert len(by_word.get(word, [])) == 1, word
 
@@ -222,8 +190,8 @@ def test_semistandard_unique_word_type_d():
     by_word = {}
     for s in shapes.enumerate_shapes(n, "B"):
         shape = Shape("D", s.components)
-        for t in semistandard_tableaux(shape, window):
-            by_word.setdefault(t.entries, []).append(s.parts)
+        for word in semistandard_tableaux(shape, window):
+            by_word.setdefault(word, []).append(s.parts)
     for word in cartesian(window, repeat=n):
         assert len(by_word.get(word, [])) == 1, word
 
@@ -236,6 +204,65 @@ def test_parse_format_round_trip():
                 assert parse_tableau(format_tableau(t), shape) == t
 
 
+def test_semistandard_words_equal_filling_filter():
+    # every generalized shape with n <= 3 and at most 3 components: the
+    # enumerated words are the sorted words of W^n that pass the filling rules
+    for kind, window in (("A", range(1, 6)), ("B", range(-2, 3)), ("D", range(-2, 3))):
+        family = [Shape("A", ())] if kind == "A" else []
+        for n in range(4):
+            family.extend(shapes.enumerate_generalized(n, kind, 3))
+        for shape in family:
+            brute = [w for w in cartesian(window, repeat=shape.size) if is_semistandard(shape, w)]
+            assert semistandard_tableaux(shape, window) == brute, shape
+
+
+def test_pattern_words_equal_relation_filter():
+    # every pattern of up to three relations, against a filter over all
+    # words; the 0-box value is 0 in type B and -w[1] in type D (whose
+    # words have at least two letters)
+    holds = {
+        None: lambda a, b: True,
+        "<=": lambda a, b: a <= b,
+        "<": lambda a, b: a < b,
+        "=": lambda a, b: a == b,
+        ">": lambda a, b: a > b,
+    }
+    window = range(-2, 3)
+    for kind, sizes in (("A", range(4)), ("B", range(4)), ("D", range(2, 4))):
+        for n in sizes:
+            for pattern in cartesian(holds, repeat=n):
+
+                def ok(w):
+                    if kind != "A" and n:
+                        zval = 0 if kind == "B" else -w[1]
+                        if not holds[pattern[0]](zval, w[0]):
+                            return False
+                    return all(holds[pattern[j]](w[j - 1], w[j]) for j in range(1, n))
+
+                expected = [w for w in cartesian(window, repeat=n) if ok(w)]
+                assert pattern_words(kind, pattern, window, "words") == expected, (kind, pattern)
+
+
 def test_semistandard_guard():
-    with pytest.raises(groups.ResourceLimitError):
-        semistandard_tableaux(composition((2, 1)), range(1, 30), max_count=5)
+    # the guard raises exactly when the count exceeds the limit
+    groups.set_limits(tableau=5)
+    try:
+        assert len(semistandard_tableaux(composition((1,)), range(1, 6))) == 5
+        with pytest.raises(groups.ResourceLimitError):
+            semistandard_tableaux(composition((1,)), range(1, 7))
+        with pytest.raises(groups.ResourceLimitError):
+            semistandard_tableaux(composition((2, 1)), range(1, 30))
+    finally:
+        groups.set_limits()
+    # the words are counted before any is built: an enumeration too large
+    # to hold raises with its exact count and holds no memory for it
+    tracemalloc.start()
+    try:
+        with pytest.raises(groups.ResourceLimitError, match="count 177100 exceeds the guard 1000"):
+            groups.set_limits(tableau=1000)
+            semistandard_tableaux(composition((6,)), range(1, 21))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        groups.set_limits()
+    assert peak < 1_000_000
