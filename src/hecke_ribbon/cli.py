@@ -29,8 +29,6 @@ def _parse_element(text: str, kind: str) -> series.SeriesElement:
     parts = tuple(int(p) for p in inner.split(",")) if inner else ()
     side = "QSym" if basis in ("M", "F") else "NSym"
     space = side + {"A": "", "B": "B", "D": "D"}[kind]
-    if kind != "A" and not parts:
-        parts = (0,)
     return series.element(space, basis, parts)
 
 

@@ -23,6 +23,7 @@ from .shapes import (
     Shape,
     composition,
     descent_band,
+    dot_glue,
     parts_descents,
     split_rows,
 )
@@ -265,13 +266,15 @@ def build_polynomial_module(shape: Shape, model: str | None = None):
     row-separated module of alpha.  With model "P" (the default for a
     generalized ribbon) the submodule generated from the bar word of the
     band minimum is certified against the ribbon module of the shape.
-    Returns (module, certified_against) and raises on failure.
+    The basis is labeled by the tableaux of the module certified against,
+    so the module reads back from JSON.  Returns (module,
+    certified_against) and raises on failure.
     """
     if shape.kind != "A":
         raise ValueError("the polynomial model is type A only")
     if model is None:
         model = "M" if shape.is_single else "P"
-    gamma = __dot_parts(shape)
+    gamma = dot_glue(shape).parts
     if model == "M":
         if not shape.is_single:
             raise ValueError("the row-separated model needs a single ribbon")
@@ -300,7 +303,6 @@ def build_polynomial_module(shape: Shape, model: str | None = None):
         if lead in leads:
             raise modules.CertificationError("leading monomials collide")
         leads[lead] = j
-    index_of = {w.window: j for j, w in enumerate(words)}
     gens = {}
     for i in range(1, n):
         cols = []
@@ -308,8 +310,8 @@ def build_polynomial_module(shape: Shape, model: str | None = None):
             coeffs = _express_in_basis(demazure_bar(i, poly), leads, basis)
             cols.append(tuple(sorted(coeffs.items())))
         gens[i] = tuple(cols)
-    built = modules.HeckeModule("A", n, tuple(words), gens, None)
-    # certify equality with the tableau module under the reading-word map
+    # certify equality with the tableau module under the reading-word map,
+    # and label each basis polynomial by its tableau
     target_index = {t.entries: j for j, t in enumerate(target.basis)}
     if len(target_index) != len(words):
         raise modules.CertificationError("polynomial and tableau bases differ in size")
@@ -318,18 +320,9 @@ def build_polynomial_module(shape: Shape, model: str | None = None):
         if w.window not in target_index:
             raise modules.CertificationError(f"word {w.window} is not a tableau word")
         relabel[j] = target_index[w.window]
-    for i in range(1, n):
-        for j in range(len(words)):
-            mapped = tuple(sorted((relabel[r], v) for r, v in gens[i][j]))
-            if mapped != target.gens[i][relabel[j]]:
-                raise modules.CertificationError(
-                    f"polynomial action differs at generator {i}, basis {j}"
-                )
+    labels = tuple(target.basis[relabel[j]] for j in range(len(words)))
+    built = modules.HeckeModule("A", n, labels, gens, None)
+    report = modules.intertwiner_check(built, target, relabel)
+    if report:
+        raise modules.CertificationError(f"polynomial model of {shape}: {report[0]}")
     return built, label
-
-
-def __dot_parts(shape: Shape) -> Parts:
-    parts: Parts = ()
-    for comp in shape.components:
-        parts = parts + comp
-    return parts

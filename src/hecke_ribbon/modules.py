@@ -17,6 +17,15 @@ decomposition over the bracket set, restriction certificates, twists by
 the two algebra automorphisms, and one-dimensional quotients computed by
 an exact linear solve.
 
+Both filtrations rest on one rule.  Grade the basis: by the rank of the
+reading-word descent set, or by length above a cyclic generator.  The
+up-closed layers {j : grade[j] >= t} span submodules exactly when no
+generator maps a basis vector to one of lower grade, which
+``_check_graded`` certifies in one pass over the columns; a quotient
+layer keeps the rows of equal grade.  The descents of a tableau T, which
+label the length quotients, are those of w(T)^-1 in every type
+(``tableaux.tableau_descents``).
+
 In types B and D, build_p reads each tableau's descents off the
 positions of its values, and tests a swapped filling only at the
 comparisons the swap can change: between the two moved boxes, and at the
@@ -277,49 +286,43 @@ class Filtration:
     layers: tuple[tuple[int, ...], ...]
     labels: tuple
 
-    def layer_sets(self) -> list[set[int]]:
-        return [set(layer) for layer in self.layers]
 
-
-def _check_layer_invariant(module: HeckeModule, layer: set[int], name: str) -> None:
+def _check_graded(module: HeckeModule, grade: list[int], name: str) -> tuple[tuple[int, ...], ...]:
+    """Certify that no generator maps a basis vector to one of lower grade,
+    and return the layers {j : grade[j] >= t}, t = 0, 1, ..., max(grade):
+    they span submodules exactly when that holds."""
     for i in module.generator_indices():
-        for j in layer:
-            for r, _ in module.gens[i][j]:
-                if r not in layer:
+        for j, col in enumerate(module.gens[i]):
+            for r, _ in col:
+                if grade[r] < grade[j]:
                     raise CertificationError(
-                        f"{name}: generator {i} maps basis {j} outside the layer"
+                        f"{name} layer {grade[j]}: generator {i} maps basis {j} outside the layer"
                     )
+    top = max(grade, default=-1)
+    return tuple(tuple(j for j, g in enumerate(grade) if g >= t) for t in range(top + 1))
 
 
 def filtration_by_descent(module: HeckeModule) -> Filtration:
-    """Group the basis by reading-word descent sets, certify that the
-    up-closed groups span submodules, and certify each quotient against
-    the module built directly from the matching bracket-set ribbon."""
+    """Grade the basis by the rank of its reading-word descent set (by
+    size, then lexicographically), certify the graded rule, and certify
+    each quotient against the module built directly from the matching
+    bracket-set ribbon."""
     if module.shape is None:
         raise ShapeError("descent filtration needs a module built from a shape")
-    by_descents: dict[frozenset[int], list[int]] = {}
-    for j, t in enumerate(module.basis):
-        by_descents.setdefault(groups.descents(tableaux.reading_word(t)), []).append(j)
-    ordered = sorted(
-        by_descents,
-        key=lambda d: (len(d), tuple(sorted(d))),
-    )
+    descents = [groups.descents(tableaux.reading_word(t)) for t in module.basis]
+    ordered = sorted(set(descents), key=lambda d: (len(d), tuple(sorted(d))))
+    rank = {d: t for t, d in enumerate(ordered)}
+    grade = [rank[d] for d in descents]
+    layers = _check_graded(module, grade, "descent")
     labels = tuple(from_descents(d, module.n, module.kind) for d in ordered)
-    layers = []
-    for t in range(len(ordered)):
-        layer = sorted(j for d in ordered[t:] for j in by_descents[d])
-        layers.append(tuple(layer))
-    filtr = Filtration(tuple(layers), labels)
-    sets = filtr.layer_sets() + [set()]
-    for t, layer in enumerate(sets[:-1]):
-        _check_layer_invariant(module, layer, f"descent layer {t}")
-        _certify_quotient(module, sorted(set(by_descents[ordered[t]])), sets[t + 1], labels[t])
-    return filtr
+    for t, label in enumerate(labels):
+        _certify_quotient(module, [j for j, g in enumerate(grade) if g == t], grade, label)
+    return Filtration(layers, labels)
 
 
-def _certify_quotient(module: HeckeModule, quotient: list[int], deeper: set[int], label: Shape):
-    """The induced action on a quotient layer must equal the module of the
-    label shape under the reading-word relabeling."""
+def _certify_quotient(module: HeckeModule, quotient: list[int], grade: list[int], label: Shape):
+    """The induced action on a quotient layer, the rows of equal grade, must
+    equal the module of the label shape under the reading-word relabeling."""
     target = build_p(label)
     word_to_target = {t.entries: j for j, t in enumerate(target.basis)}
     relabel = {}
@@ -335,7 +338,7 @@ def _certify_quotient(module: HeckeModule, quotient: list[int], deeper: set[int]
     for i in module.generator_indices():
         for j in quotient:
             induced = [
-                (relabel[r], v) for r, v in module.gens[i][j] if r not in deeper
+                (relabel[r], v) for r, v in module.gens[i][j] if grade[r] == grade[j]
             ]
             if tuple(sorted(induced)) != target.gens[i][relabel[j]]:
                 raise CertificationError(
@@ -349,8 +352,7 @@ def length_filtration(module: HeckeModule, generator_index: int) -> Filtration:
     labeled by tableau descent sets."""
     if module.shape is None:
         raise ShapeError("length filtration needs a tableau module")
-    words = [tableaux.reading_word(t) for t in module.basis]
-    lengths = [groups.length(w) for w in words]
+    lengths = [groups.length(tableaux.reading_word(t)) for t in module.basis]
     base = lengths[generator_index]
     if any(ell < base for ell in lengths):
         raise ShapeError("the chosen generator does not have minimal length")
@@ -365,27 +367,20 @@ def length_filtration(module: HeckeModule, generator_index: int) -> Filtration:
                     frontier.append(r)
     if len(reached) != module.dim:
         raise ShapeError("module is not cyclic over the chosen generator")
-    top = max(lengths)
-    layers = []
-    labels = []
-    for level in range(base, top + 1):
-        layer = tuple(j for j in range(module.dim) if lengths[j] >= level)
-        layers.append(layer)
-        quotient = [j for j in range(module.dim) if lengths[j] == level]
-        labels.append(tuple(sorted(tableaux.tableau_descents(module.basis[j])) for j in quotient))
-    filtr = Filtration(tuple(layers), tuple(labels))
-    sets = filtr.layer_sets() + [set()]
-    for t, layer in enumerate(sets[:-1]):
-        _check_layer_invariant(module, layer, f"length layer {t}")
-    for j in range(module.dim):
-        desc = tableaux.tableau_descents(module.basis[j])
+    layers = _check_graded(module, [ell - base for ell in lengths], "length")
+    descents = [tableaux.tableau_descents(t) for t in module.basis]
+    labels = tuple(
+        tuple(sorted(desc) for desc, ell in zip(descents, lengths) if ell == base + t)
+        for t in range(len(layers))
+    )
+    for j, desc in enumerate(descents):
         for i in module.generator_indices():
             col = module.gens[i][j]
             if i in desc and col != ((j, -1),):
                 raise CertificationError(f"length quotient not diagonal at ({i}, {j})")
             if i not in desc and any(r == j for r, _ in col):
                 raise CertificationError(f"length quotient not diagonal at ({i}, {j})")
-    return filtr
+    return Filtration(layers, labels)
 
 
 # ---------------------------------------------------------------------------

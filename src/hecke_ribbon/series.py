@@ -59,11 +59,9 @@ _DUAL_BASIS = {"M": "h", "h": "M", "F": "s", "s": "F"}
 
 
 def _check_key(space: str, parts: Parts) -> Parts:
-    kind = SPACE_KIND[space]
-    ribbon_shape(parts, kind)  # validates
-    if space in ("QSymD", "NSymD") and sum(parts) < 2:
-        raise ShapeError(f"type D series live in degrees >= 2, got {parts}")
-    return tuple(parts)
+    """The one label of a basis element: validated by its shape, and the
+    type B unit as (0,) whether it is given as () or (0,)."""
+    return ribbon_shape(parts, SPACE_KIND[space]).parts
 
 
 def _collect(pairs) -> dict:
@@ -126,8 +124,7 @@ def element(space: str, basis: str, parts, coeff=1) -> SeriesElement:
 
 
 def unit(space: str, basis: str) -> SeriesElement:
-    kind = SPACE_KIND[space]
-    return element(space, basis, () if kind == "A" else (0,))
+    return element(space, basis, ())
 
 
 # ---------------------------------------------------------------------------

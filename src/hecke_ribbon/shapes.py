@@ -210,18 +210,6 @@ def glue_parts(a: Parts, b: Parts, mode: str) -> Parts:
     raise ShapeError(f"unknown glue mode {mode!r}")
 
 
-def glue(a: Shape, b: Shape, mode: str) -> Shape:
-    """Glue two shapes, joining the last component of a with the first of b."""
-    if b.kind != "A":
-        raise ShapeError("the right gluing factor must be a type A shape")
-    if not b.components:
-        return a
-    if a.kind == "A" and not a.components:
-        return b
-    joined = glue_parts(a.components[-1], b.components[0], mode)
-    return Shape(a.kind, a.components[:-1] + (joined,) + b.components[1:])
-
-
 @lru_cache(maxsize=None)
 def bracket_set(shape: Shape) -> tuple[Shape, ...]:
     """The 2^(k-1) single ribbons obtained by gluing the k components."""

@@ -106,26 +106,8 @@ def standard_tableaux(shape: Shape) -> tuple[Tableau, ...]:
 
 
 def tableau_descents(t: Tableau) -> frozenset[int]:
-    """Descents of the tableau; equal to the descents of w(t)^{-1}."""
-    kind = t.shape.kind
-    if kind == "D":
-        return groups.descents(groups.inverse(reading_word(t)))
-    diag = diagram(t.shape)
-    row_of = {v: diag.boxes[i][0] for i, v in enumerate(t.entries)}
-    out = set()
-    if kind == "B" and -1 in row_of:
-        out.add(0)
-    n = t.n
-    for i in range(1, n):
-        if i in row_of and i + 1 in row_of:
-            if row_of[i] > row_of[i + 1]:
-                out.add(i)
-        elif -i in row_of and -(i + 1) in row_of:
-            if row_of[-i] < row_of[-(i + 1)]:
-                out.add(i)
-        elif i in row_of and -(i + 1) in row_of:
-            out.add(i)
-    return frozenset(out)
+    """Descents of the tableau: the descents of w(t)^{-1}, in every type."""
+    return groups.descents(groups.inverse(reading_word(t)))
 
 
 def value_positions(entries: tuple[int, ...]) -> list[int]:

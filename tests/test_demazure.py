@@ -1,3 +1,4 @@
+import json
 from itertools import product as cartesian
 
 import pytest
@@ -145,6 +146,19 @@ def test_one_dimensional_cases():
     module, _ = build_polynomial_module(composition((3,)))
     assert module.dim == 1
     assert all(col == ((),) for col in (module.gens[i] for i in (1, 2)))
+
+
+def test_polynomial_module_reads_back_from_json():
+    # the basis is labeled by the target's tableaux, so it reads back
+    for shape, model in (
+        (composition((2, 1, 1)), "M"),
+        (Shape("A", ((2, 1), (1,))), "P"),
+        (composition((3,)), None),
+    ):
+        module, _ = build_polynomial_module(shape, model)
+        back = modules.module_from_json(json.loads(json.dumps(modules.module_to_json(module))))
+        assert back.basis == module.basis, shape
+        assert back.gens == module.gens, shape
 
 
 def test_bar_images_are_read_only():

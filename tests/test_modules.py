@@ -227,6 +227,21 @@ def test_filtration_by_descent():
             assert set(filtr.labels) == set(shapes.bracket_set(shape)), shape
 
 
+def test_graded_filtrations_reject_an_arrow_to_a_lower_grade():
+    """Redirecting a loop of the top tableau to the identity tableau, the
+    lowest in both gradings, breaks the graded rule of both filtrations."""
+    module = build_p(Shape("A", ((2,), (2,))))
+    top = module.dim - 1
+    assert module.basis[0].entries == (1, 2, 3, 4)
+    assert module.gens[2][top] == ((top, -1),)
+    gens = {**module.gens, 2: module.gens[2][:top] + (((0, 1),),)}
+    broken = modules.HeckeModule(module.kind, module.n, module.basis, gens, module.shape)
+    with pytest.raises(CertificationError, match="outside the layer"):
+        filtration_by_descent(broken)
+    with pytest.raises(CertificationError, match="outside the layer"):
+        length_filtration(broken, 0)
+
+
 def test_restriction():
     assert restrict_p(composition((2,)), 1) == [(composition((1,)), composition((1,)))]
     blocks = restrict_p(composition((1, 3)), 2)

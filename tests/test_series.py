@@ -159,21 +159,44 @@ def test_comodule_coassociativity():
                 assert left_route == right_route, s.parts
 
 
+def _coassociativity_routes(space, basis, parts):
+    """(Delta x id) Delta and (id x Delta) Delta of a type A basis element,
+    as sparse dicts over label triples."""
+    left_route, right_route = {}, {}
+    for l, r, c in coproduct(E(space, basis, parts)):
+        for l2, r2, c2 in coproduct(E(space, basis, l)):
+            key = (l2, r2, r)
+            left_route[key] = left_route.get(key, QPoly()) + c * c2
+        for l2, r2, c2 in coproduct(E(space, basis, r)):
+            key = (l, l2, r2)
+            right_route[key] = right_route.get(key, QPoly()) + c * c2
+    return (
+        {k: v for k, v in left_route.items() if v},
+        {k: v for k, v in right_route.items() if v},
+    )
+
+
 def test_coassociativity_type_a():
     for parts in comps(4):
         for basis, space in (("F", "QSym"), ("s", "NSym")):
-            left_route, right_route = {}, {}
-            for l, r, c in coproduct(E(space, basis, parts)):
-                for l2, r2, c2 in coproduct(E(space, basis, l)):
-                    key = (l2, r2, r)
-                    left_route[key] = left_route.get(key, QPoly()) + c * c2
-            for l, r, c in coproduct(E(space, basis, parts)):
-                for l2, r2, c2 in coproduct(E(space, basis, r)):
-                    key = (l, l2, r2)
-                    right_route[key] = right_route.get(key, QPoly()) + c * c2
-            assert {k: v for k, v in left_route.items() if v} == {
-                k: v for k, v in right_route.items() if v
-            }
+            left_route, right_route = _coassociativity_routes(space, basis, parts)
+            assert left_route == right_route
+
+
+@st.composite
+def small_compositions(draw):
+    """A composition of size at most 6, the empty one included."""
+    size = draw(st.integers(0, 6))
+    picks = draw(st.lists(st.booleans(), min_size=max(size - 1, 0), max_size=max(size - 1, 0)))
+    cuts = frozenset(i + 1 for i, b in enumerate(picks) if b)
+    return shapes.parts_from_descents(cuts, size, "A")
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_compositions(), st.sampled_from((("QSym", "F"), ("QSym", "M"), ("NSym", "s"))))
+def test_coassociativity_on_drawn_compositions(parts, space_basis):
+    left_route, right_route = _coassociativity_routes(*space_basis, parts)
+    assert left_route == right_route, parts
 
 
 def test_coproduct_is_algebra_map_on_samples():
@@ -507,6 +530,14 @@ def test_d_space_degree_guard():
         E("QSymD", "F", (1,))
     with pytest.raises(shapes.ShapeError):
         E("NSymD", "s", (0, 1))
+
+
+def test_type_b_unit_has_one_label():
+    # the type B unit reads (0,) whether it is given as () or (0,)
+    for space, basis in (("QSymB", "F"), ("QSymB", "M"), ("NSymB", "s"), ("NSymB", "h")):
+        given_empty = E(space, basis, ())
+        assert given_empty == unit(space, basis) == E(space, basis, (0,))
+        assert str(given_empty) == f"{basis}[0]"
 
 
 def test_series_json_round_trip():

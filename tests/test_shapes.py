@@ -18,7 +18,7 @@ from hecke_ribbon.shapes import (
     enumerate_shapes,
     format_shape,
     from_descents,
-    glue,
+    glue_parts,
     parse_shape,
     pseudo_composition,
     reverse,
@@ -98,9 +98,9 @@ def test_enumerate_shapes_order_and_counts():
 
 
 def test_glue():
-    assert glue(composition((2,)), composition((1, 3)), "dot").parts == (2, 1, 3)
-    assert glue(composition((2,)), composition((1, 3)), "triangle").parts == (3, 3)
-    assert glue(pseudo_composition((0, 1)), composition((2,)), "triangle").parts == (0, 3)
+    assert glue_parts((2,), (1, 3), "dot") == (2, 1, 3)
+    assert glue_parts((2,), (1, 3), "triangle") == (3, 3)
+    assert glue_parts((0, 1), (2,), "triangle") == (0, 3)
 
 
 def test_bracket_set_regression():

@@ -16,7 +16,6 @@ from hecke_ribbon.tableaux import (
     semistandard_tableaux,
     split_tableau,
     standard_tableaux,
-    tableau_descents,
     tau0,
     tau1,
     theta_map,
@@ -69,16 +68,6 @@ def test_displayed_signed_tableaux_round_trip():
     assert format_tableau(t) == "-7/-5/-4,-1,6/0*,2,3"
     assert parse_tableau(format_tableau(t), shape) == t
     assert is_standard(pseudo_composition((0, 2, 3, 1, 1)), (-6, 5, -4, 1, 7, 2, -3))
-
-
-def test_tableau_descents_equal_inverse_word_descents():
-    for kind, n in (("A", 5), ("B", 4), ("D", 4)):
-        for s in shapes.enumerate_shapes(n, "A" if kind == "A" else "B"):
-            shape = s if kind == "A" else Shape(kind, s.components)
-            for t in standard_tableaux(shape):
-                assert tableau_descents(t) == groups.descents(
-                    groups.inverse(reading_word(t))
-                ), t
 
 
 def test_tau_extremes_match_class_scan():
