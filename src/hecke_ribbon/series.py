@@ -22,7 +22,7 @@ coproduct term's coefficient is looked up in it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import accumulate, chain, combinations, product
 
 from . import groups, linalg, modules, tableaux
@@ -58,6 +58,7 @@ BASES = {"M": QSYM_SIDE, "F": QSYM_SIDE, "h": NSYM_SIDE, "s": NSYM_SIDE}
 _DUAL_BASIS = {"M": "h", "h": "M", "F": "s", "s": "F"}
 
 
+@lru_cache(maxsize=None)
 def _check_key(space: str, parts: Parts) -> Parts:
     """The one label of a basis element: validated by its shape, and the
     type B unit as (0,) whether it is given as () or (0,)."""
@@ -84,9 +85,7 @@ class SeriesElement:
     def __post_init__(self):
         if self.space not in SPACE_KIND or self.space not in BASES.get(self.basis, ()):
             raise ValueError(f"no basis {self.basis!r} in space {self.space!r}")
-        self.terms = {
-            tuple(k): QPoly.of(v) for k, v in self.terms.items() if QPoly.of(v)
-        }
+        self.terms = {tuple(k): c for k, v in self.terms.items() if (c := QPoly.of(v))}
 
     def __add__(self, other: "SeriesElement") -> "SeriesElement":
         if (self.space, self.basis) != (other.space, other.basis):
@@ -292,8 +291,7 @@ def coproduct(elem: SeriesElement) -> tuple[tuple[Parts, Parts, QPoly], ...]:
         elif basis == "s":
             if space != "NSym":
                 raise ValueError(f"no coproduct on the {space} side in basis s")
-            for key, mult in schur_coproduct(composition(parts)).items():
-                pairs.append((key, coeff * mult))
+            pairs.extend(((left, right), coeff * mult) for left, right, mult in _s_splits(parts))
     return tuple((l, r, c) for (l, r), c in sorted(_collect(pairs).items()))
 
 
@@ -307,6 +305,15 @@ def _h_splits(parts: Parts) -> tuple[tuple[Parts, Parts, int], ...]:
             for c in range(p + 1)
         )
     return tuple((l, r, m) for (l, r), m in sorted(splits.items()))
+
+
+@lru_cache(maxsize=None)
+def _s_splits(parts: Parts) -> tuple[tuple[Parts, Parts, QPoly], ...]:
+    """Δ(s_parts) as sorted (left, right, multiplicity) triples, computed
+    once per label.  ``schur_coproduct`` itself stays uncached: it is the
+    direct route of ``verify.cert_coproduct``, which must not read values
+    that another route filled."""
+    return tuple((l, r, m) for (l, r), m in sorted(schur_coproduct(composition(parts)).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +426,21 @@ def noncommutative_characteristic(labels, kind: str) -> SeriesElement:
 # q-ribbon numbers and the exact identities
 
 
+def _memo_by_label(fn):
+    """Memoise fn by its arguments, with the label (its first argument)
+    made a tuple so that a list works as well; as with any ``lru_cache``,
+    a call that raises is not cached and raises again."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def by_label(parts, *args, **kwargs):
+        return cached(tuple(parts), *args, **kwargs)
+
+    by_label.cache_info, by_label.cache_clear = cached.cache_info, cached.cache_clear
+    return by_label
+
+
+@_memo_by_label
 def q_ribbon(parts: Parts, method: str = "det") -> QPoly:
     """β_q(α), the inversion generating function of the type A descent
     class of a composition α of n.  ``brute`` sums q^inv(w) over the class,
@@ -617,9 +639,13 @@ def series_to_json(elem: SeriesElement) -> dict:
 
 
 def series_from_json(data: dict) -> SeriesElement:
-    terms = {}
+    """Read an element back.  Each label is checked as ``element`` checks
+    it: a malformed one raises ``ShapeError``, and the type B unit reads
+    back as (0,) whether it was written as [] or [0]."""
+    empty = SeriesElement(data["space"], data["basis"])
+    pairs = []
     for item in data["terms"]:
         inner = item["shape"].strip()[1:-1]
         parts = tuple(int(x) for x in inner.split(",")) if inner else ()
-        terms[parts] = QPoly.of(tuple(item["coeff"]))
-    return SeriesElement(data["space"], data["basis"], terms)
+        pairs.append((_check_key(empty.space, parts), QPoly.of(tuple(item["coeff"]))))
+    return SeriesElement(empty.space, empty.basis, _collect(pairs))

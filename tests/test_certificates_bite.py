@@ -14,18 +14,19 @@ from pathlib import Path
 
 import pytest
 
-from hecke_ribbon import demazure, groups, modules, qpoly, series, shapes, verify
+from hecke_ribbon import demazure, groups, modules, series, shapes, verify
 from hecke_ribbon.qpoly import QPoly
 
 
 @pytest.fixture(autouse=True)
-def _fresh_caches():
-    """A planted bug must not leave wrong values in the package's caches."""
+def _fresh_caches(package_caches):
+    """A planted bug must neither read the right values that earlier tests
+    left in the package's caches nor leave wrong values there."""
+    for cached in package_caches.values():
+        cached.cache_clear()
     yield
-    for module in (demazure, groups, modules, qpoly, series, shapes):
-        for value in list(vars(module).values()):
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+    for cached in package_caches.values():
+        cached.cache_clear()
 
 
 def _zero_skew(a, f, side="right"):
@@ -129,6 +130,22 @@ def test_planted_bug_bites(name, monkeypatch):
     monkeypatch.setattr(module, attr, wrong)
     with pytest.raises(modules.CertificationError):
         SMALL[name]()
+
+
+def test_dropped_ribbon_coproduct_term_bites_skew(monkeypatch):
+    """skew reads ribbon coproducts through the label memo, which is
+    filled from schur_coproduct, so the coproduct bug reaches it too."""
+    module, attr, wrong = _planted("coproduct")
+    monkeypatch.setattr(module, attr, wrong)
+    with pytest.raises(modules.CertificationError, match="left and right skews differ"):
+        SMALL["skew"]()
+
+
+def test_coproduct_routes_leave_the_label_memo_empty():
+    """The direct route of cert_coproduct is schur_coproduct itself, and
+    its h-route expands h coproducts: neither reads the s memo."""
+    verify.cert_coproduct(4, 3)
+    assert series._s_splits.cache_info().currsize == 0
 
 
 def test_checks_survive_optimize():

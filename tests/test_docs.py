@@ -1,0 +1,26 @@
+"""The README's cache table lists exactly the package's memoised functions."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+NUMBER_WORDS = (
+    "zero one two three four five six seven eight nine ten eleven twelve thirteen "
+    "fourteen fifteen sixteen seventeen eighteen nineteen twenty"
+).split()
+
+
+def _cache_table() -> tuple[str, list[str]]:
+    """The count word before the table, and the names in its first column."""
+    text = README.read_text()
+    count = re.search(r"The package memoises (\w+) functions", text).group(1)
+    table = text.split("| cache | key | bounded by |\n| --- | --- | --- |\n", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()
+    return count, [re.match(r"\| `([\w.]+)` \|", row).group(1) for row in rows]
+
+
+def test_readme_cache_table_lists_every_cache(package_caches):
+    count, names = _cache_table()
+    assert sorted(names) == sorted(package_caches)
+    assert len(names) == len(set(names))
+    assert count == NUMBER_WORDS[len(package_caches)]

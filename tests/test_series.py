@@ -199,6 +199,15 @@ def test_coassociativity_on_drawn_compositions(parts, space_basis):
     assert left_route == right_route, parts
 
 
+@settings(deadline=None, max_examples=40)
+@given(small_compositions())
+def test_ribbon_coproduct_memo_matches_schur_coproduct(parts):
+    want = tuple((l, r, c) for (l, r), c in sorted(schur_coproduct(composition(parts)).items()))
+    series._s_splits.cache_clear()
+    assert coproduct(E("NSym", "s", parts)) == want  # cold: computes the label
+    assert coproduct(E("NSym", "s", parts)) == want  # warm: reads it back
+
+
 def test_coproduct_is_algebra_map_on_samples():
     # Delta(fg) = Delta(f) Delta(g) with the componentwise shuffle product
     rng = random.Random(9)
@@ -322,8 +331,20 @@ def test_q_ribbon():
 @pytest.mark.parametrize("method", ["det", "ie", "brute"])
 @pytest.mark.parametrize("parts", [(2, 0, 1), (-1, 2)])
 def test_q_ribbon_rejects_non_compositions(parts, method):
-    with pytest.raises(shapes.ShapeError):
-        q_ribbon(parts, method)
+    for _ in range(2):  # a memoised call that raised must raise again
+        with pytest.raises(shapes.ShapeError):
+            q_ribbon(parts, method)
+
+
+@pytest.mark.parametrize("method", ["det", "ie", "brute"])
+def test_q_ribbon_takes_a_list_label(method):
+    assert q_ribbon([2, 1], method) == q_ribbon((2, 1), method) == QPoly.of((0, 1, 1))
+
+
+def test_q_ribbon_rejects_an_unknown_method_every_time():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown method"):
+            q_ribbon((2, 1), "pfaffian")
 
 
 # a composition of n is its descent set, a subset of 1..n-1
@@ -545,6 +566,30 @@ def test_series_json_round_trip():
     data = series_to_json(elem)
     assert series_from_json(data) == elem
     assert data["space"] == "NSym" and data["basis"] == "s"
+
+
+@pytest.mark.parametrize(
+    "space, basis, label",
+    [
+        ("QSym", "F", "[1,-2]"),
+        ("QSym", "F", "[0,2]"),
+        ("QSym", "M", "[2,0]"),
+        ("NSymD", "s", "[1]"),
+        ("QSymB", "F", "[1,0]"),
+    ],
+)
+def test_series_from_json_rejects_malformed_labels(space, basis, label):
+    data = {"space": space, "basis": basis, "terms": [{"shape": label, "coeff": [1]}]}
+    with pytest.raises(shapes.ShapeError):
+        series_from_json(data)
+
+
+def test_series_from_json_reads_the_type_b_unit_as_one_label():
+    for label in ("[]", "[0]"):
+        data = {"space": "QSymB", "basis": "F", "terms": [{"shape": label, "coeff": [1]}]}
+        back = series_from_json(data)
+        assert back == unit("QSymB", "F") == E("QSymB", "F", ())
+        assert list(back.terms) == [(0,)]
 
 
 @st.composite
