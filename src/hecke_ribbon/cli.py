@@ -22,14 +22,13 @@ def _parse_element(text: str, kind: str) -> series.SeriesElement:
     """Parse "s[2,3]" or "F[0,2,1]" with the space inferred from the
     basis letter and the type flag."""
     text = text.strip()
-    basis = text[: text.index("[")]
+    cut = text.index("[")
+    basis, label = text[:cut], text[cut:]
     if basis not in ("M", "F", "h", "s"):
         raise ValueError(f"unknown basis {basis!r}")
-    inner = text[text.index("[") + 1 : text.rindex("]")].strip()
-    parts = tuple(int(p) for p in inner.split(",")) if inner else ()
     side = "QSym" if basis in ("M", "F") else "NSym"
     space = side + {"A": "", "B": "B", "D": "D"}[kind]
-    return series.element(space, basis, parts)
+    return series.element(space, basis, shapes.parse_shape(label, kind).parts)
 
 
 def _need(args, option: str):
@@ -257,14 +256,13 @@ def cmd_series(args) -> int:
         out = series.antipode(left)
         _emit(args, _series_out(args, out), [str(out)])
     elif args.action == "comul":
-        terms = series.coproduct(left)
         payload = [
             {
-                "left": "[" + ",".join(map(str, l)) + "]",
-                "right": "[" + ",".join(map(str, r)) + "]",
+                "left": shapes.format_shape(shapes.ribbon_shape(l, kind)),
+                "right": shapes.format_shape(shapes.composition(r)),
                 "coeff": list(c.coeffs),
             }
-            for l, r, c in terms
+            for l, r, c in series.coproduct(left)
         ]
         _emit(args, {"terms": payload}, [f"{p['left']} (x) {p['right']} : {p['coeff']}" for p in payload])
     elif args.action in ("mul", "pair"):

@@ -289,12 +289,7 @@ def build_polynomial_module(shape: Shape, model: str | None = None):
         raise ValueError(f"unknown model {model!r}")
     n = sum(gamma)
     all_images = _bar_images(gamma)
-    words = [
-        w
-        for w in groups.min_coset_reps("A", composition(gamma))
-        if lower <= groups.descents(w)
-    ]
-    words.sort(key=lambda w: w.window)
+    words = groups.band_elements("A", n, lower, parts_descents(gamma))
     basis = [all_images[w.window] for w in words]
     base = x_alpha(gamma)
     leads: dict[Monomial, int] = {}

@@ -22,7 +22,7 @@ from itertools import combinations, permutations
 from math import factorial
 from types import MappingProxyType
 
-from .shapes import Shape, descent_set, parts_from_descents, positions
+from .shapes import Shape, descent_set, positions
 
 DEFAULT_GROUP_LIMIT = 50_000
 DEFAULT_TABLEAU_LIMIT = 100_000
@@ -255,11 +255,7 @@ def descent_class(kind: str, shape: Shape) -> DescentClass:
 
 def min_coset_reps(kind: str, shape: Shape) -> tuple[GroupElement, ...]:
     """All w with D(w) contained in D(shape), sorted by window."""
-    target = descent_set(shape)
-    buckets = descent_buckets(kind, shape.size)
-    out = [w for d, ws in buckets.items() if d <= target for w in ws]
-    out.sort(key=lambda g: g.window)
-    return tuple(out)
+    return band_elements(kind, shape.size, frozenset(), descent_set(shape))
 
 
 def band_elements(kind: str, n: int, lower: frozenset[int], upper: frozenset[int]):
@@ -283,14 +279,6 @@ def parabolic_longest_A(n: int, dset) -> GroupElement:
         if i is not None:
             run.append(i)
     return GroupElement("A", tuple(window))
-
-
-def class_minimum(kind: str, n: int, dset) -> GroupElement:
-    """The length-minimal element with the given descent set."""
-    if kind == "A":
-        return parabolic_longest_A(n, dset)
-    shape = Shape(kind, (parts_from_descents(frozenset(dset), n, kind),))
-    return descent_class(kind, shape).minimum
 
 
 @lru_cache(maxsize=None)

@@ -35,9 +35,12 @@ from .shapes import (
     composition,
     decompositions,
     descent_band,
+    format_shape,
     glue_parts,
+    interval,
     parts_descents,
     parts_from_descents,
+    parse_shape,
     positions,
     ribbon_shape,
     split_rows,
@@ -132,24 +135,23 @@ def unit(space: str, basis: str) -> SeriesElement:
 
 @lru_cache(maxsize=None)
 def _conversion(parts: Parts, kind: str, frm: str, to: str) -> tuple[tuple[Parts, int], ...]:
+    """The triangular change of basis of one label, as (label, sign) pairs.
+    F_α is the sum of the M_β with D(α) <= D(β), and h_α the sum of the s_β
+    with D(β) <= D(α); the inverses M -> F and s -> h run over the same
+    interval of descent sets, signed by its Möbius function (-1)^|D(β) △ D(α)|."""
     n = sum(parts)
     dset = parts_descents(parts)
-    out = []
-    if (frm, to) in (("F", "M"), ("M", "F")):
-        free = sorted(set(positions(kind, n)) - dset)
-        for mask in range(1 << len(free)):
-            extra = frozenset(free[i] for i in range(len(free)) if mask >> i & 1)
-            sign = 1 if frm == "F" else (-1) ** len(extra)
-            out.append((parts_from_descents(dset | extra, n, kind), sign))
-    elif (frm, to) in (("h", "s"), ("s", "h")):
-        sub = sorted(dset)
-        for mask in range(1 << len(sub)):
-            kept = frozenset(sub[i] for i in range(len(sub)) if mask >> i & 1)
-            sign = 1 if frm == "h" else (-1) ** (len(sub) - len(kept))
-            out.append((parts_from_descents(kept, n, kind), sign))
+    if {frm, to} == {"F", "M"}:
+        lower, upper = dset, positions(kind, n)
+    elif {frm, to} == {"h", "s"}:
+        lower, upper = (), dset
     else:
         raise ValueError(f"no conversion from {frm} to {to}")
-    return tuple(out)
+    inverse = frm in ("M", "s")
+    return tuple(
+        (parts_from_descents(d, n, kind), (-1) ** len(d ^ dset) if inverse else 1)
+        for d in interval(lower, upper)
+    )
 
 
 def convert(elem: SeriesElement, target: str) -> SeriesElement:
@@ -175,8 +177,8 @@ def convert(elem: SeriesElement, target: str) -> SeriesElement:
 def _shuffle_f(a: Parts, b: Parts) -> tuple[tuple[Parts, int], ...]:
     """F_a F_b as a sum of F's, by shuffling descent-class representatives."""
     m, n = sum(a), sum(b)
-    u = groups.class_minimum("A", m, parts_descents(a)).window
-    v = [x + m for x in groups.class_minimum("A", n, parts_descents(b)).window]
+    u = groups.parabolic_longest_A(m, parts_descents(a)).window
+    v = [x + m for x in groups.parabolic_longest_A(n, parts_descents(b)).window]
     keys = []
     for spots in combinations(range(m + n), m):
         word = [0] * (m + n)
@@ -443,14 +445,16 @@ def _memo_by_label(fn):
 @_memo_by_label
 def q_ribbon(parts: Parts, method: str = "det") -> QPoly:
     """β_q(α), the inversion generating function of the type A descent
-    class of a composition α of n.  ``brute`` sums q^inv(w) over the class,
-    ``ie`` is inclusion-exclusion over the descent set with q-multinomials,
-    and ``det`` is the q-analogue of Stanley, *EC1*, Example 2.2.5: with
-    σ_i = α_1 + ... + α_i, β_q(α) = det[[n − σ_i choose σ_{j+1} − σ_i]_q]
-    for i, j = 0..ℓ−1.  That matrix is upper Hessenberg with subdiagonal
-    [· choose 0]_q = 1, so its determinant is the division-free recurrence
-    D_0 = 1, D_k = Σ_{i<k} (−1)^(k−1−i) [n − σ_i choose σ_k − σ_i]_q D_i,
-    and β_q(α) = D_ℓ.  ``det`` and ``ie`` share ``q_binomial``, which
+    class of a composition α of n.  ``brute`` sums q^inv(w) over the class.
+    ``ie`` reads r_α = Σ ±h_β off the s -> h table of ``_conversion`` (an
+    inclusion-exclusion over the subsets of D(α)) and specialises each h_β
+    to the q-multinomial [n; β]_q.  ``det`` is the q-analogue of Stanley,
+    *EC1*, Example 2.2.5: with σ_i = α_1 + ... + α_i,
+    β_q(α) = det[[n − σ_i choose σ_{j+1} − σ_i]_q] for i, j = 0..ℓ−1.
+    That matrix is upper Hessenberg with subdiagonal [· choose 0]_q = 1,
+    so its determinant is the division-free recurrence D_0 = 1,
+    D_k = Σ_{i<k} (−1)^(k−1−i) [n − σ_i choose σ_k − σ_i]_q D_i, and
+    β_q(α) = D_ℓ.  ``det`` and ``ie`` share ``q_binomial``, which
     ``test_qpoly`` certifies against a brute count; ``brute`` is independent.
     Every route raises ``ShapeError`` unless α is a composition.
     """
@@ -463,13 +467,8 @@ def q_ribbon(parts: Parts, method: str = "det") -> QPoly:
             out = out + QPoly.q(groups.inv_count(w))
         return out
     if method == "ie":
-        dset = parts_descents(parts)
         out = QPoly()
-        sub = sorted(dset)
-        for mask in range(1 << len(sub)):
-            kept = frozenset(sub[i] for i in range(len(sub)) if mask >> i & 1)
-            beta = parts_from_descents(kept, n, "A")
-            sign = (-1) ** (len(sub) - len(kept))
+        for beta, sign in _conversion(parts, "A", "s", "h"):
             out = out + sign * q_multinomial(n, beta)
         return out
     if method == "det":
@@ -533,9 +532,8 @@ def ribbon_sum_identity(beta: Parts, gamma: Parts) -> tuple[QPoly, QPoly]:
         raise ValueError("need compositions of one size with D(beta) <= D(gamma)")
     free = sorted(dg - db)
     lhs = QPoly()
-    for mask in range(1 << len(free)):
-        extra = frozenset(free[i] for i in range(len(free)) if mask >> i & 1)
-        lhs = lhs + q_ribbon(parts_from_descents(db | extra, n, "A"), "ie")
+    for d in interval(db, dg):
+        lhs = lhs + q_ribbon(parts_from_descents(d, n, "A"), "ie")
     sizes = parts_from_descents(frozenset(free), n, "A")
     rhs = q_multinomial(n, sizes)
     cuts = [0] + free + [n]
@@ -628,24 +626,29 @@ def truncation_independent(series_list) -> bool:
 
 
 def series_to_json(elem: SeriesElement) -> dict:
+    kind = SPACE_KIND[elem.space]
     return {
         "space": elem.space,
         "basis": elem.basis,
         "terms": [
-            {"shape": "[" + ",".join(map(str, k)) + "]", "coeff": list(v.coeffs)}
+            {"shape": format_shape(ribbon_shape(k, kind)), "coeff": list(v.coeffs)}
             for k, v in sorted(elem.terms.items())
         ],
     }
 
 
 def series_from_json(data: dict) -> SeriesElement:
-    """Read an element back.  Each label is checked as ``element`` checks
-    it: a malformed one raises ``ShapeError``, and the type B unit reads
-    back as (0,) whether it was written as [] or [0]."""
+    """Read an element back.  Each label is read by ``parse_shape`` and
+    checked as ``element`` checks it: a malformed one raises
+    ``ShapeError``, and the type B unit reads back as (0,) whether it was
+    written as [] or [0].  A coefficient that is not a list of ints
+    raises ``ValueError`` naming its label."""
     empty = SeriesElement(data["space"], data["basis"])
     pairs = []
     for item in data["terms"]:
-        inner = item["shape"].strip()[1:-1]
-        parts = tuple(int(x) for x in inner.split(",")) if inner else ()
-        pairs.append((_check_key(empty.space, parts), QPoly.of(tuple(item["coeff"]))))
+        parts = parse_shape(item["shape"], SPACE_KIND[empty.space]).parts
+        coeff = tuple(item["coeff"])
+        if any(type(c) is not int for c in coeff):
+            raise ValueError(f"coefficient of {item['shape']} is not a list of ints: {coeff}")
+        pairs.append((_check_key(empty.space, parts), QPoly.of(coeff)))
     return SeriesElement(empty.space, empty.basis, _collect(pairs))

@@ -174,23 +174,29 @@ def transpose(shape: Shape) -> Shape:
     return reverse(complement(shape))
 
 
+def interval(lower, upper) -> tuple[frozenset[int], ...]:
+    """Every set S with lower <= S <= upper, in bit-mask order: bit i of
+    the index of S says whether S holds the i-th smallest element of
+    upper - lower.  Empty unless lower <= upper."""
+    lower, upper = frozenset(lower), frozenset(upper)
+    if not lower <= upper:
+        return ()
+    out = [lower]
+    for x in sorted(upper - lower):
+        out += [s | {x} for s in out]
+    return tuple(out)
+
+
 def coarsenings(shape: Shape) -> tuple[Shape, ...]:
     """All shapes whose descent set is contained in D(shape)."""
-    d = sorted(descent_set(shape))
-    out = []
-    for mask in range(1 << len(d)):
-        sub = {d[i] for i in range(len(d)) if mask >> i & 1}
-        out.append(from_descents(sub, shape.size, shape.kind))
+    n, kind = shape.size, shape.kind
+    out = (from_descents(d, n, kind) for d in interval((), descent_set(shape)))
     return tuple(sorted(out, key=descent_key))
 
 
 def enumerate_shapes(n: int, kind: str) -> tuple[Shape, ...]:
     """All single-ribbon shapes of size n, smallest descent sets first."""
-    pos = list(positions(kind, n))
-    out = []
-    for mask in range(1 << len(pos)):
-        dset = {pos[i] for i in range(len(pos)) if mask >> i & 1}
-        out.append(from_descents(dset, n, kind))
+    out = (from_descents(d, n, kind) for d in interval((), positions(kind, n)))
     return tuple(sorted(out, key=descent_key))
 
 
@@ -267,16 +273,20 @@ def split_rows(shape: Shape) -> Shape:
 class Diagram:
     """Box coordinates of a shape, in reading order.
 
-    Attributes: ``boxes`` (list of (row, col)), ``zero_box`` (coordinate
+    Attributes: ``boxes`` (tuple of (row, col)), ``zero_box`` (coordinate
     or None), neighbor index tables ``left_of``/``below`` (box index,
     None, or "zero" for left_of), and ``above_zero`` (index of the box
     sitting on top of the 0-box, if any).  Two boxes touch only when they
     are consecutive in reading order, so a box's left or lower neighbor,
     if any, is the box before it.
+
+    Instances are read-only, as ``diagram`` shares cached ones: an
+    attribute cannot be assigned or deleted.
     """
 
+    __slots__ = ("shape", "boxes", "zero_box", "left_of", "below", "above_zero")
+
     def __init__(self, shape: Shape):
-        self.shape = shape
         boxes: list[tuple[int, int]] = []
         zero_box = None
         row_off = col_off = 0
@@ -290,17 +300,24 @@ class Diagram:
             if coords:
                 row_off = max(r for r, _ in coords) + 1
                 col_off = max(c for _, c in coords) + 1
-        self.boxes = tuple(boxes)
-        self.zero_box = zero_box
         index = {coord: i for i, coord in enumerate(boxes)}
-        self.left_of = tuple(
+        left_of = tuple(
             index.get((r, c - 1), "zero" if zero_box == (r, c - 1) else None)
             for r, c in boxes
         )
-        self.below = tuple(index.get((r - 1, c)) for r, c in boxes)
-        self.above_zero = None
+        below = tuple(index.get((r - 1, c)) for r, c in boxes)
+        above_zero = None
         if zero_box is not None:
-            self.above_zero = index.get((zero_box[0] + 1, zero_box[1]))
+            above_zero = index.get((zero_box[0] + 1, zero_box[1]))
+        values = (shape, tuple(boxes), zero_box, left_of, below, above_zero)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def n(self) -> int:

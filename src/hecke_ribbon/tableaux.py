@@ -169,13 +169,6 @@ def swap_is_standard(diag: Diagram, kind: str, out: tuple[int, ...], p: int, q: 
     return diag.above_zero is None or out[diag.above_zero] < zval
 
 
-def _position_of_abs(entries, k: int) -> int:
-    for p, v in enumerate(entries):
-        if abs(v) == k:
-            return p
-    raise ValueError(f"no entry with absolute value {k}")
-
-
 # ---------------------------------------------------------------------------
 # canonical fillings
 
@@ -325,7 +318,7 @@ def _fix_sign_parity(entries: tuple[int, ...]) -> tuple[int, ...]:
     if sum(1 for e in entries if e < 0) % 2 == 0:
         return entries
     out = list(entries)
-    p = _position_of_abs(out, 1)
+    p = value_positions(entries)[1]
     out[p] = -out[p]
     return tuple(out)
 

@@ -141,6 +141,23 @@ def test_dropped_ribbon_coproduct_term_bites_skew(monkeypatch):
         SMALL["skew"]()
 
 
+def test_flipped_s_to_h_sign_bites_qidentities(monkeypatch):
+    """The ie route of q_ribbon reads the s -> h table of _conversion, so
+    one wrong sign there makes the three q-ribbon methods disagree."""
+    conversion = series._conversion
+
+    def flipped(parts, kind, frm, to):
+        table = conversion(parts, kind, frm, to)
+        if (frm, to) != ("s", "h") or len(table) < 2:
+            return table
+        (label, sign), *rest = table
+        return ((label, -sign), *rest)
+
+    monkeypatch.setattr(series, "_conversion", flipped)
+    with pytest.raises(modules.CertificationError, match="q-ribbon methods disagree"):
+        SMALL["qidentities"]()
+
+
 def test_coproduct_routes_leave_the_label_memo_empty():
     """The direct route of cert_coproduct is schur_coproduct itself, and
     its h-route expands h coproducts: neither reads the s memo."""
@@ -199,4 +216,21 @@ def test_package_is_integer_only():
                 found.append(f"{path.name}:{node.lineno}: import fractions")
             elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
                 found.append(f"{path.name}:{node.lineno}: from fractions import")
+    assert not found, found
+
+
+def test_subset_walks_go_through_interval():
+    """Every walk over the sets between two descent sets goes through
+    shapes.interval, which builds them without bit masks: the package has
+    no ``1 << len(...)`` mask loop."""
+    found = []
+    for path in sorted(Path(verify.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.LShift)
+                and isinstance(node.right, ast.Call)
+                and getattr(node.right.func, "id", None) == "len"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
     assert not found, found

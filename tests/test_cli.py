@@ -170,6 +170,22 @@ def test_verify_guard_hit_exits_3(capsys, monkeypatch):
     assert code == 3
 
 
+def test_series_comul_labels(capsys):
+    # the left label is written in the element's kind, the right in type A
+    code, out = run_cli(capsys, "series", "comul", "--left", "F[0,2]", "--type", "B", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["terms"] == [
+        {"coeff": [1], "left": "[0]", "right": "[2]"},
+        {"coeff": [1], "left": "[0,1]", "right": "[1]"},
+        {"coeff": [1], "left": "[0,2]", "right": "[]"},
+    ]
+    code, out = run_cli(capsys, "series", "comul", "--left", "M[1,1]")
+    assert out == "[] (x) [1,1] : [1]\n[1] (x) [1] : [1]\n[1,1] (x) [] : [1]\n"
+    for label in ("s[2,1]x", "s[2]+[1]", "s[1,-2]"):
+        code, _ = run_cli(capsys, "series", "comul", "--left", label)
+        assert code == 2, label
+
+
 def test_exit_codes(capsys):
     code, _ = run_cli(capsys, "group", "enumerate", "--type", "B", "--size", "9")
     assert code == 3

@@ -584,6 +584,13 @@ def test_series_from_json_rejects_malformed_labels(space, basis, label):
         series_from_json(data)
 
 
+@pytest.mark.parametrize("coeff", [["x"], [1.5], [True], [1, 2.0]])
+def test_series_from_json_rejects_non_integer_coefficients(coeff):
+    data = {"space": "NSym", "basis": "s", "terms": [{"shape": "[2]", "coeff": coeff}]}
+    with pytest.raises(ValueError, match=r"coefficient of \[2\]"):
+        series_from_json(data)
+
+
 def test_series_from_json_reads_the_type_b_unit_as_one_label():
     for label in ("[]", "[0]"):
         data = {"space": "QSymB", "basis": "F", "terms": [{"shape": label, "coeff": [1]}]}

@@ -19,6 +19,7 @@ from hecke_ribbon.shapes import (
     format_shape,
     from_descents,
     glue_parts,
+    interval,
     parse_shape,
     pseudo_composition,
     reverse,
@@ -95,6 +96,17 @@ def test_enumerate_shapes_order_and_counts():
     for n in range(1, 8):
         assert len(enumerate_shapes(n, "A")) == 2 ** (n - 1)
         assert len(enumerate_shapes(n, "B")) == 2**n
+
+
+@given(st.frozensets(st.integers(0, 8)), st.frozensets(st.integers(0, 8)))
+def test_interval_lists_every_set_between_in_bit_mask_order(lower, extra):
+    upper = lower | extra
+    free = sorted(upper - lower)
+    out = interval(lower, upper)
+    assert len(out) == len(set(out)) == 2 ** len(free)
+    for mask, s in enumerate(out):
+        assert s == lower | {x for i, x in enumerate(free) if mask >> i & 1}
+    assert interval(upper | {9}, upper) == ()
 
 
 def test_glue():
@@ -209,6 +221,17 @@ def test_diagram_reading_order():
     pseudo = diagram(pseudo_composition((0, 2, 1)))
     assert pseudo.zero_box == (0, 1)
     assert pseudo.above_zero == 0
+
+
+def test_diagram_is_read_only():
+    diag = diagram(composition((2, 1)))
+    with pytest.raises(AttributeError):
+        diag.boxes = ((9, 9),) * 3
+    with pytest.raises(AttributeError):
+        del diag.left_of
+    with pytest.raises(AttributeError):
+        diag.extra = ()
+    assert diagram(composition((2, 1))).boxes == ((1, 1), (1, 2), (2, 2))
 
 
 def test_glue_band():
