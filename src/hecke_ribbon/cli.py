@@ -18,14 +18,16 @@ from .groups import ResourceLimitError
 from .qpoly import QPoly
 
 
-def _parse_element(text: str, kind: str) -> series.SeriesElement:
-    """Parse "s[2,3]" or "F[0,2,1]" with the space inferred from the
-    basis letter and the type flag."""
-    text = text.strip()
-    cut = text.index("[")
+def _parse_element(args, option: str, kind: str) -> series.SeriesElement:
+    """Parse the element literal of --option, "s[2,3]" or "F[0,2,1]",
+    with the space inferred from the basis letter and the type flag."""
+    text = _need(args, option).strip()
+    cut = text.find("[")
+    if cut < 0:
+        raise ValueError(f"--{option} takes a basis letter and a label, such as s[2], not {text!r}")
     basis, label = text[:cut], text[cut:]
     if basis not in ("M", "F", "h", "s"):
-        raise ValueError(f"unknown basis {basis!r}")
+        raise ValueError(f"--{option} has an unknown basis {basis!r}; the bases are M, F, h and s")
     side = "QSym" if basis in ("M", "F") else "NSym"
     space = side + {"A": "", "B": "B", "D": "D"}[kind]
     return series.element(space, basis, shapes.parse_shape(label, kind).parts)
@@ -248,7 +250,7 @@ def cmd_series(args) -> int:
         payload = {"holds": ok}
         _emit(args, payload, ["identity holds" if ok else "identity FAILS"])
         return 0 if ok else 1
-    left = _parse_element(_need(args, "num" if args.action == "skew" else "left"), kind)
+    left = _parse_element(args, "num" if args.action == "skew" else "left", kind)
     if args.action == "convert":
         out = series.convert(left, _need(args, "to"))
         _emit(args, _series_out(args, out), [str(out)])
@@ -267,7 +269,7 @@ def cmd_series(args) -> int:
         _emit(args, {"terms": payload}, [f"{p['left']} (x) {p['right']} : {p['coeff']}" for p in payload])
     elif args.action in ("mul", "pair"):
         right_kind = kind if args.action == "pair" or args.right_type is None else args.right_type
-        right = _parse_element(_need(args, "right"), right_kind if args.action == "mul" else kind)
+        right = _parse_element(args, "right", right_kind if args.action == "mul" else kind)
         if args.action == "mul":
             if left.space in series.QSYM_SIDE:
                 out = series.qsym_product(left, right)
@@ -278,7 +280,7 @@ def cmd_series(args) -> int:
             val = series.pairing(left, right)
             _emit(args, {"value": _qpoly_out(args, val)}, [str(val)])
     elif args.action == "skew":
-        den = _parse_element(_need(args, "den"), kind)
+        den = _parse_element(args, "den", kind)
         out = series.skew(left, den, args.side)
         _emit(args, _series_out(args, out), [str(out)])
     elif args.action == "eval":

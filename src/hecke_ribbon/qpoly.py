@@ -12,6 +12,14 @@ and products return ``ZERO`` or an operand itself whenever the result
 equals it, and add or multiply integers and constants without the
 general loops.
 
+Most coefficients at q = 1 are small constants, so the constants from
+-64 to 64 are made once, in one table: a sum, product, negation or
+``QPoly.of`` whose value is such a constant returns the shared instance
+instead of a new one, and a zero result is always ``ZERO`` (never a
+``(0,)`` tuple; the constructor trims that away as well).  Sharing is
+invisible to callers: instances cannot be edited, and equality and hash
+go by ``coeffs`` alone.
+
 Products whose shorter operand has at least ``KRONECKER_MIN_LEN``
 coefficients use Kronecker substitution: both operands are evaluated at
 q = 2^b, multiplied as one Python integer, and the product's
@@ -81,7 +89,7 @@ class QPoly:
         if isinstance(value, QPoly):
             return value
         if isinstance(value, int):
-            return _wrap((value,)) if value else ZERO
+            return _constant(value)
         return QPoly(value)
 
     @staticmethod
@@ -100,7 +108,7 @@ class QPoly:
         if isinstance(other, int):
             if not other:
                 return self
-            return _plus_constant(self, other) if a else _wrap((other,))
+            return _plus_constant(self, other) if a else _constant(other)
         if other.__class__ is not QPoly:
             other = QPoly.of(other)
         b = other.coeffs
@@ -118,12 +126,18 @@ class QPoly:
         if len(a) > len(b):
             out.extend(a[len(b):])
             return _wrap(tuple(out))
-        return _wrap(_trim(out))
+        out = _trim(out)
+        if len(out) > 1:
+            return _wrap(out)
+        return _constant(out[0]) if out else ZERO
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return _wrap(tuple([-c for c in self.coeffs])) if self.coeffs else ZERO
+        a = self.coeffs
+        if len(a) > 1:
+            return _wrap(tuple([-c for c in a]))
+        return _constant(-a[0]) if a else ZERO
 
     def __sub__(self, other) -> "QPoly":
         return self + (-QPoly.of(other))
@@ -141,6 +155,8 @@ class QPoly:
         if not a or not b:
             return ZERO
         if len(a) == 1:
+            if len(b) == 1:
+                return _constant(a[0] * b[0])
             return _scale(other, a[0])
         if len(b) == 1:
             return _scale(self, b[0])
@@ -198,20 +214,27 @@ def _wrap(coeffs: tuple[int, ...]) -> QPoly:
     return p
 
 
+def _constant(c: int) -> QPoly:
+    """The constant c: the shared instance when |c| <= 64 (ZERO for 0)."""
+    return _CONSTANTS[c] if -65 < c < 65 else _wrap((c,))
+
+
 def _plus_constant(p: QPoly, c: int) -> QPoly:
     """p plus an integer c, for a nonzero p."""
     a = p.coeffs
-    s = a[0] + c
     if len(a) > 1:
-        return _wrap((s,) + a[1:])
-    return _wrap((s,)) if s else ZERO
+        return _wrap((a[0] + c,) + a[1:])
+    return _constant(a[0] + c)
 
 
 def _scale(p: QPoly, c: int) -> QPoly:
     """p times a nonzero integer c, for a nonzero p."""
     if c == 1:
         return p
-    return _wrap(tuple([x * c for x in p.coeffs]))
+    a = p.coeffs
+    if len(a) == 1:
+        return _constant(a[0] * c)
+    return _wrap(tuple([x * c for x in a]))
 
 
 def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -239,6 +262,10 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 ZERO = QPoly()
 ONE = QPoly((1,))
+# _CONSTANTS[c] is the constant c for |c| <= 64; a negative c reads from
+# the end of the list
+_CONSTANTS = [ZERO, ONE] + [_wrap((c,)) for c in range(2, 65)]
+_CONSTANTS += [_wrap((c,)) for c in range(-64, 0)]
 
 
 def q_int(k: int) -> QPoly:

@@ -17,6 +17,15 @@ honest power series) is built on top of these.  Skews are read off the
 dual basis: M and h are dual under the pairing <h_a, M_b> = delta, and
 so are F and s, so the dual element is converted once and each
 coproduct term's coefficient is looked up in it.
+
+Elements come from two constructors.  ``SeriesElement(...)`` validates
+every label through ``_check_key`` and makes every coefficient a nonzero
+``QPoly``; the private ``_normal_element`` trusts terms that are already
+in that form, and every operation here returns through it.  One-term
+elements, the common case of the certificates, skip the summing: a
+conversion reads the label's row of the memoised table (distinct labels,
+signs ±1) straight into a new dict, and a coproduct sorts the label's
+distinct splittings, returning the memoised Δ(s_α) itself for s_α.
 """
 
 from __future__ import annotations
@@ -77,31 +86,44 @@ def _collect(pairs) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
+def _check_space(space: str, basis: str) -> None:
+    if space not in SPACE_KIND or space not in BASES.get(basis, ()):
+        raise ValueError(f"no basis {basis!r} in space {space!r}")
+
+
 @dataclass
 class SeriesElement:
-    """A sparse Z[q]-combination of basis labels in one graded space."""
+    """A sparse Z[q]-combination of basis labels in one graded space.
+
+    The constructor validates: every label goes through ``_check_key``
+    (so a malformed one raises ``ShapeError``, and the type B unit given
+    as () becomes (0,)), every coefficient becomes a ``QPoly``, terms whose
+    labels agree are summed and zero terms are dropped."""
 
     space: str
     basis: str
     terms: dict[Parts, QPoly] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.space not in SPACE_KIND or self.space not in BASES.get(self.basis, ()):
-            raise ValueError(f"no basis {self.basis!r} in space {self.space!r}")
-        self.terms = {tuple(k): c for k, v in self.terms.items() if (c := QPoly.of(v))}
+        _check_space(self.space, self.basis)
+        space = self.space
+        self.terms = _collect(
+            (_check_key(space, tuple(k)), QPoly.of(v)) for k, v in self.terms.items()
+        )
 
     def __add__(self, other: "SeriesElement") -> "SeriesElement":
         if (self.space, self.basis) != (other.space, other.basis):
             raise ValueError("cannot add elements in different bases")
         terms = _collect(chain(self.terms.items(), other.terms.items()))
-        return SeriesElement(self.space, self.basis, terms)
+        return _normal_element(self.space, self.basis, terms)
 
     def __sub__(self, other: "SeriesElement") -> "SeriesElement":
         return self + other.scale(-1)
 
     def scale(self, c) -> "SeriesElement":
         c = QPoly.of(c)
-        return SeriesElement(self.space, self.basis, {k: v * c for k, v in self.terms.items()})
+        terms = {k: v * c for k, v in self.terms.items()} if c else {}
+        return _normal_element(self.space, self.basis, terms)
 
     def specialize_q(self, value: int) -> "SeriesElement":
         return SeriesElement(
@@ -120,9 +142,22 @@ class SeriesElement:
         return " + ".join(bits)
 
 
+def _normal_element(space: str, basis: str, terms: dict[Parts, QPoly]) -> SeriesElement:
+    """An element built without the constructor's checks, for terms that
+    are already normal: labels that ``_check_key`` returns unchanged, and
+    nonzero ``QPoly`` coefficients.  ``element``, ``convert``, sums,
+    ``scale``, the products, ``antipode``, ``skew`` and
+    ``series_from_json`` build their results here."""
+    elem = object.__new__(SeriesElement)
+    elem.space, elem.basis, elem.terms = space, basis, terms
+    return elem
+
+
 def element(space: str, basis: str, parts, coeff=1) -> SeriesElement:
     parts = _check_key(space, tuple(parts))
-    return SeriesElement(space, basis, {parts: QPoly.of(coeff)})
+    _check_space(space, basis)
+    coeff = QPoly.of(coeff)
+    return _normal_element(space, basis, {parts: coeff} if coeff else {})
 
 
 def unit(space: str, basis: str) -> SeriesElement:
@@ -134,11 +169,13 @@ def unit(space: str, basis: str) -> SeriesElement:
 
 
 @lru_cache(maxsize=None)
-def _conversion(parts: Parts, kind: str, frm: str, to: str) -> tuple[tuple[Parts, int], ...]:
-    """The triangular change of basis of one label, as (label, sign) pairs.
-    F_α is the sum of the M_β with D(α) <= D(β), and h_α the sum of the s_β
-    with D(β) <= D(α); the inverses M -> F and s -> h run over the same
-    interval of descent sets, signed by its Möbius function (-1)^|D(β) △ D(α)|."""
+def _conversion(parts: Parts, kind: str, frm: str, to: str) -> tuple[tuple[Parts, QPoly], ...]:
+    """The triangular change of basis of one label, as (label, sign) pairs
+    with distinct labels and the shared constants ``ONE`` and ``-ONE`` as
+    signs.  F_α is the sum of the M_β with D(α) <= D(β), and h_α the sum
+    of the s_β with D(β) <= D(α); the inverses M -> F and s -> h run over
+    the same interval of descent sets, signed by its Möbius function
+    (-1)^|D(β) △ D(α)|."""
     n = sum(parts)
     dset = parts_descents(parts)
     if {frm, to} == {"F", "M"}:
@@ -147,26 +184,34 @@ def _conversion(parts: Parts, kind: str, frm: str, to: str) -> tuple[tuple[Parts
         lower, upper = (), dset
     else:
         raise ValueError(f"no conversion from {frm} to {to}")
-    inverse = frm in ("M", "s")
+    signs = (ONE, -ONE) if frm in ("M", "s") else (ONE, ONE)
     return tuple(
-        (parts_from_descents(d, n, kind), (-1) ** len(d ^ dset) if inverse else 1)
+        (parts_from_descents(d, n, kind), signs[len(d ^ dset) % 2])
         for d in interval(lower, upper)
     )
 
 
 def convert(elem: SeriesElement, target: str) -> SeriesElement:
-    """Exact triangular change of basis within one space."""
+    """Exact triangular change of basis within one space.  A one-term
+    element is read straight off its row of the table: the row's labels
+    are distinct and its signs are ±1, so no two terms meet and none
+    vanishes.  The result is a new dict on every call."""
     if target == elem.basis:
-        return SeriesElement(elem.space, elem.basis, dict(elem.terms))
+        return _normal_element(elem.space, elem.basis, dict(elem.terms))
     if BASES[target] is not BASES[elem.basis]:
         raise ValueError(f"no conversion from {elem.basis} to {target}")
     kind = SPACE_KIND[elem.space]
-    terms = _collect(
-        (other, coeff * sign)
-        for parts, coeff in elem.terms.items()
-        for other, sign in _conversion(parts, kind, elem.basis, target)
-    )
-    return SeriesElement(elem.space, target, terms)
+    if len(elem.terms) == 1:
+        ((parts, coeff),) = elem.terms.items()
+        row = _conversion(parts, kind, elem.basis, target)
+        terms = dict(row) if coeff is ONE else {other: coeff * sign for other, sign in row}
+    else:
+        terms = _collect(
+            (other, coeff * sign)
+            for parts, coeff in elem.terms.items()
+            for other, sign in _conversion(parts, kind, elem.basis, target)
+        )
+    return _normal_element(elem.space, target, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +248,7 @@ def qsym_product(f: SeriesElement, g: SeriesElement) -> SeriesElement:
         for b, cb in gg.terms.items()
         for key, mult in _shuffle_f(a, b)
     )
-    return SeriesElement("QSym", "F", terms)
+    return _normal_element("QSym", "F", terms)
 
 
 def nsym_product(f: SeriesElement, g: SeriesElement) -> SeriesElement:
@@ -229,7 +274,7 @@ def nsym_product(f: SeriesElement, g: SeriesElement) -> SeriesElement:
             else:
                 keys = [glue_parts(a, b, "dot"), glue_parts(a, b, "triangle")]
             pairs.extend((key, c) for key in keys)
-    return SeriesElement(f.space, basis, _collect(pairs))
+    return _normal_element(f.space, basis, _collect(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -262,39 +307,50 @@ def _cut_parts(parts: Parts, kind: str, i: int) -> tuple[Parts, Parts]:
 def coproduct(elem: SeriesElement) -> tuple[tuple[Parts, Parts, QPoly], ...]:
     """Tensor expansion of the coproduct (or one-sided comodule map).
 
-    Terms are (left label, right label, coefficient); the left factor
-    lives in the element's own space and the right factor in the type A
-    space with the same basis letter.
+    Terms are (left label, right label, coefficient), sorted by the label
+    pair; the left factor lives in the element's own space and the right
+    factor in the type A space with the same basis letter.  The splittings
+    of one label are distinct pairs, so a one-term element needs no
+    summing, and Δ(s_α) itself is returned for s_α.
     """
     space, basis = elem.space, elem.basis
     kind = SPACE_KIND[space]
-    pairs = []
-    for parts, coeff in elem.terms.items():
-        n = sum(parts)
-        if basis == "F":
-            start = 2 if kind == "D" else 0
-            pairs.extend((_cut_parts(parts, kind, i), coeff) for i in range(start, n + 1))
-        elif basis == "M":
-            ell = len(parts)
-            if kind == "A":
-                valid = range(ell + 1)
-            elif kind == "B":
-                valid = range(0 if parts[0] > 0 else 1, ell + 1)
-            else:
-                k = next(j for j in range(1, ell + 1) if sum(parts[:j]) >= 2)
-                valid = range(k, ell + 1)
-            for i in valid:
-                left = parts[:i] if (kind == "A" or i > 0) else (0,)
-                pairs.append(((left, parts[i:]), coeff))
-        elif basis == "h":
-            if space != "NSym":
-                raise ValueError(f"no coproduct on the {space} side in basis h")
-            pairs.extend(((left, right), coeff * mult) for left, right, mult in _h_splits(parts))
-        elif basis == "s":
-            if space != "NSym":
-                raise ValueError(f"no coproduct on the {space} side in basis s")
-            pairs.extend(((left, right), coeff * mult) for left, right, mult in _s_splits(parts))
+    if len(elem.terms) == 1:
+        ((parts, coeff),) = elem.terms.items()
+        if basis == "s" and coeff is ONE and space == "NSym":
+            return _s_splits(parts)
+        return tuple(sorted(_label_coproduct(space, kind, basis, parts, coeff)))
+    pairs = (
+        ((left, right), c)
+        for parts, coeff in elem.terms.items()
+        for left, right, c in _label_coproduct(space, kind, basis, parts, coeff)
+    )
     return tuple((l, r, c) for (l, r), c in sorted(_collect(pairs).items()))
+
+
+def _label_coproduct(space: str, kind: str, basis: str, parts: Parts, coeff: QPoly):
+    """The coproduct of coeff times one basis element, as (left, right,
+    coefficient) triples with distinct (left, right) pairs."""
+    n = sum(parts)
+    if basis == "F":
+        start = 2 if kind == "D" else 0
+        return [(*_cut_parts(parts, kind, i), coeff) for i in range(start, n + 1)]
+    if basis == "M":
+        ell = len(parts)
+        if kind == "A":
+            valid = range(ell + 1)
+        elif kind == "B":
+            valid = range(0 if parts[0] > 0 else 1, ell + 1)
+        else:
+            k = next(j for j in range(1, ell + 1) if sum(parts[:j]) >= 2)
+            valid = range(k, ell + 1)
+        return [
+            (parts[:i] if (kind == "A" or i > 0) else (0,), parts[i:], coeff) for i in valid
+        ]
+    if space != "NSym":
+        raise ValueError(f"no coproduct on the {space} side in basis {basis}")
+    splits = _h_splits(parts) if basis == "h" else _s_splits(parts)
+    return [(left, right, coeff * mult) for left, right, mult in splits]
 
 
 @lru_cache(maxsize=None)
@@ -355,7 +411,7 @@ def antipode(elem: SeriesElement) -> SeriesElement:
         (transpose(composition(parts)).parts, c * (-1) ** sum(parts))
         for parts, c in work.terms.items()
     )
-    return convert(SeriesElement(work.space, work.basis, terms), basis)
+    return convert(_normal_element(work.space, work.basis, terms), basis)
 
 
 def skew(a: SeriesElement, f: SeriesElement, side: str = "right") -> SeriesElement:
@@ -372,7 +428,7 @@ def skew(a: SeriesElement, f: SeriesElement, side: str = "right") -> SeriesEleme
     dual = convert(f, _DUAL_BASIS[a.basis]).terms
     terms = ((l, r, c) if side == "right" else (r, l, c) for l, r, c in coproduct(a))
     out = _collect((kept, c * dual[paired]) for kept, paired, c in terms if paired in dual)
-    return SeriesElement(kept_space, a.basis, out)
+    return _normal_element(kept_space, a.basis, out)
 
 
 # ---------------------------------------------------------------------------
@@ -651,4 +707,4 @@ def series_from_json(data: dict) -> SeriesElement:
         if any(type(c) is not int for c in coeff):
             raise ValueError(f"coefficient of {item['shape']} is not a list of ints: {coeff}")
         pairs.append((_check_key(empty.space, parts), QPoly.of(coeff)))
-    return SeriesElement(empty.space, empty.basis, _collect(pairs))
+    return _normal_element(empty.space, empty.basis, _collect(pairs))

@@ -186,6 +186,21 @@ def test_series_comul_labels(capsys):
         assert code == 2, label
 
 
+def test_element_literal_without_a_label_names_its_option(capsys):
+    for argv, option, text in [
+        (("series", "convert", "--left", "s2", "--to", "h"), "--left", "s2"),
+        (("series", "skew", "--num", "s[2]", "--den", "F"), "--den", "F"),
+        (("series", "mul", "--left", "s[1]", "--right", " h1 "), "--right", "h1"),
+    ]:
+        code = cli.main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err == f"usage error: {option} takes a basis letter and a label, such as s[2], not {text!r}\n"
+    code = cli.main(["series", "convert", "--left", "x[2]", "--to", "h"])
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: --left has an unknown basis 'x'; the bases are M, F, h and s\n"
+
+
 def test_exit_codes(capsys):
     code, _ = run_cli(capsys, "group", "enumerate", "--type", "B", "--size", "9")
     assert code == 3

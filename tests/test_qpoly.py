@@ -162,3 +162,33 @@ def test_int_subclasses_keep_their_behaviour():
     assert QPoly.of(True).coeffs == (True,) and QPoly.of(False) == ZERO
     assert p * True == p and (p * False) == ZERO
     assert (p + True).coeffs == (2, 2) and (ZERO + True).coeffs == (True,)
+
+
+# --- shared constants ----------------------------------------------------------
+
+# both inside the shared range -64..64 and far outside it
+SMALL_OR_BIG = st.one_of(st.integers(-70, 70), st.integers(-BIG, BIG))
+
+
+@given(SMALL_OR_BIG, SMALL_OR_BIG)
+def test_constant_arithmetic_is_trimmed_and_shared(x, y):
+    a = QPoly.of(x)
+    for out, value in [
+        (a + QPoly.of(y), x + y),
+        (a + y, x + y),
+        (y + a, x + y),
+        (a - QPoly.of(y), x - y),
+        (a - y, x - y),
+        (y - a, y - x),
+        (a * QPoly.of(y), x * y),
+        (a * y, x * y),
+        (y * a, x * y),
+        (-a, -x),
+        (QPoly((x,)) * QPoly((y,)), x * y),
+    ]:
+        assert out == QPoly((value,)) and hash(out) == hash(QPoly((value,)))
+        assert out.coeffs == ((value,) if value else ())
+        if not value:
+            assert out is ZERO
+        elif abs(value) <= 64:
+            assert out is QPoly.of(value)

@@ -600,11 +600,14 @@ def test_series_from_json_reads_the_type_b_unit_as_one_label():
 
 
 @st.composite
-def series_elements(draw):
-    """A sum of up to four basis elements of one space and basis, with
-    coefficients in Z[q] (possibly cancelling to zero)."""
-    space = draw(st.sampled_from(sorted(series.SPACE_KIND)))
-    basis = draw(st.sampled_from([b for b, sides in series.BASES.items() if space in sides]))
+def series_elements(draw, space=None, basis=None):
+    """A sum of up to four basis elements of one space and basis (each
+    drawn unless given), with coefficients in Z[q] (possibly cancelling
+    to zero)."""
+    if space is None:
+        space = draw(st.sampled_from(sorted(series.SPACE_KIND)))
+    if basis is None:
+        basis = draw(st.sampled_from([b for b, sides in series.BASES.items() if space in sides]))
     kind = series.SPACE_KIND[space]
     elem = SeriesElement(space, basis, {})
     for _ in range(draw(st.integers(0, 4))):
@@ -633,3 +636,119 @@ def test_antipode_is_involutive_up_to_sign_structure(parts):
     # applying the antipode twice returns the original element
     e = E("QSym", "F", parts)
     assert antipode(antipode(e)) == e
+
+
+# --- the validating constructor and the one-term paths -------------------------
+
+
+def test_constructor_checks_every_label():
+    with pytest.raises(shapes.ShapeError):
+        SeriesElement("QSym", "F", {(2, 0): 1})
+    with pytest.raises(shapes.ShapeError):
+        SeriesElement("NSymD", "s", {(1,): 1})
+    assert SeriesElement("QSymB", "F", {(): 1}) == unit("QSymB", "F")
+    # labels that the check maps to one label are summed
+    assert SeriesElement("QSymB", "F", {(): 1, (0,): -1}).terms == {}
+    assert SeriesElement("NSym", "s", {(2, 1): 2}) == E("NSym", "s", [2, 1], 2)
+
+
+def all_labels(space, max_size=5):
+    kind = series.SPACE_KIND[space]
+    return [
+        s.parts
+        for n in range(2 if kind == "D" else 0, max_size + 1)
+        for s in shapes.enumerate_shapes(n, kind)
+    ]
+
+
+def bases_of(space):
+    return [b for b, sides in series.BASES.items() if space in sides]
+
+
+def coproduct_dict(elem):
+    return {(l, r): c for l, r, c in coproduct(elem)}
+
+
+@pytest.mark.parametrize("space", sorted(series.SPACE_KIND))
+def test_one_term_paths_match_the_general_path(space):
+    labels = all_labels(space)
+    for basis in bases_of(space):
+        for x, y in zip(labels, labels[1:] + labels[:1]):
+            for c in (1, 3):
+                one, other = E(space, basis, x, c), E(space, basis, y)
+                both = one + other
+                for target in bases_of(space):
+                    assert convert(one, target) == convert(both, target) - convert(other, target)
+                try:
+                    got = coproduct(one)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        coproduct(both)
+                    continue
+                assert list(got) == sorted(got)
+                general = coproduct_dict(both)
+                for key, d in coproduct_dict(other).items():
+                    general[key] = general.get(key, QPoly()) - d
+                assert dict(((l, r), c) for l, r, c in got) == {k: v for k, v in general.items() if v}
+
+
+def test_converted_terms_are_a_new_dict_every_time():
+    for elem, target in ((E("NSym", "s", (2, 1)), "h"), (E("QSymB", "F", (0, 2), 3), "M")):
+        first = convert(elem, target)
+        want = dict(first.terms)
+        first.terms[(9,)] = ONE
+        first.terms.clear()
+        assert convert(elem, target).terms == want
+        assert convert(convert(elem, target), elem.basis) == elem
+
+
+COEFFS = st.lists(st.integers(-3, 3), max_size=3).map(tuple)
+
+
+@st.composite
+def results_of_operations(draw):
+    """The elements and coproduct terms that one drawn operation returns,
+    as (space, label, coefficient) triples."""
+    elem = draw(series_elements())
+    space, basis = elem.space, elem.basis
+    ops = ["scale", "difference", "convert", "coproduct", "skew_right", "skew_left"]
+    if space == "QSym" or space in series.NSYM_SIDE:
+        ops.append("product")
+    if series.SPACE_KIND[space] == "A":
+        ops.append("antipode")
+    op = draw(st.sampled_from(ops))
+    lspace, rspace = series.coproduct_spaces(space)
+    if op == "coproduct":
+        try:
+            terms = coproduct(elem)
+        except ValueError:  # h and s have no coproduct on the B/D sides
+            return []
+        return [t for l, r, c in terms for t in ((lspace, l, c), (rspace, r, c))]
+    if op == "scale":
+        out = elem.scale(QPoly.of(draw(COEFFS)))
+    elif op == "difference":  # with terms in common, which may cancel
+        out = elem - (draw(series_elements(space, basis)) + elem.scale(QPoly.of(draw(COEFFS))))
+    elif op == "convert":
+        out = convert(elem, draw(st.sampled_from(bases_of(space))))
+    elif op == "antipode":
+        out = antipode(elem)
+    elif op == "product":
+        g = draw(series_elements("QSym" if space == "QSym" else "NSym"))
+        out = qsym_product(elem, g) if space == "QSym" else nsym_product(elem, g)
+    else:
+        paired = rspace if op == "skew_right" else lspace
+        sides = series.QSYM_SIDE + series.NSYM_SIDE
+        f = draw(series_elements(dict(zip(sides, series.NSYM_SIDE + series.QSYM_SIDE))[paired]))
+        try:
+            out = skew(elem, f, "right" if op == "skew_right" else "left")
+        except ValueError:  # as for the coproduct
+            return []
+    return [(out.space, k, c) for k, c in out.terms.items()]
+
+
+@settings(deadline=None, max_examples=300)
+@given(results_of_operations())
+def test_operations_return_normal_terms(triples):
+    for space, label, c in triples:
+        assert type(label) is tuple and series._check_key(space, label) == label
+        assert type(c) is QPoly and c.coeffs and c.coeffs[-1] != 0
