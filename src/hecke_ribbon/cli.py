@@ -364,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         description="Exact tableau modules, quasisymmetric series, and verification suites.",
     )
-    parser.set_defaults(format="text", type="A", q_at=None, seed=None, max_enum=None)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_parser(name):
@@ -431,12 +430,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Defaults of the global options, which the parsers share and suppress
+# when absent, so that a value given before the verb is not overwritten.
+GLOBAL_DEFAULTS = {"format": "text", "type": "A", "q_at": None, "seed": None, "max_enum": None}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.max_enum is not None:
-        groups.set_limits(args.max_enum, args.max_enum)
+    args = build_parser().parse_args(argv, argparse.Namespace(**GLOBAL_DEFAULTS))
     try:
+        flag = args.max_enum
+        limit = groups.env_limit() if flag is None else groups.positive_limit(flag, "--max-enum")
+        groups.set_limits(limit, limit)
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

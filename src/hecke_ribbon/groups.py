@@ -9,8 +9,9 @@ w(0) = -w(2) in type D.  Lengths are inv, inv+neg+nsp, and inv+nsp for
 types A, B, D respectively.
 
 Enumeration is by direct product (permutation times sign vector) under a
-configurable resource guard; descent classes and their length extremes
-are found by scanning.
+configurable resource guard, and descent classes are found by scanning
+it.  The extremes of the descent class of J, w0(J) and w0 w0(S - J), are
+built without enumerating from ``parabolic_longest``.
 """
 
 from __future__ import annotations
@@ -34,22 +35,33 @@ class ResourceLimitError(RuntimeError):
     """An enumeration would exceed the configured resource guard."""
 
 
-def _env_limit() -> int | None:
+def positive_limit(value, source: str) -> int:
+    """A guard value: a positive integer, given as one or as its decimal
+    digits, or a ``ValueError`` naming where it came from."""
+    text = str(value).strip()
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"{source} must be a positive integer, not {value!r}")
+    return int(text)
+
+
+def env_limit() -> int | None:
+    """The guard set by HECKE_RIBBON_MAX_ENUM, or None when it is unset."""
     raw = os.environ.get("HECKE_RIBBON_MAX_ENUM")
-    return int(raw) if raw else None
+    return positive_limit(raw, "HECKE_RIBBON_MAX_ENUM") if raw else None
 
 
 def group_limit() -> int:
-    return _limit_override["group"] or _env_limit() or DEFAULT_GROUP_LIMIT
+    return _limit_override["group"] or env_limit() or DEFAULT_GROUP_LIMIT
 
 
 def tableau_limit() -> int:
-    return _limit_override["tableau"] or _env_limit() or DEFAULT_TABLEAU_LIMIT
+    return _limit_override["tableau"] or env_limit() or DEFAULT_TABLEAU_LIMIT
 
 
 def set_limits(group: int | None = None, tableau: int | None = None) -> None:
-    _limit_override["group"] = group
-    _limit_override["tableau"] = tableau
+    """Override the guards; None restores the environment or default one."""
+    for name, value in (("group", group), ("tableau", tableau)):
+        _limit_override[name] = None if value is None else positive_limit(value, f"the {name} guard")
 
 
 def guard(count: int, what: str, limit: int) -> None:
@@ -266,24 +278,36 @@ def band_elements(kind: str, n: int, lower: frozenset[int], upper: frozenset[int
     return tuple(out)
 
 
-def parabolic_longest_A(n: int, dset) -> GroupElement:
-    """Longest element of the type A parabolic generated by a descent set,
-    i.e. the minimum of the descent class: reverse each run of descents."""
-    window = list(range(1, n + 1))
-    run: list[int] = []
-    for i in sorted(dset) + [None]:
-        if run and (i is None or i != run[-1] + 1):
-            a, b = run[0], run[-1] + 1
-            window[a - 1 : b] = window[a - 1 : b][::-1]
-            run = []
-        if i is not None:
-            run.append(i)
-    return GroupElement("A", tuple(window))
+def parabolic_longest(kind: str, n: int, dset) -> GroupElement:
+    """The longest element w0(J) of the parabolic subgroup generated by
+    the s_i with i in J = dset: the minimum of the descent class of J, and
+    w0 when J holds every generator index.  From the identity, any s_i
+    (i in J) that is not yet a descent is multiplied on the right, adding
+    one to the length, until every i in J is a descent; no group is
+    enumerated (Björner and Brenti, *Combinatorics of Coxeter Groups*)."""
+    todo = sorted(dset)
+    if n < (2 if kind == "D" else 0) or not set(todo) <= set(positions(kind, n)):
+        raise ValueError(f"no parabolic subgroup of {kind}_{n} on {todo}")
+    w = list(range(1, n + 1))
+    grew = True
+    while grew:
+        grew = False
+        for i in todo:
+            if i and w[i - 1] < w[i]:  # s_i swaps the entries i and i+1
+                w[i - 1], w[i] = w[i], w[i - 1]
+            elif i == 0 and kind == "B" and w[0] > 0:  # s_0 negates w(1)
+                w[0] = -w[0]
+            elif i == 0 and kind == "D" and -w[1] <= w[0]:  # s_0: (w(1), w(2)) -> (-w(2), -w(1))
+                w[0], w[1] = -w[1], -w[0]
+            else:
+                continue
+            grew = True
+    return GroupElement(kind, tuple(w))
 
 
 @lru_cache(maxsize=None)
 def longest_element(kind: str, n: int) -> GroupElement:
-    return max(enumerate_group(kind, n), key=length)
+    return parabolic_longest(kind, n, positions(kind, n))
 
 
 @lru_cache(maxsize=None)

@@ -222,8 +222,8 @@ def convert(elem: SeriesElement, target: str) -> SeriesElement:
 def _shuffle_f(a: Parts, b: Parts) -> tuple[tuple[Parts, int], ...]:
     """F_a F_b as a sum of F's, by shuffling descent-class representatives."""
     m, n = sum(a), sum(b)
-    u = groups.parabolic_longest_A(m, parts_descents(a)).window
-    v = [x + m for x in groups.parabolic_longest_A(n, parts_descents(b)).window]
+    u = groups.parabolic_longest("A", m, parts_descents(a)).window
+    v = [x + m for x in groups.parabolic_longest("A", n, parts_descents(b)).window]
     keys = []
     for spots in combinations(range(m + n), m):
         word = [0] * (m + n)
@@ -315,6 +315,8 @@ def coproduct(elem: SeriesElement) -> tuple[tuple[Parts, Parts, QPoly], ...]:
     """
     space, basis = elem.space, elem.basis
     kind = SPACE_KIND[space]
+    if basis in ("h", "s") and space != "NSym":
+        raise ValueError(f"no coproduct on the {space} side in basis {basis}")
     if len(elem.terms) == 1:
         ((parts, coeff),) = elem.terms.items()
         if basis == "s" and coeff is ONE and space == "NSym":
@@ -347,8 +349,6 @@ def _label_coproduct(space: str, kind: str, basis: str, parts: Parts, coeff: QPo
         return [
             (parts[:i] if (kind == "A" or i > 0) else (0,), parts[i:], coeff) for i in valid
         ]
-    if space != "NSym":
-        raise ValueError(f"no coproduct on the {space} side in basis {basis}")
     splits = _h_splits(parts) if basis == "h" else _s_splits(parts)
     return [(left, right, coeff * mult) for left, right, mult in splits]
 

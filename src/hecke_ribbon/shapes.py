@@ -323,19 +323,6 @@ class Diagram:
     def n(self) -> int:
         return len(self.boxes)
 
-    def rows(self) -> list[list[int]]:
-        out: dict[int, list[int]] = {}
-        for i, (r, _) in enumerate(self.boxes):
-            out.setdefault(r, []).append(i)
-        return [out[r] for r in sorted(out)]
-
-    def columns(self) -> list[list[int]]:
-        """Box indices per column, left to right, each bottom to top."""
-        out: dict[int, list[int]] = {}
-        for i, (_, c) in enumerate(self.boxes):
-            out.setdefault(c, []).append(i)
-        return [out[c] for c in sorted(out)]
-
 
 def _ribbon_coords(parts: Parts, kind: str):
     """Coordinates of one (pseudo-)ribbon from row 1, column 1, plus its

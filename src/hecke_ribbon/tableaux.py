@@ -27,7 +27,9 @@ from .shapes import (
     ShapeError,
     complement,
     descent_band,
+    descent_set,
     diagram,
+    positions,
     subshape_of_boxes,
     transpose,
 )
@@ -174,143 +176,25 @@ def swap_is_standard(diag: Diagram, kind: str, out: tuple[int, ...], p: int, q: 
 
 
 def tau0(shape: Shape) -> Tableau:
-    """The standard tableau whose reading word is the descent-class minimum."""
+    """The standard tableau whose reading word is the minimum of the
+    descent class of J = D(shape): the longest element w0(J) of the
+    parabolic subgroup generated by J."""
     if not shape.is_single:
         raise ShapeError("canonical fillings are defined on single ribbons")
-    kind = shape.kind
-    if kind == "A":
-        return _fill_columns(shape, list(range(1, shape.size + 1)))
-    if kind == "B":
-        return _tau0_signed(shape)
-    return _tau0_type_d(shape)
+    word = groups.parabolic_longest(shape.kind, shape.size, descent_set(shape))
+    return Tableau(shape, word.window)
 
 
 def tau1(shape: Shape) -> Tableau:
-    """The standard tableau whose reading word is the descent-class maximum."""
+    """The standard tableau whose reading word is the maximum of the
+    descent class of J = D(shape): w0 w0(S - J), for S the generator
+    indices."""
     if not shape.is_single:
         raise ShapeError("canonical fillings are defined on single ribbons")
-    kind = shape.kind
-    if kind == "A":
-        return _fill_rows_topdown(shape, list(range(1, shape.size + 1)))
-    if kind == "B":
-        return _tau1_signed(shape)
-    return _tau1_type_d(shape)
-
-
-def _assign(shape: Shape, values: dict[int, int]) -> Tableau:
-    n = diagram(shape).n
-    return Tableau(shape, tuple(values[i] for i in range(n)))
-
-
-def _fill_columns(shape: Shape, numbers: list[int]) -> Tableau:
-    values, it = {}, iter(numbers)
-    for col in diagram(shape).columns():
-        for i in sorted(col, key=lambda b: -diagram(shape).boxes[b][0]):
-            values[i] = next(it)
-    return _assign(shape, values)
-
-
-def _fill_rows_topdown(shape: Shape, numbers: list[int]) -> Tableau:
-    values, it = {}, iter(numbers)
-    for row in reversed(diagram(shape).rows()):
-        for i in row:
-            values[i] = next(it)
-    return _assign(shape, values)
-
-
-def _column_boxes(shape: Shape):
-    """Box indices per column, columns left to right, including the 0-box
-    column; each column lists boxes top to bottom."""
-    diag = diagram(shape)
-    cols: dict[int, list[tuple[int, int]]] = {}
-    for i, (r, c) in enumerate(diag.boxes):
-        cols.setdefault(c, []).append((r, i))
-    if diag.zero_box is not None:
-        cols.setdefault(diag.zero_box[1], [])
-    return [sorted(cols[c], key=lambda x: -x[0]) for c in sorted(cols)]
-
-
-def _row_boxes(shape: Shape):
-    """Box indices per row, rows bottom to top, including the 0-box row;
-    each row lists boxes left to right."""
-    diag = diagram(shape)
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for i, (r, c) in enumerate(diag.boxes):
-        rows.setdefault(r, []).append((c, i))
-    if diag.zero_box is not None:
-        rows.setdefault(diag.zero_box[0], [])
-    return [sorted(rows[r]) for r in sorted(rows)]
-
-
-def _tau0_signed(shape: Shape) -> Tableau:
-    cols = _column_boxes(shape)
-    values = {}
-    c = len(cols[0])
-    for k, (_, i) in enumerate(sorted(cols[0], key=lambda x: x[0])):  # bottom to top
-        values[i] = -(k + 1)
-    nxt = c + 1
-    for col in cols[1:]:
-        for _, i in col:  # top to bottom
-            values[i] = nxt
-            nxt += 1
-    return _assign(shape, values)
-
-
-def _tau1_signed(shape: Shape) -> Tableau:
-    rows = _row_boxes(shape)
-    values = {}
-    r = len(rows[0])
-    for k, (_, i) in enumerate(rows[0]):  # left to right
-        values[i] = k + 1
-    nxt = r + 1
-    for row in rows[1:]:
-        for _, i in reversed(row):  # right to left
-            values[i] = -nxt
-            nxt += 1
-    return _assign(shape, values)
-
-
-def _tau0_type_d(shape: Shape) -> Tableau:
-    cols = _column_boxes(shape)
-    c1 = len(cols[0])
-    if c1 != 1:
-        base = _tau0_signed(Shape("B", shape.components))
-        entries = _fix_sign_parity(base.entries)
-        return Tableau(shape, entries)
-    c2 = len(cols[1])
-    values = {}
-    seq = [-1] + list(range(2, c2 + 1))
-    for (_, i), v in zip(cols[1], seq):  # top to bottom
-        values[i] = v
-    values[cols[0][0][1]] = -(c2 + 1)
-    nxt = c2 + 2
-    for col in cols[2:]:
-        for _, i in col:
-            values[i] = nxt
-            nxt += 1
-    return _assign(shape, values)
-
-
-def _tau1_type_d(shape: Shape) -> Tableau:
-    rows = _row_boxes(shape)
-    r1 = len(rows[0])
-    if r1 != 1:
-        base = _tau1_signed(Shape("B", shape.components))
-        entries = _fix_sign_parity(base.entries)
-        return Tableau(shape, entries)
-    r2 = len(rows[1])
-    n = shape.size
-    values = {}
-    seq = [(-1) ** n * 1] + [-v for v in range(2, r2 + 1)]
-    for (_, i), v in zip([x for x in reversed(rows[1])], seq):  # right to left
-        values[i] = v
-    values[rows[0][0][1]] = r2 + 1
-    nxt = r2 + 2
-    for row in rows[2:]:
-        for _, i in reversed(row):
-            values[i] = -nxt
-            nxt += 1
-    return _assign(shape, values)
+    kind, n = shape.kind, shape.size
+    rest = set(positions(kind, n)) - descent_set(shape)
+    word = groups.multiply(groups.longest_element(kind, n), groups.parabolic_longest(kind, n, rest))
+    return Tableau(shape, word.window)
 
 
 def _fix_sign_parity(entries: tuple[int, ...]) -> tuple[int, ...]:

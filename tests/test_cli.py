@@ -250,3 +250,44 @@ def test_determinism(capsys):
 def test_max_enum_flag(capsys):
     code, _ = run_cli(capsys, "group", "enumerate", "--type", "A", "--size", "4", "--max-enum", "10")
     assert code == 3
+
+
+def test_global_options_before_or_after_the_verb(capsys):
+    for verb, options in [
+        (("group", "enumerate", "--size", "3"), ("--max-enum", "5")),
+        (("group", "inverse", "--element", "2,-1"), ("--format", "json", "--type", "B")),
+        (("series", "qribbon", "--shape", "[2,1,1]"), ("--q-at", "2")),
+    ]:
+        before = run_cli(capsys, *options, *verb)
+        after = run_cli(capsys, *verb, *options)
+        assert before == after, verb
+    assert run_cli(capsys, "--max-enum", "5", "group", "enumerate", "--size", "3")[0] == 3
+    assert run_cli(capsys, "--format", "json", "group", "inverse", "--element", "2,1")[1] == '{"element": "2,1"}\n'
+
+
+def test_malformed_enumeration_guard_is_a_usage_error(capsys, monkeypatch):
+    for value in ("0", "-3"):
+        for argv in (
+            ("--max-enum", value, "group", "enumerate", "--size", "3"),
+            ("group", "enumerate", "--size", "3", "--max-enum", value),
+        ):
+            code = cli.main(list(argv))
+            assert code == 2, argv
+            assert capsys.readouterr().err == (
+                f"usage error: --max-enum must be a positive integer, not {int(value)}\n"
+            )
+    for value in ("abc", "0", "-1", "2.5"):
+        monkeypatch.setenv("HECKE_RIBBON_MAX_ENUM", value)
+        code = cli.main(["verify", "relations"])
+        assert code == 2, value
+        assert capsys.readouterr() == (
+            "",
+            f"usage error: HECKE_RIBBON_MAX_ENUM must be a positive integer, not {value!r}\n",
+        )
+        with pytest.raises(ValueError, match="HECKE_RIBBON_MAX_ENUM"):
+            groups.group_limit()
+    monkeypatch.setenv("HECKE_RIBBON_MAX_ENUM", "10")
+    assert run_cli(capsys, "group", "enumerate", "--size", "4")[0] == 3
+    assert run_cli(capsys, "group", "enumerate", "--size", "3")[0] == 0
+    with pytest.raises(ValueError, match="group guard"):
+        groups.set_limits(0, None)

@@ -1,7 +1,11 @@
-"""The README's cache table lists exactly the package's memoised functions."""
+"""The README's cache table lists exactly the package's memoised
+functions, and its command line examples run."""
 
 import re
+import shlex
 from pathlib import Path
+
+from hecke_ribbon import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 NUMBER_WORDS = (
@@ -24,3 +28,12 @@ def test_readme_cache_table_lists_every_cache(package_caches):
     assert sorted(names) == sorted(package_caches)
     assert len(names) == len(set(names))
     assert count == NUMBER_WORDS[len(package_caches)]
+
+
+def test_readme_command_examples_run(capsys):
+    block = README.read_text().split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert lines and all(line.startswith("hecke-ribbon ") for line in lines)
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()

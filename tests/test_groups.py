@@ -18,9 +18,10 @@ from hecke_ribbon.groups import (
     inverse,
     length,
     length_stats,
+    longest_element,
     min_coset_reps,
     multiply,
-    parabolic_longest_A,
+    parabolic_longest,
 )
 
 
@@ -135,9 +136,16 @@ def test_min_coset_reps():
 
 
 def test_parabolic_longest_matches_scan():
-    for n in range(1, 6):
-        for s in shapes.enumerate_shapes(n, "A"):
-            assert parabolic_longest_A(n, shapes.descent_set(s)) == descent_class("A", s).minimum
+    for kind, top in (("A", 5), ("B", 4), ("D", 4)):
+        for n in range(2 if kind == "D" else 1, top + 1):
+            for s in shapes.enumerate_shapes(n, kind):
+                dset = shapes.descent_set(s)
+                assert parabolic_longest(kind, n, dset) == descent_class(kind, s).minimum, s
+            assert longest_element(kind, n) == max(enumerate_group(kind, n), key=length)
+    with pytest.raises(ValueError):
+        parabolic_longest("A", 3, {0})
+    with pytest.raises(ValueError):
+        parabolic_longest("D", 1, set())
 
 
 def test_diagram_automorphism():

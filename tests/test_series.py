@@ -136,6 +136,14 @@ def test_comodule_maps():
     assert gotdm == (((1, 1), (1,), ONE), ((1, 1, 1), (), ONE))
     with pytest.raises(ValueError):
         coproduct(E("NSymB", "s", (0, 1)))
+    # the zero element of a space without a coproduct has none either
+    for space in ("NSymB", "NSymD"):
+        for basis in ("h", "s"):
+            zero = SeriesElement(space, basis, {})
+            with pytest.raises(ValueError, match="no coproduct"):
+                coproduct(zero)
+            with pytest.raises(ValueError, match="no coproduct"):
+                series.skew(zero, E("QSym", "F", (1,)))
 
 
 def test_comodule_coassociativity():

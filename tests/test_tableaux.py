@@ -94,6 +94,21 @@ def test_tau_displayed_fillings():
     assert reading_word(tau1(composition((1, 1, 1, 1)))).window == (4, 3, 2, 1)
 
 
+def test_canonical_fillings_beyond_the_group_guard():
+    # B_9 and D_9 are over the group guard; w0, the diagram automorphism
+    # and the canonical fillings do not enumerate them
+    with pytest.raises(groups.ResourceLimitError):
+        groups.enumerate_group("B", 9)
+    w0 = groups.longest_element("B", 9)
+    assert w0.window == tuple(range(-1, -10, -1)) and groups.length(w0) == 81
+    assert groups.diagram_automorphism("B", 9) == {i: i for i in range(9)}
+    assert groups.diagram_automorphism("D", 9) == {0: 1, 1: 0, **{i: i for i in range(2, 9)}}
+    for shape in (pseudo_composition((0, 2, 1, 3, 2, 1)), pseudo_composition((1, 3, 2, 3), "D")):
+        for t in (tau0(shape), tau1(shape)):
+            assert is_standard(shape, t.entries), t
+            assert groups.descents(reading_word(t)) == shapes.descent_set(shape), t
+
+
 def test_theta_identities():
     for n in range(1, 6):
         for s in shapes.enumerate_shapes(n, "A"):
