@@ -438,6 +438,8 @@ GLOBAL_DEFAULTS = {"format": "text", "type": "A", "q_at": None, "seed": None, "m
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv, argparse.Namespace(**GLOBAL_DEFAULTS))
     try:
+        if args.type == "all" and args.verb != "verify":
+            raise ValueError("--type all is for verify only; the other verbs take A, B or D")
         flag = args.max_enum
         limit = groups.env_limit() if flag is None else groups.positive_limit(flag, "--max-enum")
         groups.set_limits(limit, limit)

@@ -11,7 +11,10 @@ types A, B, D respectively.
 Enumeration is by direct product (permutation times sign vector) under a
 configurable resource guard, and descent classes are found by scanning
 it.  The extremes of the descent class of J, w0(J) and w0 w0(S - J), are
-built without enumerating from ``parabolic_longest``.
+built without enumerating from ``parabolic_longest``.  ``left_actions``
+holds, per enumerated group, the index of every s_i w and whether s_i
+lowers w, for the tableau modules to read.  A kind other than A, B or D
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from itertools import combinations, permutations
 from math import factorial
 from types import MappingProxyType
 
-from .shapes import Shape, descent_set, positions
+from .shapes import KINDS, Shape, descent_set, positions
 
 DEFAULT_GROUP_LIMIT = 50_000
 DEFAULT_TABLEAU_LIMIT = 100_000
@@ -64,6 +67,13 @@ def set_limits(group: int | None = None, tableau: int | None = None) -> None:
         _limit_override[name] = None if value is None else positive_limit(value, f"the {name} guard")
 
 
+def _check_kind(kind: str) -> str:
+    """The kind itself, or a ``ValueError`` unless it is A, B or D."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    return kind
+
+
 def guard(count: int, what: str, limit: int) -> None:
     if count > limit:
         raise ResourceLimitError(f"{what} count {count} exceeds the guard {limit}")
@@ -93,6 +103,7 @@ class GroupElement:
 
 
 def validate(w: GroupElement) -> GroupElement:
+    _check_kind(w.kind)
     n = w.n
     if sorted(abs(v) for v in w.window) != list(range(1, n + 1)):
         raise ValueError(f"not a window on 1..{n}: {w.window}")
@@ -107,11 +118,12 @@ def validate(w: GroupElement) -> GroupElement:
 
 
 def identity(kind: str, n: int) -> GroupElement:
-    return GroupElement(kind, tuple(range(1, n + 1)))
+    return GroupElement(_check_kind(kind), tuple(range(1, n + 1)))
 
 
 def generator(kind: str, n: int, i: int) -> GroupElement:
     """The Coxeter generator s_i acting on windows of size n."""
+    _check_kind(kind)
     w = list(range(1, n + 1))
     if i == 0:
         if kind == "B":
@@ -186,7 +198,7 @@ def length(w: GroupElement) -> int:
 
 
 def group_order(kind: str, n: int) -> int:
-    if kind == "A":
+    if _check_kind(kind) == "A":
         return factorial(n)
     if kind == "B":
         return 2**n * factorial(n)
@@ -239,6 +251,66 @@ def descent_buckets(kind: str, n: int) -> MappingProxyType[frozenset[int], tuple
 
 
 @dataclass(frozen=True)
+class LeftActions:
+    """The left action of the generators on one group, by element index:
+    element g is ``enumerate_group(kind, n)[g]``, ``index`` maps its
+    window back to g, and ``descents[g]`` is its descent set D(w).  For a
+    generator index i, ``step[i][g]`` is the index of s_i w and
+    ``lowers[i][g]`` tells whether i is in D(w^-1), that is, whether s_i w
+    is shorter than w.  Read-only: every field is a tuple or a read-only
+    mapping."""
+
+    index: MappingProxyType[tuple[int, ...], int]
+    descents: tuple[frozenset[int], ...]
+    step: MappingProxyType[int, tuple[int, ...]]
+    lowers: MappingProxyType[int, tuple[bool, ...]]
+
+
+@lru_cache(maxsize=None)
+def _left_actions(kind: str, n: int) -> LeftActions:
+    elements = _enumerate(kind, n)
+    index = {w.window: g for g, w in enumerate(elements)}
+    descents_of = [frozenset()] * len(elements)
+    for d, ws in _descent_buckets(kind, n).items():  # one shared set per descent class
+        for w in ws:
+            descents_of[index[w.window]] = d
+    # s_i w applies s_i to every entry of w's window; with each entry v
+    # stored as the byte v + n (a byte for any n a group guard admits),
+    # that is one bytes.translate per element
+    keys = [bytes(map(n.__add__, w.window)) for w in elements]
+    at = {key: g for g, key in enumerate(keys)}
+    step = {}
+    for i in positions(kind, n):
+        s_i, table = generator(kind, n, i), bytearray(range(256))
+        for v in range(1, n + 1):
+            table[n + v], table[n - v] = n + s_i(v), n - s_i(v)
+        step[i] = tuple([at[key.translate(table)] for key in keys])
+    # lengths by breadth-first search from the identity: i is in D(w^-1)
+    # exactly when s_i w is shorter than w
+    length = [-1] * len(elements)
+    layer = [index[identity(kind, n).window]]
+    length[layer[0]] = 0
+    while layer:
+        below, layer = layer, []
+        for g in below:
+            for moves in step.values():
+                h = moves[g]
+                if length[h] < 0:
+                    length[h] = length[g] + 1
+                    layer.append(h)
+    lowers = {i: tuple([length[h] < ell for h, ell in zip(moves, length)]) for i, moves in step.items()}
+    return LeftActions(
+        MappingProxyType(index), tuple(descents_of), MappingProxyType(step), MappingProxyType(lowers)
+    )
+
+
+def left_actions(kind: str, n: int) -> LeftActions:
+    """The memoised left action table of the group, within the group guard."""
+    enumerate_group(kind, n)
+    return _left_actions(kind, n)
+
+
+@dataclass(frozen=True)
 class DescentClass:
     """All group elements with a prescribed descent set, with the unique
     length-minimal and length-maximal elements."""
@@ -286,7 +358,7 @@ def parabolic_longest(kind: str, n: int, dset) -> GroupElement:
     one to the length, until every i in J is a descent; no group is
     enumerated (Björner and Brenti, *Combinatorics of Coxeter Groups*)."""
     todo = sorted(dset)
-    if n < (2 if kind == "D" else 0) or not set(todo) <= set(positions(kind, n)):
+    if n < (2 if _check_kind(kind) == "D" else 0) or not set(todo) <= set(positions(kind, n)):
         raise ValueError(f"no parabolic subgroup of {kind}_{n} on {todo}")
     w = list(range(1, n + 1))
     grew = True

@@ -6,9 +6,10 @@ lists its nonzero entries (row, value) by increasing row.  The defining
 generator matrices of the tableau modules send each basis vector to
 minus itself, to zero, or to another basis vector: every column has at
 most one entry, and it is 1 or -1.  Products of such matrices keep this
-property, so ``mat_mul`` takes a single-entry column of its right factor
-as a column of its left factor, scaled by the entry; only twisted
-matrices, with two-entry columns, go through the general sum.
+property, so ``check_relations`` composes them as signed index maps, and
+``mat_mul`` takes a single-entry column of its right factor as a column
+of its left factor, scaled by the entry; only twisted matrices, with
+two-entry columns, go through the general sum.
 
 The main constructions: build_p (standard tableaux of a generalized
 shape), build_m (the same with the ribbon's rows pulled apart), build_c
@@ -26,12 +27,13 @@ layer keeps the rows of equal grade.  The descents of a tableau T, which
 label the length quotients, are those of w(T)^-1 in every type
 (``tableaux.tableau_descents``).
 
-In types B and D, build_p reads each tableau's descents off the
-positions of its values, and tests a swapped filling only at the
-comparisons the swap can change: between the two moved boxes, and at the
-0-box.  The test is exact, because an entry the swap did not move has an
-absolute value other than the swapped ones, so it compares with the
-moved values as before.
+build_p is one rule in all three types.  The reading words of the
+standard tableaux of a shape are the group elements w with D(w) in the
+shape's descent band, so the action of a bar generator is the left action
+of the group cut down to that band: T goes to -T when i is in D(w^-1),
+to the tableau of s_i w when D(s_i w) lies in the band, and to 0
+otherwise.  All of it is read off the group's memoised left action table
+(``groups.left_actions``), with no filling tested box by box.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from . import groups, linalg, tableaux
 from .shapes import (
     Shape,
     ShapeError,
+    descent_band,
     descent_set,
     format_shape,
     from_descents,
@@ -149,63 +152,35 @@ def build_p(shape: Shape) -> HeckeModule:
     """The module on standard tableaux of a generalized shape.
 
     The bar generator i sends a tableau T to -T when i is a descent of
-    T, to s_i T when that filling is standard, and to 0 otherwise.  One
-    pass over the basis locates every value of T once, then appends T's
-    column to every generator matrix.
-
-    Type A reads both tests off the rows of i and i+1.  Types B and D
-    read the descents of T, those of w(T)^-1, off the value positions:
-    w^-1(k) is +-(pos[k] + 1), signed like the entry of absolute value k.
-    i >= 1 is a descent when w^-1(i) > w^-1(i+1), and 0 when w^-1(1) < 0
-    (B) or w^-1(1) + w^-1(2) < 0 (D).  Standardness of s_i T is tested
-    only where the swap can change a comparison
-    (``tableaux.swap_is_standard``).  Every swap goes through
-    ``index_of``, so a standard filling missing from the basis raises
-    ``KeyError``.
+    T, to s_i T when that filling is standard, and to 0 otherwise.  On
+    reading words this is the left action of the group cut down to the
+    descent band of the shape: the descents of T are the left descents
+    D(w^-1) of its word w, s_i T has the word s_i w, and it is standard
+    exactly when D(s_i w) lies in ``descent_band(shape)``.  All three are
+    read off the group's left action table (``groups.left_actions``).
+    Every in-band word goes through the basis index, so a standard
+    filling missing from the basis raises ``KeyError``.
     """
     basis = tableaux.standard_tableaux(shape)
-    index_of = {t.entries: j for j, t in enumerate(basis)}
     kind, n = shape.kind, shape.size
-    idx = positions(kind, n)
-    cols: dict[int, list[Column]] = {i: [] for i in idx}
-    diag = tableaux.diagram(shape)
-    box_rows = [r for r, _ in diag.boxes]
-    for t in basis:
-        entries = t.entries
-        j = index_of[entries]  # the int index_of holds: one object per row, not two
-        pos = tableaux.value_positions(entries)
-        if kind == "A":
-            rows = [box_rows[pos[k]] for k in range(1, n + 1)]  # rows[k - 1]: row of k
-            for i in idx:
-                row_i, row_next = rows[i - 1], rows[i]
-                if row_i > row_next:
-                    cols[i].append(((j, -1),))
-                elif row_i == row_next:
-                    cols[i].append(())
-                else:
-                    swapped = tableaux.swap_entries(kind, entries, i, pos)
-                    cols[i].append(((index_of[swapped], 1),))
-            continue
-        inv = [0] + [at + 1 if entries[at] > 0 else -at - 1 for at in pos[1:]]  # w^-1(k)
-        for i in idx:
-            if i:
-                descent = inv[i] > inv[i + 1]
-                p, q = pos[i], pos[i + 1]
-            elif kind == "B":
-                descent = inv[1] < 0
-                p = q = pos[1]
-            else:
-                descent = inv[1] + inv[2] < 0
-                p, q = pos[1], pos[2]
-            if descent:
-                cols[i].append(((j, -1),))
-                continue
-            swapped = tableaux.swap_entries(kind, entries, i, pos)
-            if tableaux.swap_is_standard(diag, kind, swapped, p, q):
-                cols[i].append(((index_of[swapped], 1),))
-            else:
-                cols[i].append(())
-    gens = {i: tuple(c) for i, c in cols.items()}
+    table = groups.left_actions(kind, n)
+    lower, upper = descent_band(shape)
+    words = [table.index[t.entries] for t in basis]
+    index_of = {g: j for j, g in enumerate(words)}
+    minus = [((j, -1),) for j in range(len(basis))]  # shared by every generator
+    plus = [((j, 1),) for j in range(len(basis))]
+    descents = table.descents
+    gens = {}
+    for i in positions(kind, n):
+        step, lowers = table.step[i], table.lowers[i]
+        gens[i] = tuple([
+            minus[j]
+            if lowers[g]
+            else plus[index_of[h]]
+            if lower <= descents[h := step[g]] <= upper
+            else ()
+            for j, g in enumerate(words)
+        ])
     return HeckeModule(kind, n, basis, gens, shape)
 
 
@@ -246,31 +221,65 @@ def coxeter_order(kind: str, i: int, j: int) -> int:
     return 3 if b - a == 1 else 2
 
 
-def _alternating(a: Mat, b: Mat, m: int) -> Mat:
-    out = None
-    current = (a, b)
-    for k in range(m):
-        term = current[k % 2]
-        out = term if out is None else mat_mul(out, term)
+def _signed_map(m: Mat) -> list[int] | None:
+    """A matrix whose columns hold at most one entry, 1 or -1, as a signed
+    index map: column j is 0, k + 1 or -(k + 1) for the column (), ((k,
+    1),) or ((k, -1),); None for any other matrix."""
+    out = []
+    for col in m:
+        if not col:
+            out.append(0)
+        elif len(col) == 1 and col[0][1] in (1, -1):
+            out.append(col[0][1] * (col[0][0] + 1))
+        else:
+            return None
     return out
 
 
-def check_relations(module: HeckeModule) -> list[str]:
-    """Quadratic and braid relations as exact matrix identities."""
+def _compose(a: list[int], b: list[int]) -> list[int]:
+    """The product a b of two signed index maps."""
+    return [a[x - 1] if x > 0 else -a[-x - 1] if x else 0 for x in b]
+
+
+def _negate(a: list[int]) -> list[int]:
+    return [-x for x in a]
+
+
+def _alternating(a, b, m: int, mul):
+    out = a
+    for k in range(1, m):
+        out = mul(out, b if k % 2 else a)
+    return out
+
+
+def _relation_violations(kind: str, gens: Mapping, mul, neg) -> list[str]:
+    """Quadratic and braid relations of the generator matrices, multiplied
+    by ``mul`` and negated by ``neg``."""
     violations = []
-    idx = module.generator_indices()
+    idx = sorted(gens)
     for i in idx:
-        m = module.gens[i]
-        if mat_mul(m, m) != mat_neg(m):
+        m = gens[i]
+        if mul(m, m) != neg(m):
             violations.append(f"quadratic relation fails at generator {i}")
     for a_pos, i in enumerate(idx):
         for j in idx[a_pos + 1 :]:
-            m = coxeter_order(module.kind, i, j)
-            left = _alternating(module.gens[i], module.gens[j], m)
-            right = _alternating(module.gens[j], module.gens[i], m)
+            m = coxeter_order(kind, i, j)
+            left = _alternating(gens[i], gens[j], m, mul)
+            right = _alternating(gens[j], gens[i], m, mul)
             if left != right:
                 violations.append(f"braid relation of order {m} fails at ({i}, {j})")
     return violations
+
+
+def check_relations(module: HeckeModule) -> list[str]:
+    """Quadratic and braid relations as exact matrix identities.  When
+    every column holds at most one entry, 1 or -1, as in the tableau
+    modules, the generators are composed as signed index maps; twisted
+    modules and any other matrices are multiplied by ``mat_mul``."""
+    signed = {i: _signed_map(m) for i, m in module.gens.items()}
+    if all(m is not None for m in signed.values()):
+        return _relation_violations(module.kind, signed, _compose, _negate)
+    return _relation_violations(module.kind, module.gens, mat_mul, mat_neg)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +318,8 @@ def filtration_by_descent(module: HeckeModule) -> Filtration:
     bracket-set ribbon."""
     if module.shape is None:
         raise ShapeError("descent filtration needs a module built from a shape")
-    descents = [groups.descents(tableaux.reading_word(t)) for t in module.basis]
+    table = groups.left_actions(module.kind, module.n)
+    descents = [table.descents[table.index[t.entries]] for t in module.basis]
     ordered = sorted(set(descents), key=lambda d: (len(d), tuple(sorted(d))))
     rank = {d: t for t, d in enumerate(ordered)}
     grade = [rank[d] for d in descents]

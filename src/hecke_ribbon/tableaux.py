@@ -9,9 +9,12 @@ in type D, where w(2) is the second letter of the reading word).
 
 Standard tableaux of a shape are in bijection, via reading words, with
 the group elements whose descent set lies in the band between the
-triangle-gluing and dot-gluing descent sets of the shape.  Semistandard
-fillings are enumerated as words whose consecutive letters follow the
-weak/strict pattern the diagram prescribes (``pattern_words``).
+triangle-gluing and dot-gluing descent sets of the shape.  So s_i T, the
+filling whose reading word is s_i w(T), is standard exactly when the
+descent set of s_i w(T) lies in that band; ``modules.build_p`` reads the
+tableau action off this band rule.  Semistandard fillings are
+enumerated as words whose consecutive letters follow the weak/strict
+pattern the diagram prescribes (``pattern_words``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 
 from . import groups
 from .shapes import (
-    Diagram,
     Shape,
     ShapeError,
     complement,
@@ -112,65 +114,6 @@ def tableau_descents(t: Tableau) -> frozenset[int]:
     return groups.descents(groups.inverse(reading_word(t)))
 
 
-def value_positions(entries: tuple[int, ...]) -> list[int]:
-    """pos[k] is the index of the entry with absolute value k, for the
-    entries of a standard filling; pos[0] is unused."""
-    pos = [0] * (len(entries) + 1)
-    for p, v in enumerate(entries):
-        pos[abs(v)] = p
-    return pos
-
-
-def swap_entries(kind: str, entries: tuple[int, ...], i: int, pos: list[int]) -> tuple[int, ...]:
-    """The entries of s_i applied to a standard filling, located through
-    ``pos = value_positions(entries)``.
-
-    For i >= 1 the absolute values i and i+1 trade places and the signs
-    stay in place (type A swaps the values i and i+1).  At i = 0, type B
-    negates the entry of absolute value 1, and type D trades the
-    absolute values 1 and 2 and flips both signs.
-    """
-    out = list(entries)
-    if i:
-        p, q = pos[i], pos[i + 1]
-        out[p] = i + 1 if entries[p] > 0 else -i - 1
-        out[q] = i if entries[q] > 0 else -i
-    elif kind == "B":
-        p = pos[1]
-        out[p] = -entries[p]
-    else:
-        p, q = pos[1], pos[2]
-        out[p] = -2 if entries[p] > 0 else 2
-        out[q] = -1 if entries[q] > 0 else 1
-    return tuple(out)
-
-
-def swap_is_standard(diag: Diagram, kind: str, out: tuple[int, ...], p: int, q: int) -> bool:
-    """Whether ``out``, the filling ``swap_entries`` made from a standard
-    filling of a type B or D shape by moving the boxes p and q (p == q
-    for B's s_0), is standard.
-
-    ``out`` is a signed permutation of the right parity, and an entry v
-    the swap did not move compares with every moved value as before: |v|
-    is not one of the absolute values the swap moved (i and i+1; at s_0,
-    1 in type B and 1 and 2 in type D), so no moved value crosses v or
-    -v.  Only two kinds of comparison can change, and only they are
-    made: p against q when they are consecutive in reading order (two
-    boxes touch only then), and the 0-box comparisons, whose value
-    -out[1] in type D moves with the entry in box 1.
-    """
-    a, b = (p, q) if p < q else (q, p)
-    if b == a + 1:
-        if diag.left_of[b] == a and out[a] > out[b]:
-            return False
-        if diag.below[b] == a and out[a] < out[b]:
-            return False
-    zval = 0 if kind == "B" else -out[1]
-    if diag.left_of[0] == "zero" and out[0] <= zval:
-        return False
-    return diag.above_zero is None or out[diag.above_zero] < zval
-
-
 # ---------------------------------------------------------------------------
 # canonical fillings
 
@@ -202,7 +145,7 @@ def _fix_sign_parity(entries: tuple[int, ...]) -> tuple[int, ...]:
     if sum(1 for e in entries if e < 0) % 2 == 0:
         return entries
     out = list(entries)
-    p = value_positions(entries)[1]
+    p = [abs(e) for e in entries].index(1)
     out[p] = -out[p]
     return tuple(out)
 

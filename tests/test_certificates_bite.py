@@ -7,10 +7,12 @@ The checks must also survive ``python -O``, so ``verify.py`` may hold no
 """
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -156,6 +158,29 @@ def test_flipped_s_to_h_sign_bites_qidentities(monkeypatch):
     monkeypatch.setattr(series, "_conversion", flipped)
     with pytest.raises(modules.CertificationError, match="q-ribbon methods disagree"):
         SMALL["qidentities"]()
+
+
+def test_wrong_left_action_entry_bites_relations(monkeypatch):
+    """build_p reads the tableau action off the group's left action table.
+    One wrong entry there, s_1 w = w at w = 1,3,2 in A_3 (it is 2,3,1),
+    makes the first bar generator fix the tableau of P_[2,1] with that
+    reading word, so cert_relations("A", 3) reports FAIL on the quadratic
+    relation."""
+    left_actions = groups.left_actions
+
+    def wrong(kind, n):
+        table = left_actions(kind, n)
+        if (kind, n) != ("A", 3):
+            return table
+        g = table.index[(1, 3, 2)]
+        assert table.step[1][g] == table.index[(2, 3, 1)]
+        step = {**table.step, 1: table.step[1][:g] + (g,) + table.step[1][g + 1 :]}
+        return dataclasses.replace(table, step=MappingProxyType(step))
+
+    monkeypatch.setattr(groups, "left_actions", wrong)
+    (result,) = verify.run(["relations"], kind="A", max_size=3)
+    assert not result.passed
+    assert result.detail == "[2,1]: quadratic relation fails at generator 1"
 
 
 def test_coproduct_routes_leave_the_label_memo_empty():

@@ -291,3 +291,23 @@ def test_malformed_enumeration_guard_is_a_usage_error(capsys, monkeypatch):
     assert run_cli(capsys, "group", "enumerate", "--size", "3")[0] == 0
     with pytest.raises(ValueError, match="group guard"):
         groups.set_limits(0, None)
+
+
+def test_type_all_is_for_verify_only(capsys):
+    message = "usage error: --type all is for verify only; the other verbs take A, B or D\n"
+    for argv in (
+        ("group", "enumerate", "--size", "3", "--type", "all"),
+        ("group", "length", "--element=-1,2", "--type", "all"),
+        ("--type", "all", "shape", "enumerate", "--size", "2"),
+        ("module", "build", "--shape", "[2,1]", "--type", "all"),
+        ("series", "convert", "--left", "F[2]", "--to", "M", "--type", "all"),
+    ):
+        assert cli.main(list(argv)) == 2, argv
+        assert capsys.readouterr() == ("", message), argv
+    code, out = run_cli(capsys, "verify", "relations", "--type", "all", "--max-size", "2")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()[:-1]] == [
+        "PASS relations[A]",
+        "PASS relations[B]",
+        "PASS relations[D]",
+    ]

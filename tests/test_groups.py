@@ -195,3 +195,56 @@ def test_diagram_automorphism_is_read_only():
     with pytest.raises(TypeError):
         sigma[0] = 0
     assert groups.diagram_automorphism("D", 3) == {0: 1, 1: 0, 2: 2}
+
+
+def test_left_actions_match_multiply():
+    """The table agrees with the group's own product, inverse and descents."""
+    for kind, top in (("A", 6), ("B", 5), ("D", 5)):
+        for n in range(2 if kind == "D" else 0, top + 1):
+            elems = enumerate_group(kind, n)
+            table = groups.left_actions(kind, n)
+            gens = generators(kind, n)
+            assert set(table.step) == set(table.lowers) == set(gens)
+            for g, w in enumerate(elems):
+                assert table.index[w.window] == g
+                assert table.descents[g] == descents(w)
+                left = descents(inverse(w))
+                for i, s in gens.items():
+                    assert elems[table.step[i][g]] == multiply(s, w), (kind, w, i)
+                    assert table.lowers[i][g] == (i in left), (kind, w, i)
+
+
+def test_left_actions_are_read_only():
+    table = groups.left_actions("B", 3)
+    with pytest.raises(TypeError):
+        table.step[1] = ()
+    with pytest.raises(TypeError):
+        table.step[1][0] = 0
+    with pytest.raises(TypeError):
+        table.lowers[0] = ()
+    with pytest.raises(TypeError):
+        table.index[(1, 2, 3)] = 1
+    with pytest.raises(TypeError):
+        table.descents[0] = frozenset()
+    with pytest.raises(AttributeError):
+        table.step = {}
+    assert groups.left_actions("B", 3) is table
+
+
+def test_left_actions_are_guarded():
+    with pytest.raises(ResourceLimitError):
+        groups.left_actions("B", 9)
+
+
+def test_unknown_kind_is_rejected():
+    for call in (
+        lambda: enumerate_group("all", 3),
+        lambda: group_order("all", 3),
+        lambda: groups.left_actions("all", 2),
+        lambda: groups.validate(GroupElement("all", (-1, 2))),
+        lambda: generator("all", 2, 1),
+        lambda: identity("C", 2),
+        lambda: parabolic_longest("all", 2, {1}),
+    ):
+        with pytest.raises(ValueError, match="unknown kind"):
+            call()

@@ -60,8 +60,9 @@ def test_displayed_small_modules():
 def test_build_p_matches_defining_rule():
     """Each column of a generator matrix follows the defining rule: -T on
     a descent, s_i T when that filling is standard, and 0 otherwise.  The
-    B/D single ribbons of size 5 add 14,400 swaps to the local test of
-    ``build_p``."""
+    reference builds s_i T by the group product and tests it with
+    ``is_standard``, without the left action table ``build_p`` reads; the
+    B/D single ribbons of size 5 add 14,400 products to it."""
     family = [Shape("A", ())]
     for kind, top in (("A", 6), ("B", 4), ("D", 4)):
         for n in range(top + 1):
@@ -78,9 +79,8 @@ def test_build_p_matches_defining_rule():
                 if i in desc:
                     col.append(((j, -1),))
                     continue
-                swapped = tableaux.swap_entries(
-                    shape.kind, t.entries, i, tableaux.value_positions(t.entries)
-                )
+                s_i = groups.generator(shape.kind, shape.size, i)
+                swapped = groups.multiply(s_i, tableaux.reading_word(t)).window
                 if tableaux.is_standard(shape, swapped):
                     col.append(((index_of[swapped], 1),))
                 else:
@@ -153,6 +153,69 @@ def test_relations_and_negative_control():
         module.shape,
     )
     assert check_relations(corrupted)
+
+
+@st.composite
+def single_entry_modules(draw):
+    """Generator matrices whose columns hold at most one entry, 1 or -1:
+    either drawn at random, or a tableau module with one column replaced,
+    so that both passing modules and planted violations occur."""
+    kind = draw(st.sampled_from("ABD"))
+    n = draw(st.integers(2, 4))
+    column = lambda dim: st.one_of(
+        st.just(()), st.tuples(st.tuples(st.integers(0, dim - 1), st.sampled_from((1, -1))))
+    )
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 6))
+        gens = {
+            i: tuple(draw(st.lists(column(dim), min_size=dim, max_size=dim)))
+            for i in shapes.positions(kind, n)
+        }
+        return kind, gens
+    idx = shapes.positions(kind, n)
+    picks = draw(st.lists(st.booleans(), min_size=len(idx), max_size=len(idx)))
+    alpha = shapes.from_descents(frozenset(i for i, b in zip(idx, picks) if b), n, kind)
+    gens = dict(build_p(alpha).gens)
+    if draw(st.booleans()):
+        i = draw(st.sampled_from(sorted(gens)))
+        j = draw(st.integers(0, len(gens[i]) - 1))
+        gens[i] = gens[i][:j] + (draw(column(len(gens[i]))),) + gens[i][j + 1 :]
+    return kind, gens
+
+
+@settings(deadline=None, max_examples=120)
+@given(single_entry_modules())
+def test_signed_maps_give_the_violations_of_mat_mul(case):
+    kind, gens = case
+    signed = {i: modules._signed_map(m) for i, m in gens.items()}
+    assert all(m is not None for m in signed.values())
+    fast = modules._relation_violations(kind, signed, modules._compose, modules._negate)
+    assert fast == modules._relation_violations(kind, gens, mat_mul, modules.mat_neg)
+
+
+def test_check_relations_takes_the_path_its_matrices_allow(monkeypatch):
+    """Tableau modules are composed as signed index maps, without
+    ``mat_mul``; a module read from JSON with an entry 2 takes the
+    general path, and reports what ``mat_mul`` reports."""
+    module = build_p(composition((1, 2, 1)))
+    twisted = twist(module, "theta")
+    data = module_to_json(build_p(composition((2, 1))))
+    data["generators"]["1"] = [[2 * v for v in row] for row in data["generators"]["1"]]
+    doubled = module_from_json(data)
+    assert modules._signed_map(doubled.gens[1]) is None
+    expected = modules._relation_violations("A", doubled.gens, mat_mul, modules.mat_neg)
+    assert "quadratic relation fails at generator 1" in expected
+
+    def refuse(*args):
+        raise AssertionError("wrong relation path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modules, "mat_mul", refuse)
+        assert check_relations(module) == []
+    with monkeypatch.context() as patch:
+        patch.setattr(modules, "_compose", refuse)
+        assert check_relations(doubled) == expected
+        assert check_relations(twisted) == []
 
 
 def test_build_p_is_read_only():
