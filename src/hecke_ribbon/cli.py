@@ -306,7 +306,10 @@ def cmd_demazure(args) -> int:
         f = demazure.parse_poly(_need(args, "poly"), args.vars)
         for op in reversed(args.op.split()):
             bar = op.startswith("pibar")
-            i = int(op[5:] if bar else op[2:])
+            digits = op[5:] if bar else op[2:]
+            if not (op.startswith("pi") and digits.isdecimal()):
+                raise ValueError(f"--op has an unknown operator {op!r}; the operators are pi<k> and pibar<k>")
+            i = int(digits)
             f = demazure.demazure_bar(i, f) if bar else demazure.demazure(i, f)
         _emit(args, {"poly": str(f)}, [str(f)])
         return 0

@@ -9,12 +9,17 @@ of the staircase-like monomial of a composition under all bar operators
 rebuilds the row-separated tableau module and, started from a suitable
 bar word, the ribbon module; both identifications are certified
 matrix-by-matrix.
+
+``Poly`` is an immutable value with slots; its public constructor checks
+and normalises, and polynomials in different numbers of variables do
+not combine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from types import MappingProxyType
 
 from . import groups, modules
@@ -31,51 +36,61 @@ from .shapes import (
 Monomial = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Poly:
-    """A sparse multivariate polynomial with integer coefficients; terms
-    map exponent vectors of a fixed length to coefficients."""
+    """A sparse multivariate polynomial with integer coefficients: its
+    nonzero terms on exponent vectors of length n, sorted.  The
+    constructor checks every term (n non-negative int exponents, an int
+    coefficient; ``ValueError`` otherwise), sums equal monomials and
+    drops zeros; results come from ``_make`` unchecked."""
 
     n: int
     terms: tuple[tuple[Monomial, int], ...]
 
+    def __init__(self, n: int, terms: tuple[tuple[Monomial, int], ...] = ()):
+        out: dict[Monomial, int] = {}
+        for m, c in terms:
+            m = tuple(m)
+            if len(m) != n or type(c) is not int or any(type(e) is not int or e < 0 for e in m):
+                raise ValueError(f"term {m}: {c!r} is not {n} non-negative int exponents and an int")
+            out[m] = out.get(m, 0) + c
+        _set_n(self, n)
+        _set_terms(self, Poly.from_dict(n, out).terms)
+
     @staticmethod
     def from_dict(n: int, d: dict[Monomial, int]) -> "Poly":
-        return Poly(n, tuple(sorted((m, c) for m, c in d.items() if c)))
+        """The polynomial of a dict whose monomials already have length n."""
+        return _make(n, tuple(sorted([(m, c) for m, c in d.items() if c])))
 
     @staticmethod
     def monomial(n: int, expo: Monomial, coeff: int = 1) -> "Poly":
-        return Poly.from_dict(n, {tuple(expo): coeff})
+        return Poly(n, ((expo, coeff),))
 
     @staticmethod
     def one(n: int) -> "Poly":
         return Poly.monomial(n, (0,) * n)
 
-    def to_dict(self) -> dict[Monomial, int]:
-        return dict(self.terms)
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __add__(self, other: "Poly") -> "Poly":
-        out = self.to_dict()
-        for m, c in other.terms:
-            out[m] = out.get(m, 0) + c
-        return Poly.from_dict(self.n, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.n, tuple((m, -c) for m, c in self.terms))
+        return _combine(self, other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return _combine(self, other, -1)
+
+    def __neg__(self) -> "Poly":
+        return _make(self.n, tuple([(m, -c) for m, c in self.terms]))
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, int):
-            return Poly(self.n, tuple((m, c * other) for m, c in self.terms)) if other else Poly(self.n, ())
+            return _make(self.n, tuple([(m, c * other) for m, c in self.terms]) if other else ())
+        if self.n != other.n:
+            raise ValueError(f"cannot combine polynomials in {self.n} and {other.n} variables")
         out: dict[Monomial, int] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                key = tuple(a + b for a, b in zip(m1, m2))
+                key = tuple(map(add, m1, m2))
                 out[key] = out.get(key, 0) + c1 * c2
         return Poly.from_dict(self.n, out)
 
@@ -89,10 +104,32 @@ class Poly:
             for i, e in enumerate(m):
                 mm[w.window[i] - 1] = e
             out.append((tuple(mm), c))
-        return Poly(self.n, tuple(sorted(out)))
+        return _make(self.n, tuple(sorted(out)))
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+_set_n, _set_terms = Poly.n.__set__, Poly.terms.__set__
+
+
+def _make(n: int, terms: tuple[tuple[Monomial, int], ...]) -> Poly:
+    """A Poly around terms that are already normal: sorted, nonzero, and
+    on exponent vectors of length n."""
+    p = object.__new__(Poly)
+    _set_n(p, n)
+    _set_terms(p, terms)
+    return p
+
+
+def _combine(f: Poly, g: Poly, sign: int) -> Poly:
+    """f + sign * g, in one pass over the terms of g."""
+    if f.n != g.n:
+        raise ValueError(f"cannot combine polynomials in {f.n} and {g.n} variables")
+    out = dict(f.terms)
+    for m, c in g.terms:
+        out[m] = out.get(m, 0) + sign * c
+    return Poly.from_dict(f.n, out)
 
 
 def format_poly(f: Poly) -> str:
@@ -156,9 +193,10 @@ def demazure(i: int, f: Poly) -> Poly:
     out: dict[Monomial, int] = {}
     for m, c in f.terms:
         a, b = m[i - 1], m[i]
+        head, total, tail = m[: i - 1], a + b, m[i + 1 :]
         span, sign = (range(b, a + 1), c) if a >= b else (range(a + 1, b), -c)
         for j in span:
-            key = m[: i - 1] + (a + b - j, j) + m[i + 1 :]
+            key = head + (total - j, j) + tail
             out[key] = out.get(key, 0) + sign
     return Poly.from_dict(f.n, out)
 
@@ -183,34 +221,24 @@ def x_alpha(alpha: Shape | Parts) -> Poly:
 
 
 def sorted_exponents(m: Monomial) -> tuple[int, ...]:
+    """The key of the partial order: the nonzero exponents, decreasing;
+    keys compare lexicographically."""
     return tuple(sorted((e for e in m if e), reverse=True))
-
-
-def strictly_smaller(m: Monomial, reference: Monomial) -> bool:
-    """The partial order: compare sorted nonzero exponents lexicographically."""
-    return sorted_exponents(m) < sorted_exponents(reference)
 
 
 @lru_cache(maxsize=None)
 def _bar_images(alpha: Parts) -> MappingProxyType[tuple[int, ...], Poly]:
     """pi-bar_w applied to x_alpha for every w with D(w) <= D(alpha),
     computed along the weak order; a read-only cached mapping."""
-    n = sum(alpha)
-    base = x_alpha(alpha)
-    reps = groups.min_coset_reps("A", composition(alpha))
-    by_length: dict[int, list[groups.GroupElement]] = {}
-    for w in reps:
-        by_length.setdefault(groups.length(w), []).append(w)
     images: dict[tuple[int, ...], Poly] = {}
-    gens = groups.generators("A", n)
-    for ell in sorted(by_length):
-        for w in by_length[ell]:
-            if ell == 0:
-                images[w.window] = base
-                continue
-            i = min(groups.descents(groups.inverse(w)))
-            prev = groups.multiply(gens[i], w)
-            images[w.window] = demazure_bar(i, images[prev.window])
+    gens = groups.generators("A", sum(alpha))
+    for w in sorted(groups.min_coset_reps("A", composition(alpha)), key=groups.length):
+        left = groups.descents(groups.inverse(w))
+        if not left:  # the identity
+            images[w.window] = x_alpha(alpha)
+            continue
+        i = min(left)
+        images[w.window] = demazure_bar(i, images[groups.multiply(gens[i], w).window])
     return MappingProxyType(images)
 
 
@@ -219,7 +247,7 @@ def triangularity_check(alpha: Shape | Parts) -> list[str]:
     plus strictly smaller terms in the sorted-exponent order."""
     parts = alpha.parts if isinstance(alpha, Shape) else tuple(alpha)
     base = x_alpha(parts)
-    reference = base.terms[0][0]
+    reference = sorted_exponents(base.terms[0][0])
     violations = []
     for window, poly in _bar_images(parts).items():
         w = groups.GroupElement("A", window)
@@ -228,7 +256,7 @@ def triangularity_check(alpha: Shape | Parts) -> list[str]:
         for m, c in poly.terms:
             if m == lead:
                 seen_lead = c == 1
-            elif not strictly_smaller(m, reference):
+            elif not sorted_exponents(m) < reference:
                 violations.append(f"w={','.join(map(str, window))}: stray monomial {m}")
         if not seen_lead:
             violations.append(f"w={','.join(map(str, window))}: missing unit leading term")
@@ -251,7 +279,7 @@ def _express_in_basis(poly: Poly, leads: dict[Monomial, int], basis: list[Poly])
         for m, c in hits:
             j = leads[m]
             coeffs[j] = coeffs.get(j, 0) + c
-            current = current - c * basis[j]
+            current = _combine(current, basis[j], -c)
     if current:
         raise modules.CertificationError("polynomial does not lie in the module span")
     return coeffs

@@ -16,7 +16,11 @@ shape), build_m (the same with the ribbon's rows pulled apart), build_c
 (one-dimensional), descent filtrations certifying the direct-sum
 decomposition over the bracket set, restriction certificates, twists by
 the two algebra automorphisms, and one-dimensional quotients computed by
-an exact linear solve.
+an exact linear solve.  Restriction to S_m x S_(n-m) keeps the set of
+boxes that hold the values <= m, so each such box set is one block,
+cut into its two subshapes once.  The restriction and quotient
+certificates compare single-entry columns directly and sort only
+columns of several entries (twisted modules, modules read from JSON).
 
 Both filtrations rest on one rule.  Grade the basis: by the rank of the
 reading-word descent set, or by length above a cyclic generator.  The
@@ -55,6 +59,7 @@ from .shapes import (
     positions,
     reverse,
     split_rows,
+    subshape_of_boxes,
 )
 
 Column = tuple[tuple[int, int], ...]
@@ -346,11 +351,15 @@ def _certify_quotient(module: HeckeModule, quotient: list[int], grade: list[int]
             f"quotient of size {len(relabel)} does not match dim {target.dim} of {label}"
         )
     for i in module.generator_indices():
+        cols, target_cols = module.gens[i], target.gens[i]
         for j in quotient:
-            induced = [
-                (relabel[r], v) for r, v in module.gens[i][j] if grade[r] == grade[j]
-            ]
-            if tuple(sorted(induced)) != target.gens[i][relabel[j]]:
+            col, g = cols[j], grade[j]
+            if len(col) == 1:
+                r, v = col[0]
+                induced = ((relabel[r], v),) if grade[r] == g else ()
+            else:  # () or, in a module read from JSON, several entries
+                induced = tuple(sorted([(relabel[r], v) for r, v in col if grade[r] == g]))
+            if induced != target_cols[relabel[j]]:
                 raise CertificationError(
                     f"quotient action mismatch for {label} at generator {i}, basis {j}"
                 )
@@ -399,59 +408,59 @@ def length_filtration(module: HeckeModule, generator_index: int) -> Filtration:
 
 def restrict_p(shape: Shape, m: int) -> list[tuple[Shape, Shape]]:
     """Certify that forgetting the generator at position m splits the
-    module into blocks indexed by the two-part decompositions with left
-    size m, each acting as the pair of smaller modules; returns the
-    decomposition pairs, sorted."""
+    module into blocks, one per set of boxes holding the values <= m,
+    each acting as the pair of modules on its two subshapes (the cut of
+    ``tableaux.split_tableau``); returns the pairs of subshapes, sorted."""
     if shape.kind != "A":
         raise ShapeError("restriction certificates are for type A shapes")
     module = build_p(shape)
-    n = shape.size
-    if not 0 <= m <= n:
+    if not 0 <= m <= shape.size:
         raise ValueError(f"split point {m} out of range")
-    split_of = {}
-    blocks: dict[tuple[Shape, Shape], dict] = {}
+    blocks: dict[tuple[int, ...], tuple] = {}
     for j, t in enumerate(module.basis):
-        left, right = tableaux.split_tableau(t, m)
-        key = (left.shape, right.shape)
-        split_of[j] = (key, left.entries, right.entries)
-        blocks.setdefault(key, {})[(left.entries, right.entries)] = j
-    for (bshape, gshape), members in blocks.items():
-        left_mod = build_p(bshape)
-        right_mod = build_p(gshape)
+        entries = t.entries
+        low = tuple([k for k, v in enumerate(entries) if v <= m])
+        if low not in blocks:
+            high = [k for k, v in enumerate(entries) if v > m]
+            blocks[low] = (*subshape_of_boxes(shape, low), *subshape_of_boxes(shape, high), {})
+        _, lorder, _, rorder, members = blocks[low]
+        members[tuple([entries[k] for k in lorder]), tuple([entries[k] - m for k in rorder])] = j
+    for bshape, _, gshape, _, members in blocks.values():
+        left_mod, right_mod = build_p(bshape), build_p(gshape)
         if len(members) != left_mod.dim * right_mod.dim:
             raise CertificationError(
                 f"block ({bshape}, {gshape}) has {len(members)} tableaux, "
                 f"expected {left_mod.dim * right_mod.dim}"
             )
-        left_index = {t.entries: j for j, t in enumerate(left_mod.basis)}
-        right_index = {t.entries: j for j, t in enumerate(right_mod.basis)}
-        for (le, re), j in members.items():
-            for i in module.generator_indices():
-                if i == m:
-                    continue
-                actual = module.gens[i][j]
-                if i < m:
-                    sub = left_mod.gens[i][left_index[le]]
-                    expected = _lift(sub, left_mod, lambda e: members.get((e, re)))
-                else:
-                    sub = right_mod.gens[i - m][right_index[re]]
-                    expected = _lift(sub, right_mod, lambda e: members.get((le, e)))
-                if actual != expected:
-                    raise CertificationError(
-                        f"restriction mismatch at block ({bshape}, {gshape}), "
-                        f"generator {i}, basis {j}"
-                    )
-    return sorted(blocks, key=lambda pair: (str(pair[0]), str(pair[1])))
-
-
-def _lift(sub: Column, sub_mod: HeckeModule, locate) -> Column:
-    out = []
-    for r, v in sub:
-        j = locate(sub_mod.basis[r].entries)
-        if j is None:
-            raise CertificationError("restriction block is not closed under the action")
-        out.append((j, v))
-    return tuple(sorted(out))
+        left_index = {t.entries: a for a, t in enumerate(left_mod.basis)}
+        right_index = {t.entries: b for b, t in enumerate(right_mod.basis)}
+        by_pair = {(left_index[le], right_index[re]): j for (le, re), j in members.items()}
+        sides = [
+            (i, module.gens[i], left_mod.gens[i] if i < m else right_mod.gens[i - m], i < m)
+            for i in module.generator_indices()
+            if i != m
+        ]
+        try:  # the column of (a, b): that of a carried to the pairs (a', b), or of b to (a, b')
+            for (a, b), j in by_pair.items():
+                for i, cols, sub_cols, on_left in sides:
+                    sub = sub_cols[a] if on_left else sub_cols[b]
+                    if len(sub) == 1:
+                        r, v = sub[0]
+                        expected = ((by_pair[(r, b) if on_left else (a, r)], v),)
+                    elif sub:  # several entries: only in a twisted module
+                        lifted = [(by_pair[(r, b) if on_left else (a, r)], v) for r, v in sub]
+                        expected = tuple(sorted(lifted))
+                    else:
+                        expected = ()
+                    if cols[j] != expected:
+                        raise CertificationError(
+                            f"restriction mismatch at block ({bshape}, {gshape}), "
+                            f"generator {i}, basis {j}"
+                        )
+        except KeyError:
+            raise CertificationError("restriction block is not closed under the action") from None
+    pairs = {(bshape, gshape) for bshape, _, gshape, _, _ in blocks.values()}
+    return sorted(pairs, key=lambda pair: (str(pair[0]), str(pair[1])))
 
 
 # ---------------------------------------------------------------------------

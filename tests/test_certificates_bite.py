@@ -183,6 +183,80 @@ def test_wrong_left_action_entry_bites_relations(monkeypatch):
     assert result.detail == "[2,1]: quadratic relation fails at generator 1"
 
 
+SHAPE_22 = shapes.Shape("A", ((2,), (2,)))
+
+
+def _with_column(module, i, j, col):
+    """The module with column j of generator i replaced by col."""
+    gens = {**module.gens, i: module.gens[i][:j] + (col,) + module.gens[i][j + 1 :]}
+    return modules.HeckeModule(module.kind, module.n, module.basis, gens, module.shape)
+
+
+def _theta(module):
+    """The theta twist M -> -(M + 1), keeping the shape: the column of a
+    +1 arrow gets two entries.  Twisting commutes with restriction and
+    with the descent quotients, so both certificates hold for it."""
+    return dataclasses.replace(modules.twist(module, "theta"), shape=module.shape)
+
+
+# column 1 of generator 1 of P_[2]+[2] is the arrow from basis 1 to basis 3
+# (two entries after the twist); each plant keeps the graded rule
+PLANTED_COLUMNS = {
+    "flipped sign": (False, ((3, 1),), ((3, -1),)),
+    "swapped arrow target": (False, ((3, 1),), ((4, 1),)),
+    "two-entry column": (True, ((1, -1), (3, -1)), ((1, -1), (4, -1))),
+}
+
+
+@pytest.mark.parametrize("plant", sorted(PLANTED_COLUMNS))
+def test_planted_column_bites_restriction_and_descent_quotients(plant, monkeypatch):
+    twisted, right, wrong = PLANTED_COLUMNS[plant]
+    build_p = modules.build_p
+    prepare = _theta if twisted else (lambda module: module)
+    monkeypatch.setattr(modules, "build_p", lambda shape: prepare(build_p(shape)))
+    module = modules.build_p(SHAPE_22)
+    assert module.gens[1][1] == right
+    modules.restrict_p(SHAPE_22, 2)
+    modules.filtration_by_descent(module)
+    planted = _with_column(module, 1, 1, wrong)
+    monkeypatch.setattr(
+        modules, "build_p", lambda shape: planted if shape == SHAPE_22 else prepare(build_p(shape))
+    )
+    with pytest.raises(modules.CertificationError, match="restriction mismatch"):
+        modules.restrict_p(SHAPE_22, 2)
+    with pytest.raises(modules.CertificationError, match="quotient action mismatch"):
+        modules.filtration_by_descent(planted)
+
+
+def test_restriction_checks_blocks_with_equal_subshapes(monkeypatch):
+    """Basis 0 (1,2,3,4) and basis 5 (3,4,1,2) of P_[2]+[2] both split at
+    m = 2 into [2] and [2], from different boxes: two blocks, each of one
+    tableau, so a wrong column at basis 0 is seen as well."""
+    build_p = modules.build_p
+    module = build_p(SHAPE_22)
+    assert module.gens[1][0] == ()
+    planted = _with_column(module, 1, 0, ((0, -1),))
+    monkeypatch.setattr(modules, "build_p", lambda shape: planted if shape == SHAPE_22 else build_p(shape))
+    with pytest.raises(modules.CertificationError, match="restriction mismatch"):
+        modules.restrict_p(SHAPE_22, 2)
+
+
+def test_restriction_reports_an_image_outside_its_block(monkeypatch):
+    """A column of a smaller module with a row outside that module's basis
+    has no pair in the block to be carried to."""
+    build_p, left = modules.build_p, shapes.composition((2,))
+
+    def wrong(shape):
+        module = build_p(shape)
+        if shape != left:
+            return module
+        return _with_column(module, 1, 0, ((module.dim, 1),))
+
+    monkeypatch.setattr(modules, "build_p", wrong)
+    with pytest.raises(modules.CertificationError, match="not closed under the action"):
+        modules.restrict_p(SHAPE_22, 2)
+
+
 def test_coproduct_routes_leave_the_label_memo_empty():
     """The direct route of cert_coproduct is schur_coproduct itself, and
     its h-route expands h coproducts: neither reads the s memo."""

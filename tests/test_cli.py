@@ -227,6 +227,13 @@ def test_exit_codes(capsys):
         code = cli.main(["demazure", "apply", "--poly", poly, "--vars", "3"])
         assert code == 2, poly
         assert capsys.readouterr().err.startswith("usage error: "), poly
+    for op in ("zz1", "pibar", "pi", "pib1", "pi1 pibar2x"):  # pi<k> and pibar<k> only
+        code = cli.main(["demazure", "apply", "--poly", "x1", "--vars", "3", "--op", op])
+        assert code == 2, op
+        bad = op.split()[-1]
+        assert capsys.readouterr().err == (
+            f"usage error: --op has an unknown operator {bad!r}; the operators are pi<k> and pibar<k>\n"
+        ), op
     for action, kind, need in (
         ("filtrate", "C", "a P or M module"),
         ("restrict", "M", "a P module"),

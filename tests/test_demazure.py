@@ -165,3 +165,34 @@ def test_bar_images_are_read_only():
     images = demazure._bar_images((2, 1))
     with pytest.raises(TypeError):
         images[(1, 2, 3)] = Poly(3, ())
+
+
+def test_poly_constructor_normalises_and_validates():
+    # a zero term is dropped, equal monomials are summed, terms are sorted
+    assert not Poly(2, (((1, 0), 0),))
+    assert Poly(2, (((1, 0), 0),)) == Poly(2, ())
+    assert Poly(2, (((0, 1), 2), ((1, 0), 1), ((0, 1), -2))) == Poly.monomial(2, (1, 0))
+    assert Poly(2, ([[1, 0], 1],)).terms == (((1, 0), 1),)
+    # a monomial of the wrong length no longer reaches the operators
+    for terms in ((((1, 0, 5), 1),), (((1,), 1),), (((1, -1), 1),), (((1, 0), 1.0),), (((True, 0), 1),)):
+        with pytest.raises(ValueError):
+            Poly(2, terms)
+    with pytest.raises(ValueError):
+        Poly.monomial(2, (1, 0, 5))
+    # arithmetic between different numbers of variables
+    f, g = parse_poly("x1", 2), parse_poly("x1", 3)
+    for combine in (f.__add__, f.__sub__, f.__mul__):
+        with pytest.raises(ValueError):
+            combine(g)
+
+
+def test_poly_is_an_immutable_value():
+    f = parse_poly("x1^2 - 3*x2", 2)
+    for name in ("n", "terms"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    assert repr(f) == "Poly(n=2, terms=(((0, 1), -3), ((2, 0), 1)))"
+    assert hash(f) == hash((2, f.terms)) and f == Poly(2, f.terms) and f != f.terms
+    assert f - f == Poly(2, ()) and f - 2 * f == -f and str(f - 2 * f) == "-x1^2 + 3*x2"

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,15 +307,29 @@ def test_graded_filtrations_reject_an_arrow_to_a_lower_grade():
 
 
 def test_restriction():
+    """restrict_p's blocks are those that ``split_tableau`` finds tableau
+    by tableau: each set of boxes holding the values <= m is one block,
+    and its tableaux are exactly the pairs of the two smaller modules."""
     assert restrict_p(composition((2,)), 1) == [(composition((1,)), composition((1,)))]
     blocks = restrict_p(composition((1, 3)), 2)
     assert len(blocks) == 2
-    for alpha in all_single("A", 5):
-        n = alpha.size
-        dim = build_p(alpha).dim
-        for m in range(n + 1):
-            blocks = restrict_p(alpha, m)
-            assert dim == sum(build_p(b).dim * build_p(g).dim for b, g in blocks)
+    for n in range(6):
+        for shape in shapes.enumerate_generalized(n, "A", 3):
+            basis = build_p(shape).basis
+            for m in range(n + 1):
+                sizes: Counter = Counter()
+                box_sets = defaultdict(set)
+                for t in basis:
+                    left, right = tableaux.split_tableau(t, m)
+                    sizes[left.shape, right.shape] += 1
+                    box_sets[left.shape, right.shape].add(
+                        frozenset(k for k, v in enumerate(t.entries) if v <= m)
+                    )
+                blocks = restrict_p(shape, m)
+                assert blocks == sorted(sizes, key=lambda pair: (str(pair[0]), str(pair[1])))
+                for b, g in blocks:
+                    block_dim = build_p(b).dim * build_p(g).dim
+                    assert sizes[b, g] == len(box_sets[b, g]) * block_dim, (shape, m, b, g)
 
 
 def test_one_dim_quotients():
