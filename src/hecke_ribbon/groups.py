@@ -9,12 +9,14 @@ w(0) = -w(2) in type D.  Lengths are inv, inv+neg+nsp, and inv+nsp for
 types A, B, D respectively.
 
 Enumeration is by direct product (permutation times sign vector) under a
-configurable resource guard, and descent classes are found by scanning
-it.  The extremes of the descent class of J, w0(J) and w0 w0(S - J), are
-built without enumerating from ``parabolic_longest``.  ``left_actions``
-holds, per enumerated group, the index of every s_i w and whether s_i
-lowers w, for the tableau modules to read.  A kind other than A, B or D
-raises ``ValueError``.
+configurable resource guard, in window order.  Descent classes are the
+tuples of element indices with one descent set, found by scanning it
+once, so the elements of a band of classes come out in window order by
+sorting plain indices.  The extremes of the descent class of J, w0(J)
+and w0 w0(S - J), are built without enumerating from
+``parabolic_longest``.  ``left_actions`` holds, per enumerated group,
+the index of every s_i w and whether s_i lowers w, for the tableau
+modules to read.  A kind other than A, B or D raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -237,17 +239,22 @@ def enumerate_group(kind: str, n: int) -> tuple[GroupElement, ...]:
 
 
 @lru_cache(maxsize=None)
-def _descent_buckets(kind: str, n: int):
-    buckets: dict[frozenset[int], list[GroupElement]] = {}
-    for w in _enumerate(kind, n):
-        buckets.setdefault(descents(w), []).append(w)
-    return MappingProxyType({d: tuple(ws) for d, ws in buckets.items()})
+def _descent_buckets(kind: str, n: int) -> MappingProxyType[frozenset[int], tuple[int, ...]]:
+    """The indices into ``_enumerate(kind, n)`` by descent set, increasing
+    within each class; every class shares one descent-set object."""
+    buckets: dict[frozenset[int], list[int]] = {}
+    for g, w in enumerate(_enumerate(kind, n)):
+        buckets.setdefault(descents(w), []).append(g)
+    return MappingProxyType({d: tuple(gs) for d, gs in buckets.items()})
 
 
 def descent_buckets(kind: str, n: int) -> MappingProxyType[frozenset[int], tuple]:
-    """The group elements by descent set, as a read-only cached mapping."""
-    enumerate_group(kind, n)
-    return _descent_buckets(kind, n)
+    """The group elements by descent set, sorted by window within each
+    class, as a read-only mapping."""
+    elements = enumerate_group(kind, n)
+    return MappingProxyType(
+        {d: tuple(map(elements.__getitem__, gs)) for d, gs in _descent_buckets(kind, n).items()}
+    )
 
 
 @dataclass(frozen=True)
@@ -271,9 +278,9 @@ def _left_actions(kind: str, n: int) -> LeftActions:
     elements = _enumerate(kind, n)
     index = {w.window: g for g, w in enumerate(elements)}
     descents_of = [frozenset()] * len(elements)
-    for d, ws in _descent_buckets(kind, n).items():  # one shared set per descent class
-        for w in ws:
-            descents_of[index[w.window]] = d
+    for d, gs in _descent_buckets(kind, n).items():
+        for g in gs:
+            descents_of[g] = d
     # s_i w applies s_i to every entry of w's window; with each entry v
     # stored as the byte v + n (a byte for any n a group guard admits),
     # that is one bytes.translate per element
@@ -325,8 +332,8 @@ class DescentClass:
 def descent_class(kind: str, shape: Shape) -> DescentClass:
     if shape.kind != kind:
         raise ValueError(f"shape kind {shape.kind} does not match {kind}")
-    buckets = descent_buckets(kind, shape.size)
-    elements = buckets.get(descent_set(shape), ())
+    dset = descent_set(shape)
+    elements = band_elements(kind, shape.size, dset, dset)
     if not elements:
         raise ValueError(f"empty descent class for {shape}")
     by_len = sorted(elements, key=length)
@@ -343,11 +350,14 @@ def min_coset_reps(kind: str, shape: Shape) -> tuple[GroupElement, ...]:
 
 
 def band_elements(kind: str, n: int, lower: frozenset[int], upper: frozenset[int]):
-    """All w with lower <= D(w) <= upper, sorted by window."""
-    buckets = descent_buckets(kind, n)
-    out = [w for d, ws in buckets.items() if lower <= d <= upper for w in ws]
-    out.sort(key=lambda g: g.window)
-    return tuple(out)
+    """All w with lower <= D(w) <= upper, sorted by window.  The group is
+    enumerated in window order, so this is the order of the element
+    indices: the index tuples of the descent classes in the band are
+    merged by one integer sort, with no key."""
+    elements = enumerate_group(kind, n)
+    band = [g for d, gs in _descent_buckets(kind, n).items() if lower <= d <= upper for g in gs]
+    band.sort()
+    return tuple(map(elements.__getitem__, band))
 
 
 def parabolic_longest(kind: str, n: int, dset) -> GroupElement:

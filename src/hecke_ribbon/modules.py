@@ -37,7 +37,9 @@ shape's descent band, so the action of a bar generator is the left action
 of the group cut down to that band: T goes to -T when i is in D(w^-1),
 to the tableau of s_i w when D(s_i w) lies in the band, and to 0
 otherwise.  All of it is read off the group's memoised left action table
-(``groups.left_actions``), with no filling tested box by box.
+(``groups.left_actions``), with no filling tested box by box, and every
+single-entry column is taken from one table of unit columns that all
+tableau modules share.
 """
 
 from __future__ import annotations
@@ -152,6 +154,21 @@ class HeckeModule:
 # the defining actions
 
 
+# The columns ((j, -1),) and ((j, 1),), shared by every tableau module:
+# the table only grows, up to the largest dimension built, which the
+# tableau guard bounds.
+_UNIT_COLUMNS: tuple[list[Column], list[Column]] = ([], [])
+
+
+def _unit_columns(dim: int) -> tuple[list[Column], list[Column]]:
+    """The shared lists of columns ((j, -1),) and ((j, 1),), j < dim at least."""
+    minus, plus = _UNIT_COLUMNS
+    for j in range(len(plus), dim):
+        minus.append(((j, -1),))
+        plus.append(((j, 1),))
+    return _UNIT_COLUMNS
+
+
 @lru_cache(maxsize=None)
 def build_p(shape: Shape) -> HeckeModule:
     """The module on standard tableaux of a generalized shape.
@@ -163,8 +180,12 @@ def build_p(shape: Shape) -> HeckeModule:
     D(w^-1) of its word w, s_i T has the word s_i w, and it is standard
     exactly when D(s_i w) lies in ``descent_band(shape)``.  All three are
     read off the group's left action table (``groups.left_actions``).
-    Every in-band word goes through the basis index, so a standard
-    filling missing from the basis raises ``KeyError``.
+    A column is -T when i is in D(w^-1), else the basis vector of s_i w
+    when the basis holds that word; only a word missing from the basis
+    takes the band test, which gives 0 outside the band and raises
+    ``KeyError`` inside it, so a standard filling missing from the basis
+    is never read as 0.  The single-entry columns are shared by every
+    module (``_unit_columns``).
     """
     basis = tableaux.standard_tableaux(shape)
     kind, n = shape.kind, shape.size
@@ -172,18 +193,24 @@ def build_p(shape: Shape) -> HeckeModule:
     lower, upper = descent_band(shape)
     words = [table.index[t.entries] for t in basis]
     index_of = {g: j for j, g in enumerate(words)}
-    minus = [((j, -1),) for j in range(len(basis))]  # shared by every generator
-    plus = [((j, 1),) for j in range(len(basis))]
+    minus, plus = _unit_columns(len(words))
     descents = table.descents
+
+    def outside(h: int) -> Column:
+        if lower <= descents[h] <= upper:
+            word = groups.enumerate_group(kind, n)[h]
+            raise KeyError(f"the standard word {word} is not in the basis")
+        return ()
+
     gens = {}
     for i in positions(kind, n):
         step, lowers = table.step[i], table.lowers[i]
         gens[i] = tuple([
             minus[j]
             if lowers[g]
-            else plus[index_of[h]]
-            if lower <= descents[h := step[g]] <= upper
-            else ()
+            else plus[k]
+            if (k := index_of.get(step[g])) is not None
+            else outside(step[g])
             for j, g in enumerate(words)
         ])
     return HeckeModule(kind, n, basis, gens, shape)

@@ -519,7 +519,7 @@ def q_ribbon(parts: Parts, method: str = "det") -> QPoly:
     if method == "brute":
         dset = parts_descents(parts)
         out = QPoly()
-        for w in groups.descent_buckets("A", n).get(dset, ()):
+        for w in groups.band_elements("A", n, dset, dset):
             out = out + QPoly.q(groups.inv_count(w))
         return out
     if method == "ie":

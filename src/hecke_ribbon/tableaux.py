@@ -12,7 +12,9 @@ the group elements whose descent set lies in the band between the
 triangle-gluing and dot-gluing descent sets of the shape.  So s_i T, the
 filling whose reading word is s_i w(T), is standard exactly when the
 descent set of s_i w(T) lies in that band; ``modules.build_p`` reads the
-tableau action off this band rule.  Semistandard fillings are
+tableau action off this band rule.  A ``Tableau`` is a frozen
+dataclass with slots; the enumerated bases skip its constructor.
+Semistandard fillings are
 enumerated as words whose consecutive letters follow the weak/strict
 pattern the diagram prescribes (``pattern_words``).
 """
@@ -37,9 +39,11 @@ from .shapes import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tableau:
-    """A shape together with one entry per box, in reading order."""
+    """A shape together with one entry per box, in reading order: an
+    immutable value with slots.  Enumerated bases come from ``_make``,
+    which skips the dataclass ``__init__``."""
 
     shape: Shape
     entries: tuple[int, ...]
@@ -50,6 +54,17 @@ class Tableau:
 
     def __str__(self) -> str:
         return format_tableau(self)
+
+
+_set_shape, _set_entries = Tableau.shape.__set__, Tableau.entries.__set__
+
+
+def _make(shape: Shape, entries: tuple[int, ...]) -> Tableau:
+    """A Tableau of a shape and a reading word, built unchecked."""
+    t = object.__new__(Tableau)
+    _set_shape(t, shape)
+    _set_entries(t, entries)
+    return t
 
 
 def reading_word(t: Tableau) -> groups.GroupElement:
@@ -105,8 +120,7 @@ def standard_tableaux(shape: Shape) -> tuple[Tableau, ...]:
     lower, upper = descent_band(shape)
     words = groups.band_elements(shape.kind, shape.size, lower, upper)
     groups.guard(len(words), f"standard tableaux of {shape}", groups.tableau_limit())
-    out = tuple(Tableau(shape, w.window) for w in words)
-    return out
+    return tuple([_make(shape, w.window) for w in words])
 
 
 def tableau_descents(t: Tableau) -> frozenset[int]:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -188,6 +189,46 @@ def test_descent_buckets_are_read_only():
     buckets = groups.descent_buckets("A", 3)
     with pytest.raises(TypeError):
         buckets[frozenset()] = ()
+
+
+def test_enumerate_group_is_in_window_order():
+    """``band_elements`` merges descent classes by sorting element
+    indices, which is window order only because the group is enumerated
+    in window order."""
+    for kind, top in (("A", 7), ("B", 5), ("D", 5)):
+        for n in range(2 if kind == "D" else 0, top + 1):
+            windows = [w.window for w in enumerate_group(kind, n)]
+            assert windows == sorted(windows), (kind, n)
+            assert len(set(windows)) == group_order(kind, n)
+
+
+@functools.cache
+def _with_descents(kind, n):
+    return [(w, descents(w)) for w in enumerate_group(kind, n)]
+
+
+def _brute_band(kind, n, lower, upper):
+    return tuple(w for w, d in _with_descents(kind, n) if lower <= d <= upper)
+
+
+def test_band_elements_match_a_brute_filter():
+    """Every band lower <= upper of generator indices at n <= 4, and the
+    descent band of every generalized shape of size <= 5."""
+    for kind in shapes.KINDS:
+        for n in range(2 if kind == "D" else 0, 5):
+            pos = list(shapes.positions(kind, n))
+            subsets = [
+                frozenset(c) for k in range(len(pos) + 1) for c in itertools.combinations(pos, k)
+            ]
+            for upper in subsets:
+                for lower in (d for d in subsets if d <= upper):
+                    got = groups.band_elements(kind, n, lower, upper)
+                    assert got == _brute_band(kind, n, lower, upper), (kind, n, lower, upper)
+        for n in range(2 if kind == "D" else 1, 6):
+            for shape in shapes.enumerate_generalized(n, kind, n):
+                lower, upper = shapes.descent_band(shape)
+                got = groups.band_elements(kind, n, lower, upper)
+                assert got == _brute_band(kind, n, lower, upper), shape
 
 
 def test_diagram_automorphism_is_read_only():

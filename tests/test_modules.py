@@ -236,6 +236,40 @@ def test_build_p_is_read_only():
     assert build_p(composition((2, 1, 1))).gens == gens
 
 
+def test_tableau_modules_share_their_unit_columns():
+    """Every single-entry column of a tableau module comes from one shared
+    table, so equal columns of two modules are one object."""
+    small, large = build_p(composition((2, 1, 1))), build_p(pseudo_composition((1, 2), "B"))
+    other = build_p(Shape("A", ((2,), (1, 2))))
+    seen = {col: col for m in small.gens.values() for col in m if col}
+    shared = 0
+    for module in (large, other):
+        for m in module.gens.values():
+            for col in m:
+                if col in seen:
+                    assert col is seen[col]
+                    shared += 1
+    assert shared
+
+
+def test_build_p_does_not_depend_on_the_order_modules_are_built(monkeypatch):
+    """The shared column table grows with the largest module built; from
+    an empty table, small-then-large and large-then-small give the same
+    matrices."""
+    order = [composition((1, 2)), Shape("A", ((2, 2), (1,))), pseudo_composition((0, 2, 1), "D")]
+    runs = []
+    try:
+        for shapes_in_order in (order, order[::-1]):
+            monkeypatch.setattr(modules, "_UNIT_COLUMNS", ([], []))
+            build_p.cache_clear()
+            runs.append({s: dict(build_p(s).gens) for s in shapes_in_order})
+            assert len(modules._UNIT_COLUMNS[1]) == max(build_p(s).dim for s in order)
+    finally:
+        monkeypatch.undo()
+        build_p.cache_clear()
+    assert runs[0] == runs[1]
+
+
 def test_action_sparsity_and_cyclicity():
     for shape in all_single("B", 3):
         module = build_p(shape)

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import tracemalloc
 from itertools import product as cartesian
 
@@ -68,6 +70,26 @@ def test_displayed_signed_tableaux_round_trip():
     assert format_tableau(t) == "-7/-5/-4,-1,6/0*,2,3"
     assert parse_tableau(format_tableau(t), shape) == t
     assert is_standard(pseudo_composition((0, 2, 3, 1, 1)), (-6, 5, -4, 1, 7, 2, -3))
+
+
+def test_tableaux_are_slotted_values():
+    """Enumerated tableaux skip the dataclass constructor and are still
+    equal, hashable, replaceable and picklable like constructed ones."""
+    shape = composition((2, 1, 2))
+    t = standard_tableaux(shape)[1]
+    built = Tableau(shape, t.entries)
+    assert not hasattr(t, "__dict__") and not hasattr(built, "__dict__")
+    assert type(t) is Tableau and t == built and hash(t) == hash(built)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.entries = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del t.shape
+    with pytest.raises((AttributeError, TypeError)):  # TypeError from the dataclass of Python 3.11
+        t.extra = 1
+    other = dataclasses.replace(t, entries=standard_tableaux(shape)[0].entries)
+    assert other == standard_tableaux(shape)[0] and other != t
+    assert pickle.loads(pickle.dumps(t)) == t
+    assert len({t, built, other}) == 2
 
 
 def test_tau_extremes_match_class_scan():
