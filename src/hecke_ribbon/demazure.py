@@ -36,7 +36,7 @@ from .shapes import (
 Monomial = tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, init=False)
 class Poly:
     """A sparse multivariate polynomial with integer coefficients: its
     nonzero terms on exponent vectors of length n, sorted.  The
@@ -44,6 +44,7 @@ class Poly:
     coefficient; ``ValueError`` otherwise), sums equal monomials and
     drops zeros; results come from ``_make`` unchecked."""
 
+    __slots__ = ("n", "terms")
     n: int
     terms: tuple[tuple[Monomial, int], ...]
 
@@ -108,6 +109,9 @@ class Poly:
 
     def __str__(self) -> str:
         return format_poly(self)
+
+    def __reduce__(self):
+        return _make, (self.n, self.terms)
 
 
 _set_n, _set_terms = Poly.n.__set__, Poly.terms.__set__

@@ -9,11 +9,11 @@ w(0) = -w(2) in type D.  Lengths are inv, inv+neg+nsp, and inv+nsp for
 types A, B, D respectively.
 
 Enumeration is by direct product (permutation times sign vector) under a
-configurable resource guard, in window order.  Descent classes are the
-tuples of element indices with one descent set, found by scanning it
-once, so the elements of a band of classes come out in window order by
-sorting plain indices.  The extremes of the descent class of J, w0(J)
-and w0 w0(S - J), are built without enumerating from
+configurable resource guard, in window order.  ``_descent_buckets`` maps
+each descent set to the tuple of its element indices, read-only, from
+one scan of the group, so the elements of a band of classes come out in
+window order by sorting plain indices.  The extremes of the descent
+class of J, w0(J) and w0 w0(S - J), are built without enumerating from
 ``parabolic_longest``.  ``left_actions`` holds, per enumerated group,
 the index of every s_i w and whether s_i lowers w, for the tableau
 modules to read.  A kind other than A, B or D raises ``ValueError``.
@@ -246,15 +246,6 @@ def _descent_buckets(kind: str, n: int) -> MappingProxyType[frozenset[int], tupl
     for g, w in enumerate(_enumerate(kind, n)):
         buckets.setdefault(descents(w), []).append(g)
     return MappingProxyType({d: tuple(gs) for d, gs in buckets.items()})
-
-
-def descent_buckets(kind: str, n: int) -> MappingProxyType[frozenset[int], tuple]:
-    """The group elements by descent set, sorted by window within each
-    class, as a read-only mapping."""
-    elements = enumerate_group(kind, n)
-    return MappingProxyType(
-        {d: tuple(map(elements.__getitem__, gs)) for d, gs in _descent_buckets(kind, n).items()}
-    )
 
 
 @dataclass(frozen=True)

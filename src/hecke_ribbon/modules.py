@@ -2,14 +2,12 @@
 
 A module stores one square matrix per generator index, acting on the
 basis from the left; columns index source basis vectors, and a column
-lists its nonzero entries (row, value) by increasing row.  The defining
-generator matrices of the tableau modules send each basis vector to
-minus itself, to zero, or to another basis vector: every column has at
-most one entry, and it is 1 or -1.  Products of such matrices keep this
-property, so ``check_relations`` composes them as signed index maps, and
-``mat_mul`` takes a single-entry column of its right factor as a column
-of its left factor, scaled by the entry; only twisted matrices, with
-two-entry columns, go through the general sum.
+lists its nonzero entries (row, value) by increasing row.  Every column
+of a tableau module has at most one entry, 1 or -1, and products keep
+this: ``check_relations`` composes such matrices as signed index maps,
+and ``mat_mul`` takes a single-entry column as a scaled column of its
+left factor; only twisted matrices, with two-entry columns, go through
+the general sum.
 
 The main constructions: build_p (standard tableaux of a generalized
 shape), build_m (the same with the ribbon's rows pulled apart), build_c
@@ -18,9 +16,11 @@ decomposition over the bracket set, restriction certificates, twists by
 the two algebra automorphisms, and one-dimensional quotients computed by
 an exact linear solve.  Restriction to S_m x S_(n-m) keeps the set of
 boxes that hold the values <= m, so each such box set is one block,
-cut into its two subshapes once.  The restriction and quotient
-certificates compare single-entry columns directly and sort only
-columns of several entries (twisted modules, modules read from JSON).
+cut into its two subshapes once.  Every block, quotient and polynomial
+model is checked as a basis map that intertwines two actions
+(``_intertwining_failures``): each row and column of a block's table
+of pairs, the relabeled projection onto a quotient layer, the bijection
+onto the polynomial model.
 
 Both filtrations rest on one rule.  Grade the basis: by the rank of the
 reading-word descent set, or by length above a cyclic generator.  The
@@ -31,15 +31,10 @@ layer keeps the rows of equal grade.  The descents of a tableau T, which
 label the length quotients, are those of w(T)^-1 in every type
 (``tableaux.tableau_descents``).
 
-build_p is one rule in all three types.  The reading words of the
-standard tableaux of a shape are the group elements w with D(w) in the
-shape's descent band, so the action of a bar generator is the left action
-of the group cut down to that band: T goes to -T when i is in D(w^-1),
-to the tableau of s_i w when D(s_i w) lies in the band, and to 0
-otherwise.  All of it is read off the group's memoised left action table
-(``groups.left_actions``), with no filling tested box by box, and every
-single-entry column is taken from one table of unit columns that all
-tableau modules share.
+build_p is one rule in all three types: the left action of the group on
+reading words, cut down to the shape's descent band and read off the
+memoised left action table (``groups.left_actions``), with no filling
+tested box by box.
 """
 
 from __future__ import annotations
@@ -314,6 +309,31 @@ def check_relations(module: HeckeModule) -> list[str]:
     return _relation_violations(module.kind, module.gens, mat_mul, mat_neg)
 
 
+def _intertwining_failures(gens: Mapping[int, Mat], target_gens: Mapping[int, Mat], phi, columns, sigma=None):
+    """Yield (i, j), i in sorted order and j in ``columns``, wherever
+    phi(M_i e_j) != M'_sigma(i) phi(e_j): phi sends e_r to e_phi[r], or to 0
+    when phi[r] is None (never for r in ``columns``), injectively.  Only a
+    column of several entries is sorted.  A row outside the basis raises
+    ``IndexError`` (``KeyError`` from a dict phi) and never wraps around."""
+    for i in sorted(gens):
+        cols, target_cols = gens[i], target_gens[i if sigma is None else sigma[i]]
+        for j in columns:
+            col = cols[j]
+            if len(col) == 1:
+                r, v = col[0]
+                if r < 0:
+                    raise IndexError(f"row {r} outside the basis")
+                carried = () if (k := phi[r]) is None else ((k, v),)
+            elif col:  # several entries: a twisted module, or one read from JSON
+                if min(col)[0] < 0:
+                    raise IndexError(f"row {min(col)[0]} outside the basis")
+                carried = tuple(sorted([(phi[r], v) for r, v in col if phi[r] is not None]))
+            else:
+                carried = ()
+            if carried != target_cols[phi[j]]:
+                yield i, j
+
+
 # ---------------------------------------------------------------------------
 # filtrations
 
@@ -330,12 +350,13 @@ class Filtration:
 
 def _check_graded(module: HeckeModule, grade: list[int], name: str) -> tuple[tuple[int, ...], ...]:
     """Certify that no generator maps a basis vector to one of lower grade,
-    and return the layers {j : grade[j] >= t}, t = 0, 1, ..., max(grade):
-    they span submodules exactly when that holds."""
+    or outside the basis, and return the layers {j : grade[j] >= t}, t = 0,
+    1, ..., max(grade): they span submodules exactly when that holds."""
+    dim = len(grade)
     for i in module.generator_indices():
         for j, col in enumerate(module.gens[i]):
             for r, _ in col:
-                if grade[r] < grade[j]:
+                if not 0 <= r < dim or grade[r] < grade[j]:
                     raise CertificationError(
                         f"{name} layer {grade[j]}: generator {i} maps basis {j} outside the layer"
                     )
@@ -364,32 +385,22 @@ def filtration_by_descent(module: HeckeModule) -> Filtration:
 
 def _certify_quotient(module: HeckeModule, quotient: list[int], grade: list[int], label: Shape):
     """The induced action on a quotient layer, the rows of equal grade, must
-    equal the module of the label shape under the reading-word relabeling."""
+    equal the module of the label shape under the reading-word relabeling:
+    the projection onto the layer, relabeled, intertwines."""
     target = build_p(label)
     word_to_target = {t.entries: j for j, t in enumerate(target.basis)}
-    relabel = {}
+    phi: list[int | None] = [None] * module.dim
     for j in quotient:
-        entries = module.basis[j].entries
-        if entries not in word_to_target:
-            raise CertificationError(f"quotient word {entries} missing from {label}")
-        relabel[j] = word_to_target[entries]
-    if len(relabel) != target.dim:
-        raise CertificationError(
-            f"quotient of size {len(relabel)} does not match dim {target.dim} of {label}"
-        )
-    for i in module.generator_indices():
-        cols, target_cols = module.gens[i], target.gens[i]
-        for j in quotient:
-            col, g = cols[j], grade[j]
-            if len(col) == 1:
-                r, v = col[0]
-                induced = ((relabel[r], v),) if grade[r] == g else ()
-            else:  # () or, in a module read from JSON, several entries
-                induced = tuple(sorted([(relabel[r], v) for r, v in col if grade[r] == g]))
-            if induced != target_cols[relabel[j]]:
-                raise CertificationError(
-                    f"quotient action mismatch for {label} at generator {i}, basis {j}"
-                )
+        phi[j] = word_to_target.get(module.basis[j].entries)
+        if phi[j] is None:
+            raise CertificationError(f"quotient word {module.basis[j].entries} missing from {label}")
+    if len(quotient) != target.dim:
+        raise CertificationError(f"quotient of size {len(quotient)} does not match dim {target.dim} of {label}")
+    try:
+        for i, j in _intertwining_failures(module.gens, target.gens, phi, quotient):
+            raise CertificationError(f"quotient action mismatch for {label} at generator {i}, basis {j}")
+    except IndexError:
+        raise CertificationError(f"quotient of {label} maps a basis vector outside the basis") from None
 
 
 def length_filtration(module: HeckeModule, generator_index: int) -> Filtration:
@@ -454,37 +465,28 @@ def restrict_p(shape: Shape, m: int) -> list[tuple[Shape, Shape]]:
         members[tuple([entries[k] for k in lorder]), tuple([entries[k] - m for k in rorder])] = j
     for bshape, _, gshape, _, members in blocks.values():
         left_mod, right_mod = build_p(bshape), build_p(gshape)
-        if len(members) != left_mod.dim * right_mod.dim:
+        rows, cols = range(left_mod.dim), range(right_mod.dim)
+        if len(members) != len(rows) * len(cols):
             raise CertificationError(
-                f"block ({bshape}, {gshape}) has {len(members)} tableaux, "
-                f"expected {left_mod.dim * right_mod.dim}"
+                f"block ({bshape}, {gshape}) has {len(members)} tableaux, expected {len(rows) * len(cols)}"
             )
         left_index = {t.entries: a for a, t in enumerate(left_mod.basis)}
         right_index = {t.entries: b for b, t in enumerate(right_mod.basis)}
-        by_pair = {(left_index[le], right_index[re]): j for (le, re), j in members.items()}
-        sides = [
-            (i, module.gens[i], left_mod.gens[i] if i < m else right_mod.gens[i - m], i < m)
-            for i in module.generator_indices()
-            if i != m
-        ]
-        try:  # the column of (a, b): that of a carried to the pairs (a', b), or of b to (a, b')
-            for (a, b), j in by_pair.items():
-                for i, cols, sub_cols, on_left in sides:
-                    sub = sub_cols[a] if on_left else sub_cols[b]
-                    if len(sub) == 1:
-                        r, v = sub[0]
-                        expected = ((by_pair[(r, b) if on_left else (a, r)], v),)
-                    elif sub:  # several entries: only in a twisted module
-                        lifted = [(by_pair[(r, b) if on_left else (a, r)], v) for r, v in sub]
-                        expected = tuple(sorted(lifted))
-                    else:
-                        expected = ()
-                    if cols[j] != expected:
+        pair = [[0] * len(cols) for _ in rows]
+        for (le, re), j in members.items():
+            pair[left_index[le]][right_index[re]] = j
+        # column b of the table carries the left module, row a the right one past m
+        shift = {i: i + m for i in right_mod.gens}
+        sides = [(left_mod.gens, rows, zip(*pair), None), (right_mod.gens, cols, pair, shift)]
+        try:
+            for gens, columns, slices, sigma in sides:
+                for phi in slices if gens else ():
+                    for i, a in _intertwining_failures(gens, module.gens, phi, columns, sigma):
                         raise CertificationError(
                             f"restriction mismatch at block ({bshape}, {gshape}), "
-                            f"generator {i}, basis {j}"
+                            f"generator {i if sigma is None else sigma[i]}, basis {phi[a]}"
                         )
-        except KeyError:
+        except IndexError:
             raise CertificationError("restriction block is not closed under the action") from None
     pairs = {(bshape, gshape) for bshape, _, gshape, _, _ in blocks.values()}
     return sorted(pairs, key=lambda pair: (str(pair[0]), str(pair[1])))
@@ -556,16 +558,13 @@ def intertwiner_check(
     sigma = index_map or {i: i for i in module1.gens}
     if mode not in ("direct", "antidirect"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "direct":
+        failures = _intertwining_failures(module1.gens, module2.gens, candidate, range(module1.dim), sigma)
+        return [f"direct intertwiner fails at generator {i}, basis {j}" for i, j in failures]
     report = []
     for i in module1.generator_indices():
         m1 = module1.gens[i]
         m2 = module2.gens[sigma[i]]
-        if mode == "direct":
-            for j in range(module1.dim):
-                mapped = tuple(sorted((candidate[r], v) for r, v in m1[j]))
-                if mapped != m2[candidate[j]]:
-                    report.append(f"direct intertwiner fails at generator {i}, basis {j}")
-            continue
         # arrow reversal: each arrow j -> k turns into candidate[k] ->
         # candidate[j]; a loop or kill not touched by an arrow swaps to a
         # kill or loop, while arrow endpoints have their loops forced by

@@ -39,14 +39,19 @@ from .shapes import (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Tableau:
     """A shape together with one entry per box, in reading order: an
-    immutable value with slots.  Enumerated bases come from ``_make``,
-    which skips the dataclass ``__init__``."""
+    immutable value with slots (declared here: the class that
+    ``dataclass(slots=True)`` makes breaks the frozen ``__setattr__`` on
+    Python 3.11).  Enumerated bases come from ``_make``, unchecked."""
 
+    __slots__ = ("shape", "entries")
     shape: Shape
     entries: tuple[int, ...]
+
+    def __reduce__(self):
+        return Tableau, (self.shape, self.entries)
 
     @property
     def n(self) -> int:

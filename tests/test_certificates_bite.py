@@ -243,18 +243,40 @@ def test_restriction_checks_blocks_with_equal_subshapes(monkeypatch):
 
 def test_restriction_reports_an_image_outside_its_block(monkeypatch):
     """A column of a smaller module with a row outside that module's basis
-    has no pair in the block to be carried to."""
-    build_p, left = modules.build_p, shapes.composition((2,))
+    has no pair in the block to be carried to: a row past the end, and a
+    row -1 in place of the last row, which must not be read as the last.
+    The blocks of P_[2]+[2] at m = 2 that hold 1 and 2 in different rows
+    are P_[1]+[1] on both sides, planted at its last column."""
+    build_p, half = modules.build_p, shapes.Shape("A", ((1,), (1,)))
+    assert (half, half) in modules.restrict_p(SHAPE_22, 2)
+    module = build_p(half)
+    last = module.dim - 1
+    assert module.gens[1][last] == ((last, -1),)
+    for row in (module.dim, -1):
+        planted = _with_column(module, 1, last, ((row, -1),))
+        with monkeypatch.context() as patch:
+            patch.setattr(modules, "build_p", lambda shape: planted if shape == half else build_p(shape))
+            with pytest.raises(modules.CertificationError, match="not closed under the action"):
+                modules.restrict_p(SHAPE_22, 2)
 
-    def wrong(shape):
-        module = build_p(shape)
-        if shape != left:
-            return module
-        return _with_column(module, 1, 0, ((module.dim, 1),))
 
-    monkeypatch.setattr(modules, "build_p", wrong)
-    with pytest.raises(modules.CertificationError, match="not closed under the action"):
-        modules.restrict_p(SHAPE_22, 2)
+def test_quotient_reports_a_row_outside_the_basis():
+    """A quotient column with a row outside the module's basis raises
+    CertificationError, not a lookup error: a row past the end, and a row
+    -1 in place of the last row, which must not be read as the last.  The
+    graded rule, run first by the filtration, rejects both as well."""
+    module = modules.build_p(SHAPE_22)
+    top = module.dim - 1
+    assert module.gens[2][top] == ((top, -1),)
+    filtration = modules.filtration_by_descent(module)
+    grade = [sum(j in layer for layer in filtration.layers) - 1 for j in range(module.dim)]
+    quotient = [j for j, g in enumerate(grade) if g == grade[top]]
+    for row in (module.dim, -1):
+        planted = _with_column(module, 2, top, ((row, -1),))
+        with pytest.raises(modules.CertificationError, match="outside the basis"):
+            modules._certify_quotient(planted, quotient, grade, filtration.labels[grade[top]])
+        with pytest.raises(modules.CertificationError, match="outside the layer"):
+            modules.filtration_by_descent(planted)
 
 
 def test_coproduct_routes_leave_the_label_memo_empty():

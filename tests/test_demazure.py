@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 from itertools import product as cartesian
 
 import pytest
@@ -184,6 +186,23 @@ def test_poly_constructor_normalises_and_validates():
     for combine in (f.__add__, f.__sub__, f.__mul__):
         with pytest.raises(ValueError):
             combine(g)
+
+
+def test_polys_are_slotted_values():
+    """Poly is frozen like tableaux.Tableau: a new name, a field and a
+    deletion all raise FrozenInstanceError, and results built unchecked by
+    ``_make`` still replace, hash and pickle like constructed ones."""
+    f = Poly.one(2)
+    assert not hasattr(f, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.foo = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.n = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del f.terms
+    g = -parse_poly("x1 - x2", 2)
+    assert pickle.loads(pickle.dumps(g)) == g and hash(pickle.loads(pickle.dumps(g))) == hash(g)
+    assert dataclasses.replace(g, terms=f.terms) == f
 
 
 def test_poly_is_an_immutable_value():

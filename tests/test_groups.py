@@ -186,7 +186,7 @@ def test_validate():
 
 
 def test_descent_buckets_are_read_only():
-    buckets = groups.descent_buckets("A", 3)
+    buckets = groups._descent_buckets("A", 3)
     with pytest.raises(TypeError):
         buckets[frozenset()] = ()
 

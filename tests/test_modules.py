@@ -5,7 +5,7 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hecke_ribbon import groups, modules, shapes, tableaux
+from hecke_ribbon import groups, linalg, modules, shapes, tableaux
 from hecke_ribbon.modules import (
     CertificationError,
     build_c,
@@ -192,6 +192,99 @@ def test_signed_maps_give_the_violations_of_mat_mul(case):
     assert all(m is not None for m in signed.values())
     fast = modules._relation_violations(kind, signed, modules._compose, modules._negate)
     assert fast == modules._relation_violations(kind, gens, mat_mul, modules.mat_neg)
+
+
+INTERTWINING_SHAPES = [
+    shape
+    for kind, n in (("A", 4), ("B", 3), ("D", 3))
+    for shape in shapes.enumerate_generalized(n, kind, 2)
+]
+
+
+def _intertwining_case(rng_choice, rng_bool, rng_shuffle):
+    """A source tableau module (theta-twisted or not), an injective partial
+    map phi (a relabeling, None on the rows it projects away), a
+    permutation sigma of the generator indices, and the target that phi
+    makes intertwine: column phi[j] of M'_sigma(i) is column j of M_i
+    carried and projected.  One source column is then planted with a
+    random column half of the time."""
+    shape = rng_choice(INTERTWINING_SHAPES)
+    module = build_p(shape)
+    if rng_bool():
+        module = twist(module, "theta")
+    dim, idx = module.dim, sorted(module.gens)
+    order, images = list(range(dim)), list(idx)
+    rng_shuffle(order)
+    rng_shuffle(images)
+    phi = [k if rng_bool() else None for k in order]
+    columns = [j for j in range(dim) if phi[j] is not None]
+    sigma = dict(zip(idx, images))
+    target_gens = {}
+    for i in idx:
+        cols = [None] * dim
+        for j, col in enumerate(module.gens[i]):
+            keep = j in columns
+            cols[order[j]] = tuple(sorted((order[r], v) for r, v in col if not keep or phi[r] is not None))
+        target_gens[sigma[i]] = tuple(cols)
+    gens, planted = dict(module.gens), rng_bool()
+    if planted:
+        i, j = rng_choice(idx), rng_choice(columns if columns and rng_bool() else range(dim))
+        rows = sorted({rng_choice(range(dim)) for _ in range(rng_choice((0, 1, 1, 2)))})
+        gens[i] = gens[i][:j] + (tuple((r, rng_choice((1, -1))) for r in rows),) + gens[i][j + 1 :]
+    return (gens, target_gens, phi, columns, sigma), planted
+
+
+def _dense_failures(gens, target_gens, phi, columns, sigma):
+    """The (i, j) where column j of T M_i and of M'_sigma(i) T differ, T the
+    0/1 matrix of phi, all as dense matrices."""
+    dim = len(phi)
+    t = mat_to_dense(tuple(() if k is None else ((k, 1),) for k in phi), dim)
+    out = []
+    for i in sorted(gens):
+        left = linalg.mat_mul_rows(t, mat_to_dense(gens[i], dim))
+        right = linalg.mat_mul_rows(mat_to_dense(target_gens[sigma[i]], dim), t)
+        out += [(i, j) for j in columns if [row[j] for row in left] != [row[j] for row in right]]
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_intertwining_failures_match_dense_products(data):
+    draw = data.draw
+    case, planted = _intertwining_case(
+        lambda seq: draw(st.sampled_from(list(seq))),
+        lambda: draw(st.booleans()),
+        lambda seq: seq.__setitem__(slice(None), draw(st.permutations(seq))),
+    )
+    failures = list(modules._intertwining_failures(*case))
+    assert failures == _dense_failures(*case)
+    assert planted or not failures
+
+
+def test_a_planted_column_bites_about_half_the_time():
+    """A planted column may repeat the true one, sit outside the columns
+    phi keeps or differ only on rows phi projects away; it still bites in
+    about half the cases, so the reference test sees both outcomes."""
+    rng = random.Random(20)
+    bites = []
+    for _ in range(400):
+        case, planted = _intertwining_case(rng.choice, lambda: rng.random() < 0.5, rng.shuffle)
+        if planted:
+            bites.append(bool(list(modules._intertwining_failures(*case))))
+    assert 0.3 < sum(bites) / len(bites) < 0.7, sum(bites) / len(bites)
+
+
+def test_intertwining_failures_reject_rows_outside_the_basis():
+    """A carried row outside [0, len(phi)) raises: a row -1 is never read
+    as the last row, in a single-entry or a several-entry column."""
+    target = {1: (((1, 1),), ((1, -1),))}
+    assert list(modules._intertwining_failures(target, target, [0, 1], range(2))) == []
+    for col in (((-1, 1),), ((2, 1),), ((-1, -1), (0, 1)), ((0, 1), (2, 1))):
+        gens = {1: (col, ((1, -1),))}
+        with pytest.raises(IndexError):
+            list(modules._intertwining_failures(gens, target, [0, 1], range(2)))
+        with pytest.raises(LookupError):
+            list(modules._intertwining_failures(gens, target, {0: 0, 1: 1}, range(2)))
 
 
 def test_check_relations_takes_the_path_its_matrices_allow(monkeypatch):
