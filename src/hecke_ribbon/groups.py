@@ -11,12 +11,14 @@ types A, B, D respectively.
 Enumeration is by direct product (permutation times sign vector) under a
 configurable resource guard, in window order.  ``_descent_buckets`` maps
 each descent set to the tuple of its element indices, read-only, from
-one scan of the group, so the elements of a band of classes come out in
-window order by sorting plain indices.  The extremes of the descent
-class of J, w0(J) and w0 w0(S - J), are built without enumerating from
-``parabolic_longest``.  ``left_actions`` holds, per enumerated group,
-the index of every s_i w and whether s_i lowers w, for the tableau
-modules to read.  A kind other than A, B or D raises ``ValueError``.
+one scan of the group, so the indices of a band of classes
+(``band_indices``) come out in window order by sorting plain integers.
+The extremes of the descent class of J, w0(J) and w0 w0(S - J), are
+built without enumerating from ``parabolic_longest``.  ``left_actions``
+holds, per enumerated group and by element index, every s_i w, whether
+s_i lowers w, the length found by breadth-first search and D(w^-1): the
+table the tableau modules, the characteristics and the q-identities
+read.  A kind other than A, B or D raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import factorial
 from types import MappingProxyType
 
@@ -255,13 +257,18 @@ class LeftActions:
     window back to g, and ``descents[g]`` is its descent set D(w).  For a
     generator index i, ``step[i][g]`` is the index of s_i w and
     ``lowers[i][g]`` tells whether i is in D(w^-1), that is, whether s_i w
-    is shorter than w.  Read-only: every field is a tuple or a read-only
-    mapping."""
+    is shorter than w.  ``lengths[g]`` is the length of w, found by
+    breadth-first search along the steps from the identity (not by the
+    inv/neg/nsp formula of ``length``), and ``inverse_descents[g]`` is
+    D(w^-1) = {i : lowers[i][g]}, one shared frozenset per distinct set.
+    Read-only: every field is a tuple or a read-only mapping."""
 
     index: MappingProxyType[tuple[int, ...], int]
     descents: tuple[frozenset[int], ...]
     step: MappingProxyType[int, tuple[int, ...]]
     lowers: MappingProxyType[int, tuple[bool, ...]]
+    lengths: tuple[int, ...]
+    inverse_descents: tuple[frozenset[int], ...]
 
 
 @lru_cache(maxsize=None)
@@ -297,8 +304,20 @@ def _left_actions(kind: str, n: int) -> LeftActions:
                     length[h] = length[g] + 1
                     layer.append(h)
     lowers = {i: tuple([length[h] < ell for h, ell in zip(moves, length)]) for i, moves in step.items()}
+    # D(w^-1) is the pattern of w's entries across the lowers rows: each
+    # distinct pattern is made a set once, and the patterns are streamed
+    # twice rather than held; with no generators the one element has D = {}
+    sets = dict.fromkeys(zip(*lowers.values()))
+    for pattern in sets:
+        sets[pattern] = frozenset(i for i, low in zip(lowers, pattern) if low)
+    inverse_descents = tuple(map(sets.__getitem__, zip(*lowers.values()))) or (frozenset(),)
     return LeftActions(
-        MappingProxyType(index), tuple(descents_of), MappingProxyType(step), MappingProxyType(lowers)
+        MappingProxyType(index),
+        tuple(descents_of),
+        MappingProxyType(step),
+        MappingProxyType(lowers),
+        tuple(length),
+        inverse_descents,
     )
 
 
@@ -340,15 +359,22 @@ def min_coset_reps(kind: str, shape: Shape) -> tuple[GroupElement, ...]:
     return band_elements(kind, shape.size, frozenset(), descent_set(shape))
 
 
-def band_elements(kind: str, n: int, lower: frozenset[int], upper: frozenset[int]):
-    """All w with lower <= D(w) <= upper, sorted by window.  The group is
-    enumerated in window order, so this is the order of the element
-    indices: the index tuples of the descent classes in the band are
-    merged by one integer sort, with no key."""
-    elements = enumerate_group(kind, n)
-    band = [g for d, gs in _descent_buckets(kind, n).items() if lower <= d <= upper for g in gs]
+def band_indices(kind: str, n: int, lower: frozenset[int], upper: frozenset[int]) -> tuple[int, ...]:
+    """The indices into ``enumerate_group(kind, n)`` of all w with lower
+    <= D(w) <= upper, increasing, within the group guard.  The group is
+    enumerated in window order, so this is window order: the index tuples
+    of the descent classes in the band are merged by one integer sort,
+    with no key."""
+    enumerate_group(kind, n)
+    band = list(chain.from_iterable(gs for d, gs in _descent_buckets(kind, n).items() if lower <= d <= upper))
     band.sort()
-    return tuple(map(elements.__getitem__, band))
+    return tuple(band)
+
+
+def band_elements(kind: str, n: int, lower: frozenset[int], upper: frozenset[int]):
+    """All w with lower <= D(w) <= upper, sorted by window: the elements
+    at ``band_indices``."""
+    return tuple(map(_enumerate(kind, n).__getitem__, band_indices(kind, n, lower, upper)))
 
 
 def parabolic_longest(kind: str, n: int, dset) -> GroupElement:

@@ -29,7 +29,8 @@ generator maps a basis vector to one of lower grade, which
 ``_check_graded`` certifies in one pass over the columns; a quotient
 layer keeps the rows of equal grade.  The descents of a tableau T, which
 label the length quotients, are those of w(T)^-1 in every type
-(``tableaux.tableau_descents``).
+(``tableaux.tableau_descents``); lengths and these descents are read off
+the group's table (``groups.left_actions``) by the index of w(T).
 
 build_p is one rule in all three types: the left action of the group on
 reading words, cut down to the shape's descent band and read off the
@@ -175,37 +176,28 @@ def build_p(shape: Shape) -> HeckeModule:
     D(w^-1) of its word w, s_i T has the word s_i w, and it is standard
     exactly when D(s_i w) lies in ``descent_band(shape)``.  All three are
     read off the group's left action table (``groups.left_actions``).
-    A column is -T when i is in D(w^-1), else the basis vector of s_i w
-    when the basis holds that word; only a word missing from the basis
-    takes the band test, which gives 0 outside the band and raises
-    ``KeyError`` inside it, so a standard filling missing from the basis
-    is never read as 0.  The single-entry columns are shared by every
-    module (``_unit_columns``).
+    The basis is built from the shape's band (``groups.band_indices``),
+    one tableau per element in index order (``standard_tableaux``), so
+    the band's indices are its words, and a basis of another length
+    raises ``KeyError``, so a standard filling missing from the basis is
+    never read as 0.  A column is -T when i is in D(w^-1), else the basis
+    vector of s_i w when the band holds that word, and 0 outside the
+    band.  The single-entry columns are shared by every module
+    (``_unit_columns``).
     """
-    basis = tableaux.standard_tableaux(shape)
     kind, n = shape.kind, shape.size
+    words = groups.band_indices(kind, n, *descent_band(shape))
+    basis = tableaux.standard_tableaux(shape, words)
     table = groups.left_actions(kind, n)
-    lower, upper = descent_band(shape)
-    words = [table.index[t.entries] for t in basis]
+    if len(words) != len(basis):
+        raise KeyError(f"the basis holds {len(basis)} of the {len(words)} standard words of {shape}")
     index_of = {g: j for j, g in enumerate(words)}
     minus, plus = _unit_columns(len(words))
-    descents = table.descents
-
-    def outside(h: int) -> Column:
-        if lower <= descents[h] <= upper:
-            word = groups.enumerate_group(kind, n)[h]
-            raise KeyError(f"the standard word {word} is not in the basis")
-        return ()
-
     gens = {}
     for i in positions(kind, n):
         step, lowers = table.step[i], table.lowers[i]
         gens[i] = tuple([
-            minus[j]
-            if lowers[g]
-            else plus[k]
-            if (k := index_of.get(step[g])) is not None
-            else outside(step[g])
+            minus[j] if lowers[g] else plus[k] if (k := index_of.get(step[g])) is not None else ()
             for j, g in enumerate(words)
         ])
     return HeckeModule(kind, n, basis, gens, shape)
@@ -406,10 +398,13 @@ def _certify_quotient(module: HeckeModule, quotient: list[int], grade: list[int]
 def length_filtration(module: HeckeModule, generator_index: int) -> Filtration:
     """Layers spanned by tableaux of length at least a threshold, relative
     to a cyclic generator; quotients split into one-dimensional pieces
-    labeled by tableau descent sets."""
+    labeled by tableau descent sets.  Lengths and descents are read off
+    the group's table by the index of each reading word."""
     if module.shape is None:
         raise ShapeError("length filtration needs a tableau module")
-    lengths = [groups.length(tableaux.reading_word(t)) for t in module.basis]
+    table = groups.left_actions(module.kind, module.n)
+    words = [table.index[t.entries] for t in module.basis]
+    lengths = [table.lengths[g] for g in words]
     base = lengths[generator_index]
     if any(ell < base for ell in lengths):
         raise ShapeError("the chosen generator does not have minimal length")
@@ -425,7 +420,7 @@ def length_filtration(module: HeckeModule, generator_index: int) -> Filtration:
     if len(reached) != module.dim:
         raise ShapeError("module is not cyclic over the chosen generator")
     layers = _check_graded(module, [ell - base for ell in lengths], "length")
-    descents = [tableaux.tableau_descents(t) for t in module.basis]
+    descents = [table.inverse_descents[g] for g in words]
     labels = tuple(
         tuple(sorted(desc) for desc, ell in zip(descents, lengths) if ell == base + t)
         for t in range(len(layers))
@@ -489,7 +484,14 @@ def restrict_p(shape: Shape, m: int) -> list[tuple[Shape, Shape]]:
         except IndexError:
             raise CertificationError("restriction block is not closed under the action") from None
     pairs = {(bshape, gshape) for bshape, _, gshape, _, _ in blocks.values()}
-    return sorted(pairs, key=lambda pair: (str(pair[0]), str(pair[1])))
+    return sorted(pairs, key=lambda pair: (_shape_name(pair[0]), _shape_name(pair[1])))
+
+
+@lru_cache(maxsize=None)
+def _shape_name(shape: Shape) -> str:
+    """The text of a shape, by which ``restrict_p`` sorts its pairs: the
+    same few subshapes recur across calls, so each is formatted once."""
+    return format_shape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -550,17 +552,25 @@ def intertwiner_check(
     """Certify a basis bijection as an intertwiner.
 
     mode 'direct' checks T M_i = M'_{sigma(i)} T for the (possibly
-    injective) basis map T.  mode 'antidirect' checks the arrow-reversal
-    law: an arrow tau -> s_i(tau) in module1 corresponds to the reversed
-    arrow in module2, a loop with eigenvalue -1 corresponds to a kill,
-    and a kill corresponds to a loop.
+    injective) basis map T; a column that carries a row outside either
+    basis, or one the candidate does not map, ends the report with a line
+    saying so rather than a lookup error.  mode 'antidirect' checks the
+    arrow-reversal law: an arrow tau -> s_i(tau) in module1 corresponds to
+    the reversed arrow in module2, a loop with eigenvalue -1 corresponds
+    to a kill, and a kill corresponds to a loop.
     """
     sigma = index_map or {i: i for i in module1.gens}
     if mode not in ("direct", "antidirect"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "direct":
         failures = _intertwining_failures(module1.gens, module2.gens, candidate, range(module1.dim), sigma)
-        return [f"direct intertwiner fails at generator {i}, basis {j}" for i, j in failures]
+        report = []
+        try:
+            for i, j in failures:
+                report.append(f"direct intertwiner fails at generator {i}, basis {j}")
+        except (IndexError, KeyError):
+            report.append("direct intertwiner maps a basis vector outside the basis")
+        return report
     report = []
     for i in module1.generator_indices():
         m1 = module1.gens[i]

@@ -30,9 +30,10 @@ distinct splittings, returning the memoised Δ(s_α) itself for s_α.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
-from itertools import accumulate, chain, combinations, product
+from itertools import accumulate, chain, combinations, product, repeat
 
 from . import groups, linalg, modules, tableaux
 from .qpoly import ONE, QPoly, q_binomial, q_multinomial
@@ -439,27 +440,50 @@ _QSYM_OF_KIND = {"A": "QSym", "B": "QSymB", "D": "QSymD"}
 _NSYM_OF_KIND = {"A": "NSym", "B": "NSymB", "D": "NSymD"}
 
 
+@lru_cache(maxsize=None)
+def _fundamental_label(dset: frozenset[int], n: int, kind: str) -> Parts:
+    """The label of the fundamental F_D for a descent set D of a group,
+    made once per distinct D."""
+    return parts_from_descents(dset, n, kind)
+
+
+def _fundamental_sum(descents, lengths, n: int, kind: str) -> dict[Parts, QPoly]:
+    """Σ q^ℓ F_D over parallel descent sets D and lengths ℓ: the (D, ℓ)
+    pairs are counted at once, and the counts of each D make one
+    coefficient vector."""
+    rows: dict[frozenset[int], list[int]] = {}
+    for (d, ell), count in Counter(zip(descents, lengths)).items():
+        row = rows.setdefault(d, [])
+        row.extend([0] * (ell + 1 - len(row)))
+        row[ell] = count
+    return {_fundamental_label(d, n, kind): QPoly(tuple(row)) for d, row in rows.items()}
+
+
 def quasisymmetric_characteristic(module, graded: bool = False) -> SeriesElement:
     """Sum of fundamentals over the one-dimensional composition factors of
-    a tableau module; with ``graded``, weight each factor by q to the
-    length above a cyclic generator."""
-    space = _QSYM_OF_KIND[module.kind]
-    keys = [
-        parts_from_descents(tableaux.tableau_descents(t), module.n, module.kind)
-        for t in module.basis
-    ]
+    a tableau module, labeled by D(w^-1) for the reading word w of each
+    basis tableau; with ``graded``, weight each factor by q to the length
+    above a cyclic generator.  Lengths and D(w^-1) are read off the
+    group's table (``groups.left_actions``) by the index of w."""
+    kind, n = module.kind, module.n
+    table = groups.left_actions(kind, n)
+    words = [table.index[t.entries] for t in module.basis]
+    descents = [table.inverse_descents[g] for g in words]
     if not graded:
-        return SeriesElement(space, "F", _collect((key, 1) for key in keys))
-    lengths = [groups.length(tableaux.reading_word(t)) for t in module.basis]
+        return SeriesElement(_QSYM_OF_KIND[kind], "F", _fundamental_sum(descents, repeat(0), n, kind))
+    lengths = [table.lengths[g] for g in words]
     base = min(lengths)
-    generator = lengths.index(base)
-    modules.length_filtration(module, generator)  # certifies cyclicity and layers
-    terms = _collect((key, QPoly.q(ell - base)) for key, ell in zip(keys, lengths))
-    return SeriesElement(space, "F", terms)
+    modules.length_filtration(module, lengths.index(base))  # certifies cyclicity and layers
+    terms = _fundamental_sum(descents, [ell - base for ell in lengths], n, kind)
+    return SeriesElement(_QSYM_OF_KIND[kind], "F", terms)
 
 
 def graded_characteristic_direct(shape: Shape) -> SeriesElement:
-    """The graded characteristic computed straight from the descent band."""
+    """The graded characteristic computed straight from the descent band,
+    element by element on the formula route: lengths by ``groups.length``
+    (inv, neg, nsp) and D(w^-1) by ``inverse`` and ``descents``, never the
+    group's table, so that ``cert_characteristics`` compares the table's
+    breadth-first lengths with the formula."""
     lower, upper = descent_band(shape)
     words = groups.band_elements(shape.kind, shape.size, lower, upper)
     base = min(groups.length(w) for w in words)
@@ -501,7 +525,9 @@ def _memo_by_label(fn):
 @_memo_by_label
 def q_ribbon(parts: Parts, method: str = "det") -> QPoly:
     """β_q(α), the inversion generating function of the type A descent
-    class of a composition α of n.  ``brute`` sums q^inv(w) over the class.
+    class of a composition α of n.  ``brute`` counts the lengths of the
+    class's elements, read off the group's table by index (lengths found
+    by breadth-first search, not by counting inversions).
     ``ie`` reads r_α = Σ ±h_β off the s -> h table of ``_conversion`` (an
     inclusion-exclusion over the subsets of D(α)) and specialises each h_β
     to the q-multinomial [n; β]_q.  ``det`` is the q-analogue of Stanley,
@@ -518,10 +544,9 @@ def q_ribbon(parts: Parts, method: str = "det") -> QPoly:
     n = sum(parts)
     if method == "brute":
         dset = parts_descents(parts)
-        out = QPoly()
-        for w in groups.band_elements("A", n, dset, dset):
-            out = out + QPoly.q(groups.inv_count(w))
-        return out
+        lengths = groups.left_actions("A", n).lengths
+        counts = Counter(map(lengths.__getitem__, groups.band_indices("A", n, dset, dset)))
+        return QPoly(tuple([counts[k] for k in range(max(counts) + 1)]))
     if method == "ie":
         out = QPoly()
         for beta, sign in _conversion(parts, "A", "s", "h"):
@@ -542,36 +567,47 @@ def q_ribbon(parts: Parts, method: str = "det") -> QPoly:
 def band_product_identity(shape: Shape):
     """Two exact routes to the q-weighted sum of fundamentals over the
     descent band of a generalized type A ribbon: directly, and through
-    minimal coset representatives times block descent classes."""
+    minimal coset representatives z times block descent classes u, with
+    w = z u of length ℓ(z) + ℓ(u).  Lengths are read off the groups'
+    tables by index, each z and each block element once; each product's
+    D(w^-1) is read off the table at the index of its window."""
     if shape.kind != "A":
         raise ShapeError("the band identity is stated for type A shapes")
     n = shape.size
-    lower, upper = descent_band(shape)
-    lhs = _collect(
-        (_inverse_descents(w), QPoly.q(groups.inv_count(w)))
-        for w in groups.band_elements("A", n, lower, upper)
+    table = groups.left_actions("A", n)
+    band = groups.band_indices("A", n, *descent_band(shape))
+    lhs = _fundamental_sum(
+        map(table.inverse_descents.__getitem__, band), map(table.lengths.__getitem__, band), n, "A"
     )
     sizes = tuple(sum(c) for c in shape.components)
-    reps = groups.min_coset_reps("A", composition(sizes))
-    classes = [
-        groups.descent_class("A", composition(comp)).elements for comp in shape.components
+    elements = groups.enumerate_group("A", n)
+    reps = [
+        (elements[z].window, table.lengths[z])
+        for z in groups.band_indices("A", n, frozenset(), parts_descents(sizes))
     ]
-    rhs = []
+    # each block element u as its window shifted into the block's place
+    # (0-based, to index z's window) and its length
+    classes = []
+    offset = -1
+    for comp in shape.components:
+        m, dset = sum(comp), parts_descents(comp)
+        block_lengths = groups.left_actions("A", m).lengths
+        block_elements = groups.enumerate_group("A", m)
+        classes.append([
+            (tuple([x + offset for x in block_elements[u].window]), block_lengths[u])
+            for u in groups.band_indices("A", m, dset, dset)
+        ])
+        offset += m
+    descents, lengths = [], []
     for combo in product(*classes):
-        block = []
-        offset = 0
-        weight = 0
-        for u in combo:
-            block.extend(x + offset for x in u.window)
-            offset += u.n
-            weight += groups.inv_count(u)
-        embedded = groups.GroupElement("A", tuple(block))
-        for z in reps:
-            w = groups.multiply(z, embedded)
-            rhs.append((_inverse_descents(w), QPoly.q(weight + groups.inv_count(z))))
+        block = tuple(chain.from_iterable(window for window, _ in combo))
+        weight = sum(ell for _, ell in combo)
+        for z, ell in reps:
+            descents.append(table.inverse_descents[table.index[tuple(map(z.__getitem__, block))]])
+            lengths.append(weight + ell)
     return (
         SeriesElement("QSym", "F", lhs),
-        SeriesElement("QSym", "F", _collect(rhs)),
+        SeriesElement("QSym", "F", _fundamental_sum(descents, lengths, n, "A")),
     )
 
 

@@ -120,12 +120,17 @@ def _filling_ok(shape: Shape, entries: tuple[int, ...], strict_rows: bool) -> bo
     return True
 
 
-def standard_tableaux(shape: Shape) -> tuple[Tableau, ...]:
-    """All standard tableaux, in reading-word lexicographic order."""
-    lower, upper = descent_band(shape)
-    words = groups.band_elements(shape.kind, shape.size, lower, upper)
-    groups.guard(len(words), f"standard tableaux of {shape}", groups.tableau_limit())
-    return tuple([_make(shape, w.window) for w in words])
+def standard_tableaux(shape: Shape, band: tuple[int, ...] | None = None) -> tuple[Tableau, ...]:
+    """All standard tableaux, in reading-word lexicographic order: one per
+    element of the shape's band, ``groups.band_indices`` of its descent
+    band, which a caller that already holds it passes as ``band``.  The
+    tableau guard runs before any tableau is built."""
+    kind, n = shape.kind, shape.size
+    if band is None:
+        band = groups.band_indices(kind, n, *descent_band(shape))
+    groups.guard(len(band), f"standard tableaux of {shape}", groups.tableau_limit())
+    elements = groups.enumerate_group(kind, n)
+    return tuple([_make(shape, elements[g].window) for g in band])
 
 
 def tableau_descents(t: Tableau) -> frozenset[int]:

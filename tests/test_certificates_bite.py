@@ -183,6 +183,46 @@ def test_wrong_left_action_entry_bites_relations(monkeypatch):
     assert result.detail == "[2,1]: quadratic relation fails at generator 1"
 
 
+def _with_table_entry(monkeypatch, field, window, right, wrong):
+    """Plant one wrong entry of a field of the A_3 left action table at the
+    element of the given window."""
+    left_actions = groups.left_actions
+
+    def planted(kind, n):
+        table = left_actions(kind, n)
+        if (kind, n) != ("A", 3):
+            return table
+        g = table.index[window]
+        values = getattr(table, field)
+        assert values[g] == right
+        return dataclasses.replace(table, **{field: values[:g] + (wrong,) + values[g + 1 :]})
+
+    monkeypatch.setattr(groups, "left_actions", planted)
+
+
+def test_wrong_table_length_bites_qidentities(monkeypatch):
+    """The brute q-ribbon route and the band identity read lengths off the
+    group's table.  One wrong length there, 2 for w = 2,1,3 (it is 1),
+    makes the brute q-ribbon number of [1,2] disagree with det and ie."""
+    _with_table_entry(monkeypatch, "lengths", (2, 1, 3), 1, 2)
+    (result,) = verify.run(["qidentities"], max_size=3)
+    assert not result.passed
+    assert result.detail == "q-ribbon methods disagree at [1,2]"
+
+
+def test_wrong_table_inverse_descents_bite_characteristics(monkeypatch):
+    """The tableau side of cert_characteristics reads D(w^-1) off the
+    group's table, for the labels it sums and in the length filtration it
+    certifies; the direct side computes D(w^-1) from the window.  One wrong
+    entry, {2} for w = 2,3,1 (it is {1}), makes characteristics FAIL at
+    the filtration's diagonal check, since the generator matrices, built
+    from the table's ``lowers``, still act by -1 at generator 1 only."""
+    _with_table_entry(monkeypatch, "inverse_descents", (2, 3, 1), {1}, frozenset({2}))
+    (result,) = verify.run(["characteristics"], max_size=3)
+    assert not result.passed
+    assert result.detail == "length quotient not diagonal at (1, 1)"
+
+
 SHAPE_22 = shapes.Shape("A", ((2,), (2,)))
 
 

@@ -77,6 +77,15 @@ def test_closed_form_cases():
     assert pi(1, parse_poly("x2^4", 2)) == parse_poly("-x1^3*x2 - x1^2*x2^2 - x1*x2^3", 2)
 
 
+def test_poly_products_keep_their_signs():
+    """Products of polynomials with signed terms, pinned: a product that
+    came out negated would still satisfy the defining identity of pi_i,
+    whose two sides are both products."""
+    assert parse_poly("x1 - x2", 2) * parse_poly("x1 + x2", 2) == parse_poly("x1^2 - x2^2", 2)
+    assert parse_poly("x1", 2) * parse_poly("x1", 2) == parse_poly("x1^2", 2)
+    assert parse_poly("-x1", 2) * parse_poly("x2", 2) == parse_poly("-x1*x2", 2)
+
+
 def test_parse_poly_rejects_bad_input():
     for text in ("x0", "x9", "x1^-1", "x1^", "x^2", "xa", "x1^2.5", "x1*-2", "x1*"):
         with pytest.raises(ValueError):

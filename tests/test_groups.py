@@ -220,10 +220,13 @@ def test_band_elements_match_a_brute_filter():
             subsets = [
                 frozenset(c) for k in range(len(pos) + 1) for c in itertools.combinations(pos, k)
             ]
+            elems = enumerate_group(kind, n)
             for upper in subsets:
                 for lower in (d for d in subsets if d <= upper):
                     got = groups.band_elements(kind, n, lower, upper)
                     assert got == _brute_band(kind, n, lower, upper), (kind, n, lower, upper)
+                    indices = groups.band_indices(kind, n, lower, upper)
+                    assert tuple(elems[g] for g in indices) == got and list(indices) == sorted(indices)
         for n in range(2 if kind == "D" else 1, 6):
             for shape in shapes.enumerate_generalized(n, kind, n):
                 lower, upper = shapes.descent_band(shape)
@@ -239,17 +242,23 @@ def test_diagram_automorphism_is_read_only():
 
 
 def test_left_actions_match_multiply():
-    """The table agrees with the group's own product, inverse and descents."""
+    """The table agrees with the group's own product, inverse, descents
+    and length formula; its D(w^-1) sets are shared, one per distinct set."""
     for kind, top in (("A", 6), ("B", 5), ("D", 5)):
         for n in range(2 if kind == "D" else 0, top + 1):
             elems = enumerate_group(kind, n)
             table = groups.left_actions(kind, n)
             gens = generators(kind, n)
             assert set(table.step) == set(table.lowers) == set(gens)
+            assert len(table.lengths) == len(table.inverse_descents) == len(elems)
+            shared = set(table.inverse_descents)
+            assert len({id(d) for d in table.inverse_descents}) == len(shared), (kind, n)
             for g, w in enumerate(elems):
                 assert table.index[w.window] == g
                 assert table.descents[g] == descents(w)
+                assert table.lengths[g] == groups.length(w), (kind, w)
                 left = descents(inverse(w))
+                assert table.inverse_descents[g] == left, (kind, w)
                 for i, s in gens.items():
                     assert elems[table.step[i][g]] == multiply(s, w), (kind, w, i)
                     assert table.lowers[i][g] == (i in left), (kind, w, i)
@@ -267,8 +276,13 @@ def test_left_actions_are_read_only():
         table.index[(1, 2, 3)] = 1
     with pytest.raises(TypeError):
         table.descents[0] = frozenset()
-    with pytest.raises(AttributeError):
-        table.step = {}
+    with pytest.raises(TypeError):
+        table.lengths[0] = 1
+    with pytest.raises(TypeError):
+        table.inverse_descents[0] = frozenset()
+    for field in ("step", "lengths", "inverse_descents"):
+        with pytest.raises(AttributeError):
+            setattr(table, field, ())
     assert groups.left_actions("B", 3) is table
 
 

@@ -96,7 +96,7 @@ def test_build_p_raises_for_a_standard_swap_missing_from_the_basis(monkeypatch):
             r for m in module.gens.values() for j, col in enumerate(m) for r, v in col if r != j
         )
         short = module.basis[:target] + module.basis[target + 1 :]
-        monkeypatch.setattr(tableaux, "standard_tableaux", lambda s: short)
+        monkeypatch.setattr(tableaux, "standard_tableaux", lambda s, band=None: short)
         with pytest.raises(KeyError):
             build_p.__wrapped__(shape)
         monkeypatch.undo()
@@ -492,6 +492,21 @@ def test_intertwiner_direct_identity():
     other = build_p(composition((1, 2)))
     report = intertwiner_check(module, other, ident, mode="direct")
     assert report
+
+
+def test_intertwiner_direct_reports_rows_outside_the_basis():
+    """A column of module1 that carries a row outside its basis ends the
+    direct report with one line, for list and dict candidates alike: a row
+    past the end, and a row -1, which must not be read as the last."""
+    module = build_p(composition((2, 1, 1)))
+    last = module.dim - 1
+    assert module.gens[1][last] == ((last, -1),)
+    for row in (module.dim, -1):
+        gens = {**module.gens, 1: module.gens[1][:last] + (((row, -1),),)}
+        planted = modules.HeckeModule(module.kind, module.n, module.basis, gens, module.shape)
+        for candidate in (list(range(module.dim)), {j: j for j in range(module.dim)}):
+            report = intertwiner_check(planted, module, candidate, mode="direct")
+            assert report[-1] == "direct intertwiner maps a basis vector outside the basis", (row, candidate)
 
 
 def test_submodule_embedding():
