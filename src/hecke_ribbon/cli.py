@@ -152,6 +152,8 @@ def cmd_tableau(args) -> int:
         _emit(args, out, [out["tableau"], f"word {out['word']}"])
     elif args.action == "theta":
         t = tableaux.parse_tableau(_need(args, "tableau"), s)
+        if not tableaux.is_standard(s, t.entries):
+            raise ValueError(f"theta maps standard tableaux; {t} is not standard on {s}")
         image = tableaux.theta_map(t)
         out = {"tableau": str(image), "shape": shapes.format_shape(image.shape)}
         _emit(args, out, [out["tableau"], f"shape {out['shape']}"])

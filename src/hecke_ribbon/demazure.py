@@ -28,7 +28,6 @@ from .shapes import (
     Shape,
     composition,
     descent_band,
-    dot_glue,
     parts_descents,
     split_rows,
 )
@@ -306,7 +305,7 @@ def build_polynomial_module(shape: Shape, model: str | None = None):
         raise ValueError("the polynomial model is type A only")
     if model is None:
         model = "M" if shape.is_single else "P"
-    gamma = dot_glue(shape).parts
+    gamma = sum(shape.components, ())  # the dot gluing of all components
     if model == "M":
         if not shape.is_single:
             raise ValueError("the row-separated model needs a single ribbon")

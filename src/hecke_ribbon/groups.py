@@ -78,9 +78,12 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
-def guard(count: int, what: str, limit: int) -> None:
+def guard(count: int, limit: int, what: str, *args) -> None:
+    """Raise ResourceLimitError when count exceeds limit; ``what`` names
+    the objects counted, a str.format template filled in from args only
+    when the guard fires."""
     if count > limit:
-        raise ResourceLimitError(f"{what} count {count} exceeds the guard {limit}")
+        raise ResourceLimitError(f"{what.format(*args)} count {count} exceeds the guard {limit}")
 
 
 @dataclass(frozen=True)
@@ -236,7 +239,7 @@ def enumerate_group(kind: str, n: int) -> tuple[GroupElement, ...]:
         raise ValueError("type D needs n >= 2")
     if n < 0:
         raise ValueError(f"invalid rank {n}")
-    guard(group_order(kind, n), f"group {kind}_{n}", group_limit())
+    guard(group_order(kind, n), group_limit(), "group {}_{}", kind, n)
     return _enumerate(kind, n)
 
 

@@ -55,7 +55,6 @@ from .shapes import (
     from_descents,
     parse_shape,
     positions,
-    reverse,
     split_rows,
     subshape_of_boxes,
 )
@@ -210,14 +209,16 @@ def build_m(alpha: Shape) -> HeckeModule:
 
 def build_c(alpha: Shape) -> HeckeModule:
     """The one-dimensional module with bar generators acting by -1 on the
-    descent set of the shape and by 0 elsewhere."""
-    label = tableaux.tau1(reverse(alpha)) if alpha.kind == "A" else tableaux.tau1(alpha)
+    descent set of the shape and by 0 elsewhere.  Its basis tableau has
+    the tableau descents D(alpha): ``tau1`` of the shape whose descent set
+    is sigma(D(alpha)), sigma the diagram automorphism (i -> n - i in type
+    A, the identity in type B, 0 <-> 1 in type D of odd rank)."""
+    kind, n = alpha.kind, alpha.size
     dset = descent_set(alpha)
-    gens = {
-        i: ((((0, -1),) if i in dset else ()),)
-        for i in positions(alpha.kind, alpha.size)
-    }
-    return HeckeModule(alpha.kind, alpha.size, (label,), gens, alpha)
+    sigma = groups.diagram_automorphism(kind, n)
+    label = tableaux.tau1(from_descents({sigma[i] for i in dset}, n, kind))
+    gens = {i: ((((0, -1),) if i in dset else ()),) for i in positions(kind, n)}
+    return HeckeModule(kind, n, (label,), gens, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +399,10 @@ def _certify_quotient(module: HeckeModule, quotient: list[int], grade: list[int]
 def length_filtration(module: HeckeModule, generator_index: int) -> Filtration:
     """Layers spanned by tableaux of length at least a threshold, relative
     to a cyclic generator; quotients split into one-dimensional pieces
-    labeled by tableau descent sets.  Lengths and descents are read off
-    the group's table by the index of each reading word."""
+    labeled by tableau descent sets: labels[t] holds the table's D(w^-1)
+    of each basis word at length t above the generator, in basis order.
+    Lengths and descents are read off the group's table by the index of
+    each reading word."""
     if module.shape is None:
         raise ShapeError("length filtration needs a tableau module")
     table = groups.left_actions(module.kind, module.n)
@@ -422,7 +425,7 @@ def length_filtration(module: HeckeModule, generator_index: int) -> Filtration:
     layers = _check_graded(module, [ell - base for ell in lengths], "length")
     descents = [table.inverse_descents[g] for g in words]
     labels = tuple(
-        tuple(sorted(desc) for desc, ell in zip(descents, lengths) if ell == base + t)
+        tuple(desc for desc, ell in zip(descents, lengths) if ell == base + t)
         for t in range(len(layers))
     )
     for j, desc in enumerate(descents):
@@ -610,9 +613,9 @@ def intertwiner_check(
 
 def module_to_json(module: HeckeModule) -> dict:
     """The module as JSON.  A basis of tableaux on another shape than the
-    module's (the type A C module, labeled on the reversed ribbon, and
-    twisted modules, which carry no shape) names that shape under
-    ``basis_shape``, so that the tableaux read back."""
+    module's (a C module whose label lies on the ribbon of sigma(D(alpha)),
+    see ``build_c``, and twisted modules, which carry no shape) names that
+    shape under ``basis_shape``, so that the tableaux read back."""
     data = {
         "kind": module.kind,
         "n": module.n,

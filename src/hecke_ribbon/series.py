@@ -462,20 +462,21 @@ def _fundamental_sum(descents, lengths, n: int, kind: str) -> dict[Parts, QPoly]
 def quasisymmetric_characteristic(module, graded: bool = False) -> SeriesElement:
     """Sum of fundamentals over the one-dimensional composition factors of
     a tableau module, labeled by D(w^-1) for the reading word w of each
-    basis tableau; with ``graded``, weight each factor by q to the length
-    above a cyclic generator.  Lengths and D(w^-1) are read off the
-    group's table (``groups.left_actions``) by the index of w."""
+    basis tableau, read off the group's table (``groups.left_actions``)
+    by the index of w.  With ``graded``, the factors are the labels of
+    the length filtration over a generator of minimal length, each
+    weighted by q to its layer."""
     kind, n = module.kind, module.n
     table = groups.left_actions(kind, n)
     words = [table.index[t.entries] for t in module.basis]
-    descents = [table.inverse_descents[g] for g in words]
     if not graded:
+        descents = [table.inverse_descents[g] for g in words]
         return SeriesElement(_QSYM_OF_KIND[kind], "F", _fundamental_sum(descents, repeat(0), n, kind))
     lengths = [table.lengths[g] for g in words]
-    base = min(lengths)
-    modules.length_filtration(module, lengths.index(base))  # certifies cyclicity and layers
-    terms = _fundamental_sum(descents, [ell - base for ell in lengths], n, kind)
-    return SeriesElement(_QSYM_OF_KIND[kind], "F", terms)
+    labels = modules.length_filtration(module, lengths.index(min(lengths))).labels
+    descents = [d for layer in labels for d in layer]
+    grades = [t for t, layer in enumerate(labels) for _ in layer]
+    return SeriesElement(_QSYM_OF_KIND[kind], "F", _fundamental_sum(descents, grades, n, kind))
 
 
 def graded_characteristic_direct(shape: Shape) -> SeriesElement:
@@ -685,8 +686,9 @@ def evaluate_commutative(elem: SeriesElement, window) -> dict[tuple[int, ...], i
         c = _int_coeff(coeff)
         dset = parts_descents(parts)
         pattern = ["<" if j in dset else flat for j in range(sum(parts))]
-        what = f"index words of {elem.basis}{list(parts)}"
-        words = tableaux.pattern_words(kind, pattern, window, what)
+        words = tableaux.pattern_words(
+            kind, pattern, window, "index words of {}{}", elem.basis, list(parts)
+        )
         pairs.extend((tuple(w.count(v) for v in window), c) for w in words)
     return _collect(pairs)
 

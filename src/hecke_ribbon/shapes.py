@@ -6,7 +6,8 @@ compositions of n with the subsets of {1, ..., n-1}.  A
 pseudo-composition, whose first part may be zero, plays the same role in
 types B and D with descent sets inside {0, ..., n-1}; its diagram
 carries an extra 0-box.  A generalized shape is a disjoint union of such
-ribbons, each strictly northeast of the previous one.
+ribbons, each strictly northeast of the previous one; its descent band
+is read off the concatenated parts and the component junctions.
 
 Diagram conventions: rows are indexed bottom to top, columns left to
 right, and the reading order of the boxes runs bottom row to top row,
@@ -231,34 +232,21 @@ def bracket_set(shape: Shape) -> tuple[Shape, ...]:
     return out
 
 
-def triangle_glue(shape: Shape) -> Shape:
-    """The single ribbon obtained by near-concatenating all components."""
-    comps = shape.components
-    if not comps:
-        return shape
-    parts = comps[0]
-    for comp in comps[1:]:
-        parts = glue_parts(parts, comp, "triangle")
-    return ribbon_shape(parts, shape.kind)
-
-
-def dot_glue(shape: Shape) -> Shape:
-    comps = shape.components
-    if not comps:
-        return shape
-    parts = comps[0]
-    for comp in comps[1:]:
-        parts = glue_parts(parts, comp, "dot")
-    return ribbon_shape(parts, shape.kind)
-
-
 def descent_band(shape: Shape) -> tuple[frozenset[int], frozenset[int]]:
-    """Descent sets (D0, D1) of the triangle and dot gluings.
+    """Descent sets (D0, D1) of the triangle and dot gluings of all
+    components: D1 holds the proper partial sums of the concatenated
+    parts, and D0 is D1 without the sums at the component junctions,
+    where the triangle gluing merges two parts.
 
     Reading words of standard tableaux of the shape are exactly the group
     elements w with D0 <= D(w) <= D1.
     """
-    return descent_set(triangle_glue(shape)), descent_set(dot_glue(shape))
+    upper = parts_descents(sum(shape.components, ()))
+    junctions, total = [], 0
+    for comp in shape.components[:-1]:
+        total += sum(comp)
+        junctions.append(total)
+    return upper.difference(junctions), upper
 
 
 def split_rows(shape: Shape) -> Shape:

@@ -14,9 +14,11 @@ filling whose reading word is s_i w(T), is standard exactly when the
 descent set of s_i w(T) lies in that band; ``modules.build_p`` reads the
 tableau action off this band rule.  A ``Tableau`` is a frozen
 dataclass with slots; the enumerated bases skip its constructor.
-Semistandard fillings are
-enumerated as words whose consecutive letters follow the weak/strict
-pattern the diagram prescribes (``pattern_words``).
+Semistandard fillings are enumerated as words whose consecutive letters
+follow the weak/strict pattern the same band prescribes
+(``pattern_words``), and the diagram symmetry theta acts on reading
+words alone: it reverses them in type A and negates them in types B and
+D.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def standard_tableaux(shape: Shape, band: tuple[int, ...] | None = None) -> tupl
     kind, n = shape.kind, shape.size
     if band is None:
         band = groups.band_indices(kind, n, *descent_band(shape))
-    groups.guard(len(band), f"standard tableaux of {shape}", groups.tableau_limit())
+    groups.guard(len(band), groups.tableau_limit(), "standard tableaux of {}", shape)
     elements = groups.enumerate_group(kind, n)
     return tuple([_make(shape, elements[g].window) for g in band])
 
@@ -164,52 +166,23 @@ def tau1(shape: Shape) -> Tableau:
     return Tableau(shape, word.window)
 
 
-def _fix_sign_parity(entries: tuple[int, ...]) -> tuple[int, ...]:
-    """Negate the entry of absolute value 1 if the sign count is odd."""
-    if sum(1 for e in entries if e < 0) % 2 == 0:
-        return entries
-    out = list(entries)
-    p = [abs(e) for e in entries].index(1)
-    out[p] = -out[p]
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # symmetry maps
 
 
 def theta_map(t: Tableau) -> Tableau:
-    """Transpose in type A; diagonal reflection plus negation in type B;
-    the same with a sign-parity fix in type D."""
+    """Transpose in type A; diagonal reflection plus negation in types B
+    and D.  On reading words: the reversed word on the transpose in type
+    A, and the negated word on the complement in types B and D, where for
+    odd n type D keeps the sign of the entry of absolute value 1, so that
+    the sign count stays even."""
     if not t.shape.is_single:
         raise ShapeError("symmetry maps are defined on single ribbons")
-    kind = t.shape.kind
+    kind, w = t.shape.kind, t.entries
     if kind == "A":
-        return _transpose_a(t)
-    new_shape = complement(t.shape)
-    diag = diagram(t.shape)
-    image = {(c, r): -t.entries[i] for i, (r, c) in enumerate(diag.boxes)}
-    new_diag = diagram(new_shape)
-    if set(image) != set(new_diag.boxes):
-        raise AssertionError("diagonal reflection does not match the complement diagram")
-    entries = tuple(image[coord] for coord in new_diag.boxes)
-    if kind == "D":
-        entries = _fix_sign_parity(entries)
-    return Tableau(new_shape, entries)
-
-
-def _transpose_a(t: Tableau) -> Tableau:
-    new_shape = transpose(t.shape)
-    diag = diagram(t.shape)
-    if not diag.boxes:
-        return Tableau(new_shape, ())
-    rmax = max(r for r, _ in diag.boxes)
-    cmax = max(c for _, c in diag.boxes)
-    image = {(cmax + 1 - c, rmax + 1 - r): t.entries[i] for i, (r, c) in enumerate(diag.boxes)}
-    new_diag = diagram(new_shape)
-    if set(image) != set(new_diag.boxes):
-        raise AssertionError("antidiagonal reflection does not match the transpose diagram")
-    return Tableau(new_shape, tuple(image[coord] for coord in new_diag.boxes))
+        return _make(transpose(t.shape), w[::-1])
+    keep_one = kind == "D" and len(w) % 2
+    return _make(complement(t.shape), tuple(e if keep_one and abs(e) == 1 else -e for e in w))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +212,7 @@ def split_tableau(t: Tableau, m: int) -> tuple[Tableau, Tableau]:
 _HOLDS = {"<=": operator.le, "<": operator.lt, "=": operator.eq, ">": operator.gt}
 
 
-def pattern_words(kind: str, pattern, alphabet, what: str) -> list[tuple[int, ...]]:
+def pattern_words(kind: str, pattern, alphabet, what: str, *args) -> list[tuple[int, ...]]:
     """The words over the alphabet whose consecutive letters follow the
     pattern, in lexicographic order.
 
@@ -253,7 +226,8 @@ def pattern_words(kind: str, pattern, alphabet, what: str) -> list[tuple[int, ..
     functions*, 1984).  Words grow one position at a time by the letters
     allowed after their last letter, taken in increasing order, so every
     level stays sorted.  They are counted by last letter before any is
-    built, and ``ResourceLimitError`` (naming them by ``what``) is raised
+    built, and ``ResourceLimitError`` (naming them by ``what``, a
+    ``str.format`` template filled from ``args`` only then) is raised
     exactly when there are more than the tableau guard allows, so an
     enumeration too large to hold is never started.
     """
@@ -278,7 +252,7 @@ def pattern_words(kind: str, pattern, alphabet, what: str) -> list[tuple[int, ..
             for u in nxt[v]:
                 counts[u] += c
         ends = counts
-    groups.guard(sum(ends.values()), what, groups.tableau_limit())
+    groups.guard(sum(ends.values()), groups.tableau_limit(), what, *args)
     for rel in rest:
         nxt = after[rel]
         words = [w + (v,) for w in words for v in nxt[w[-1]]]
@@ -290,19 +264,17 @@ def semistandard_tableaux(shape: Shape, alphabet) -> list[tuple[int, ...]]:
     with weak rows and strict columns, the 0-box included, sorted.
 
     Two boxes touch only when they are consecutive in reading order, so
-    the conditions are a pattern for ``pattern_words``: w[j-1] <= w[j]
-    when box j is right of box j-1, w[j-1] > w[j] when it is on top of
-    it, and none between components.  Box 0 relates to the 0-box in the
-    same way.  Raises ``ResourceLimitError`` when there are more words
-    than the tableau guard allows, before building them.
+    the conditions are a pattern for ``pattern_words``, read off the
+    descent band (D0, D1) of the shape: box j sits on top of box j-1
+    (w[j-1] > w[j]) when j is in D0, starts a new component (no
+    condition) when j is in D1 but not D0, and is right of box j-1
+    (w[j-1] <= w[j]) otherwise.  Box 0 relates to the 0-box in the same
+    way.  Raises ``ResourceLimitError`` when there are more words than the
+    tableau guard allows, before building them.
     """
-    diag = diagram(shape)
-    pattern = []
-    for j in range(diag.n):  # the box before box 0 is the 0-box
-        right_of_prev = diag.left_of[j] == (j - 1 if j else "zero")
-        on_top_of_prev = diag.below[j] == j - 1 if j else diag.above_zero == 0
-        pattern.append("<=" if right_of_prev else ">" if on_top_of_prev else None)
-    return pattern_words(shape.kind, pattern, alphabet, f"semistandard tableaux of {shape}")
+    lower, upper = descent_band(shape)
+    pattern = [">" if j in lower else None if j in upper else "<=" for j in range(shape.size)]
+    return pattern_words(shape.kind, pattern, alphabet, "semistandard tableaux of {}", shape)
 
 
 # ---------------------------------------------------------------------------

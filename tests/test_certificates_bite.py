@@ -223,6 +223,26 @@ def test_wrong_table_inverse_descents_bite_characteristics(monkeypatch):
     assert result.detail == "length quotient not diagonal at (1, 1)"
 
 
+def test_label_at_a_wrong_grade_bites_characteristics(monkeypatch):
+    """The graded characteristic is summed from the length filtration's
+    labels, layer by layer.  Moving the one label of the top layer of
+    P_[2,1] (D(w^-1) of 2,3,1, at length 2) down to layer 0 makes
+    characteristics FAIL against the direct route."""
+    length_filtration = modules.length_filtration
+
+    def planted(module, generator_index):
+        filtr = length_filtration(module, generator_index)
+        if module.shape != shapes.composition((2, 1)):
+            return filtr
+        bottom, top = filtr.labels
+        return dataclasses.replace(filtr, labels=(bottom + top, ()))
+
+    monkeypatch.setattr(modules, "length_filtration", planted)
+    (result,) = verify.run(["characteristics"], max_size=3)
+    assert not result.passed
+    assert result.detail == "graded characteristics differ for [2,1]"
+
+
 SHAPE_22 = shapes.Shape("A", ((2,), (2,)))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -68,6 +69,14 @@ def test_tableau_commands(capsys):
     assert code == 0 and out.splitlines()[0] == "4,6/1,3,5/0*,2"
     code, out = run_cli(capsys, "tableau", "enumerate", "--shape", "[2,1,1]")
     assert "count 3" in out
+
+
+def test_theta_rejects_a_filling_that_is_not_standard(capsys):
+    code, out = run_cli(capsys, "tableau", "theta", "--type", "D", "--shape", "[1,2]", "--tableau=-2,-1/0*,3")
+    assert (code, out) == (0, "-1/-3,2/0*\nshape [0,2,1]\n")
+    for kind, text in (("D", "7,9/0*,8"), ("D", "-2,3/0*,-1"), ("A", "1,1/2")):
+        assert cli.main(["tableau", "theta", "--type", kind, "--shape", "[1,2]", f"--tableau={text}"]) == 2
+        assert "is not standard" in capsys.readouterr().err
 
 
 def test_module_commands(capsys):
@@ -143,6 +152,18 @@ def test_verify_command(capsys):
     code, out = run_cli(capsys, "verify", "relations", "--max-size", "2", "--type", "all")
     assert code == 0
     assert out.count("PASS") == 3
+
+
+# sha256 of the stdout of `verify all --type all --format json`: every
+# certificate at its default size; a change that strengthens a certificate
+# updates the pin and says so, as it does for the acceptance details
+VERIFY_ALL_SHA256 = "40a6894f9445ae6f3fd2f8662925167a2d1ca015b2fa85bb84fe91e43a11e9e9"
+
+
+def test_verify_all_output_is_pinned(capsys):
+    code, out = run_cli(capsys, "verify", "all", "--type", "all", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
 @pytest.mark.parametrize(

@@ -167,6 +167,27 @@ def test_resource_guard():
         groups.set_limits(None, None)
 
 
+def test_guard_formats_its_message_only_when_it_fires():
+    formatted = []
+
+    class Probe:
+        def __format__(self, spec):
+            formatted.append(spec)
+            return "probe"
+
+    groups.guard(3, 3, "things of {}", Probe())
+    assert formatted == []
+    with pytest.raises(ResourceLimitError, match=r"^things of probe count 4 exceeds the guard 3$"):
+        groups.guard(4, 3, "things of {}", Probe())
+    assert formatted == [""]
+    groups.set_limits(10, None)
+    try:
+        with pytest.raises(ResourceLimitError, match=r"^group A_4 count 24 exceeds the guard 10$"):
+            enumerate_group("A", 4)
+    finally:
+        groups.set_limits(None, None)
+
+
 def test_resource_guard_env(monkeypatch):
     monkeypatch.setenv("HECKE_RIBBON_MAX_ENUM", "10")
     assert groups.group_limit() == 10

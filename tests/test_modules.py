@@ -459,6 +459,30 @@ def test_restriction():
                     assert sizes[b, g] == len(box_sets[b, g]) * block_dim, (shape, m, b, g)
 
 
+def test_c_module_labels_carry_the_shape_descents():
+    # the label is tau1 of the shape of sigma(D(alpha)): its tableau
+    # descents are D(alpha), so the length filtration is one diagonal
+    # layer; the label lies on the reversed ribbon in type A, on alpha in
+    # type B and on alpha with 0 and 1 swapped in type D of odd rank
+    count = 0
+    for kind, top in (("A", 6), ("B", 5), ("D", 5)):
+        for alpha in all_single(kind, top):
+            c = build_c(alpha)
+            dset = shapes.descent_set(alpha)
+            assert tableaux.tableau_descents(c.basis[0]) == dset, alpha
+            assert length_filtration(c, 0).labels == ((dset,),), alpha
+            if kind == "A":
+                expected = shapes.reverse(alpha)
+            elif kind == "D" and alpha.size % 2:
+                swapped = {{0: 1, 1: 0}.get(i, i) for i in dset}
+                expected = shapes.from_descents(swapped, alpha.size, kind)
+            else:
+                expected = alpha
+            assert c.basis[0] == tableaux.tau1(expected), alpha
+            count += 1
+    assert count == 63 + 62 + 60
+
+
 def test_one_dim_quotients():
     for alpha in all_single("A", 4):
         assert one_dim_quotients(build_p(alpha)) == frozenset({shapes.descent_set(alpha)})

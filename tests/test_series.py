@@ -452,6 +452,16 @@ def test_monomial_evaluation_reads_exponents_in_window_order():
             assert got == expected, parts
 
 
+def test_commutative_evaluation_guard_names_the_term():
+    groups.set_limits(tableau=3)
+    try:
+        assert len(evaluate_commutative(E("QSym", "M", (1, 1)), (1, 2, 3))) == 3
+        with pytest.raises(groups.ResourceLimitError, match=r"^index words of F\[2, 1\] count 4 "):
+            evaluate_commutative(E("QSym", "F", (2, 1)), (1, 2, 3))
+    finally:
+        groups.set_limits()
+
+
 def test_commutative_evaluation_against_index_words():
     # F_a (M_a) in types B and D sums the weakly increasing index words
     # that rise strictly at the descents of a (and stay equal elsewhere),

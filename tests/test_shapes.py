@@ -14,7 +14,6 @@ from hecke_ribbon.shapes import (
     descent_band,
     descent_set,
     diagram,
-    dot_glue,
     enumerate_shapes,
     format_shape,
     from_descents,
@@ -24,7 +23,6 @@ from hecke_ribbon.shapes import (
     pseudo_composition,
     reverse,
     transpose,
-    triangle_glue,
 )
 
 
@@ -235,9 +233,25 @@ def test_diagram_is_read_only():
 
 
 def test_glue_band():
+    # triangle gluing (4,5,2), dot gluing (2,2,2,3,2)
     shape = Shape("A", ((2,), (2, 2), (3, 2)))
-    assert triangle_glue(shape).parts == (4, 5, 2)
-    assert dot_glue(shape).parts == (2, 2, 2, 3, 2)
+    assert descent_band(shape) == ({4, 9}, {2, 4, 6, 9})
+    assert descent_band(Shape("A", ())) == (frozenset(), frozenset())
+
+
+def test_descent_band_equals_the_gluings():
+    # oracle: the descent sets of the triangle and dot gluings of all
+    # components, glued one component at a time
+    for kind in ("A", "B", "D"):
+        for n in range(7):
+            for shape in shapes.enumerate_generalized(n, kind, 3):
+                glued = {}
+                for mode in ("triangle", "dot"):
+                    parts = shape.components[0]
+                    for comp in shape.components[1:]:
+                        parts = glue_parts(parts, comp, mode)
+                    glued[mode] = shapes.parts_descents(parts)
+                assert descent_band(shape) == (glued["triangle"], glued["dot"]), shape
 
 
 def test_parse_format_round_trip():

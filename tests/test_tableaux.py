@@ -151,6 +151,40 @@ def test_theta_identities():
                         assert theta_map(image) == t
 
 
+def box_reflection(t):
+    """Independent oracle for theta: reflect the diagram boxes, through
+    the antidiagonal onto the transpose in type A and through the diagonal
+    with negation onto the complement in types B and D, where type D then
+    negates the entry of absolute value 1 if the sign count is odd."""
+    kind, boxes = t.shape.kind, shapes.diagram(t.shape).boxes
+    if kind == "A":
+        target = shapes.transpose(t.shape)
+        rmax = max((r for r, _ in boxes), default=0)
+        cmax = max((c for _, c in boxes), default=0)
+        image = {(cmax + 1 - c, rmax + 1 - r): e for (r, c), e in zip(boxes, t.entries)}
+    else:
+        target = shapes.complement(t.shape)
+        image = {(c, r): -e for (r, c), e in zip(boxes, t.entries)}
+    target_boxes = shapes.diagram(target).boxes
+    assert set(image) == set(target_boxes)
+    entries = [image[b] for b in target_boxes]
+    if kind == "D" and sum(e < 0 for e in entries) % 2:
+        p = [abs(e) for e in entries].index(1)
+        entries[p] = -entries[p]
+    return Tableau(target, tuple(entries))
+
+
+def test_theta_equals_the_box_reflection():
+    count = 0
+    for kind, top in (("A", 6), ("B", 5), ("D", 5)):
+        for n in range(2 if kind == "D" else 1, top + 1):
+            for s in shapes.enumerate_shapes(n, "A" if kind == "A" else "B"):
+                for t in standard_tableaux(Shape(kind, s.components)):
+                    assert theta_map(t) == box_reflection(t), t
+                    count += 1
+    assert count == 873 + 4282 + 2140  # every group element once
+
+
 def test_split_reassembly_round_trip():
     # the two pieces are standard, their shapes decompose the ambient
     # shape, and writing them back into their box regions recovers the
@@ -231,11 +265,11 @@ def test_parse_format_round_trip():
 
 
 def test_semistandard_words_equal_filling_filter():
-    # every generalized shape with n <= 3 and at most 3 components: the
+    # every generalized shape with n <= 4 and at most 3 components: the
     # enumerated words are the sorted words of W^n that pass the filling rules
     for kind, window in (("A", range(1, 6)), ("B", range(-2, 3)), ("D", range(-2, 3))):
         family = [Shape("A", ())] if kind == "A" else []
-        for n in range(4):
+        for n in range(5):
             family.extend(shapes.enumerate_generalized(n, kind, 3))
         for shape in family:
             brute = [w for w in cartesian(window, repeat=shape.size) if is_semistandard(shape, w)]
@@ -267,6 +301,19 @@ def test_pattern_words_equal_relation_filter():
 
                 expected = [w for w in cartesian(window, repeat=n) if ok(w)]
                 assert pattern_words(kind, pattern, window, "words") == expected, (kind, pattern)
+
+
+def test_guard_messages_name_their_objects():
+    groups.set_limits(tableau=1)
+    try:
+        with pytest.raises(groups.ResourceLimitError, match=r"^standard tableaux of \[2\]\+\[1\] count 3 "):
+            standard_tableaux(Shape("A", ((2,), (1,))))
+        with pytest.raises(groups.ResourceLimitError, match=r"^semistandard tableaux of \[2\] count 3 "):
+            semistandard_tableaux(pseudo_composition((2,)), (-1, 0, 1))
+        with pytest.raises(groups.ResourceLimitError, match=r"^words count 2 exceeds the guard 1$"):
+            pattern_words("A", (None,), (1, 2), "words")
+    finally:
+        groups.set_limits()
 
 
 def test_semistandard_guard():
