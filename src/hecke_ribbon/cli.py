@@ -140,6 +140,15 @@ def cmd_group(args) -> int:
     return 0
 
 
+def _standard_tableau(args, s: shapes.Shape) -> tableaux.Tableau:
+    """The ``--tableau`` filling of the shape, or a usage error when it is
+    not standard."""
+    t = tableaux.parse_tableau(_need(args, "tableau"), s)
+    if not tableaux.is_standard(s, t.entries):
+        raise ValueError(f"tableau {args.action} takes standard tableaux; {t} is not standard on {s}")
+    return t
+
+
 def cmd_tableau(args) -> int:
     s = shapes.parse_shape(args.shape, args.type)
     if args.action == "enumerate":
@@ -151,14 +160,11 @@ def cmd_tableau(args) -> int:
         out = {"tableau": str(t), "word": str(tableaux.reading_word(t))}
         _emit(args, out, [out["tableau"], f"word {out['word']}"])
     elif args.action == "theta":
-        t = tableaux.parse_tableau(_need(args, "tableau"), s)
-        if not tableaux.is_standard(s, t.entries):
-            raise ValueError(f"theta maps standard tableaux; {t} is not standard on {s}")
-        image = tableaux.theta_map(t)
+        image = tableaux.theta_map(_standard_tableau(args, s))
         out = {"tableau": str(image), "shape": shapes.format_shape(image.shape)}
         _emit(args, out, [out["tableau"], f"shape {out['shape']}"])
     elif args.action == "word":
-        t = tableaux.parse_tableau(_need(args, "tableau"), s)
+        t = _standard_tableau(args, s)
         out = {"word": str(tableaux.reading_word(t)), "descents": sorted(tableaux.tableau_descents(t))}
         _emit(args, out, [out["word"], "descents " + " ".join(map(str, out["descents"]))])
     else:

@@ -9,11 +9,15 @@ carries an extra 0-box.  A generalized shape is a disjoint union of such
 ribbons, each strictly northeast of the previous one; its descent band
 is read off the concatenated parts and the component junctions.
 
-Diagram conventions: rows are indexed bottom to top, columns left to
-right, and the reading order of the boxes runs bottom row to top row,
-left to right within each row.  The 0-box sits to the left of the bottom
-row when the first part is positive, and below the leftmost column when
-the first part is zero; it is never part of the reading order.
+Diagram conventions: each part is a row, and the reading order of the
+boxes runs bottom row to top row, left to right within each row.  The
+0-box sits to the left of the bottom row when the first part is
+positive, and below the leftmost column when the first part is zero; it
+is never part of the reading order.  Two boxes touch only when they are
+consecutive in reading order, so the descent band (D0, D1) holds every
+box relation: box j sits on top of box j-1 when j is in D0, starts a new
+component when j is in D1 but not D0, and is right of box j-1 otherwise.
+Box 0 relates to the 0-box the same way.
 """
 
 from __future__ import annotations
@@ -232,6 +236,7 @@ def bracket_set(shape: Shape) -> tuple[Shape, ...]:
     return out
 
 
+@lru_cache(maxsize=None)
 def descent_band(shape: Shape) -> tuple[frozenset[int], frozenset[int]]:
     """Descent sets (D0, D1) of the triangle and dot gluings of all
     components: D1 holds the proper partial sums of the concatenated
@@ -239,7 +244,8 @@ def descent_band(shape: Shape) -> tuple[frozenset[int], frozenset[int]]:
     where the triangle gluing merges two parts.
 
     Reading words of standard tableaux of the shape are exactly the group
-    elements w with D0 <= D(w) <= D1.
+    elements w with D0 <= D(w) <= D1, and the band holds every box
+    relation of the shape (see the module docstring).
     """
     upper = parts_descents(sum(shape.components, ()))
     junctions, total = [], 0
@@ -252,84 +258,6 @@ def descent_band(shape: Shape) -> tuple[frozenset[int], frozenset[int]]:
 def split_rows(shape: Shape) -> Shape:
     """The generalized shape whose components are the single rows of a ribbon."""
     return Shape(shape.kind, tuple((p,) for p in shape.parts))
-
-
-# ---------------------------------------------------------------------------
-# diagrams
-
-
-class Diagram:
-    """Box coordinates of a shape, in reading order.
-
-    Attributes: ``boxes`` (tuple of (row, col)), ``zero_box`` (coordinate
-    or None), neighbor index tables ``left_of``/``below`` (box index,
-    None, or "zero" for left_of), and ``above_zero`` (index of the box
-    sitting on top of the 0-box, if any).  Two boxes touch only when they
-    are consecutive in reading order, so a box's left or lower neighbor,
-    if any, is the box before it.
-
-    Instances are read-only, as ``diagram`` shares cached ones: an
-    attribute cannot be assigned or deleted.
-    """
-
-    __slots__ = ("shape", "boxes", "zero_box", "left_of", "below", "above_zero")
-
-    def __init__(self, shape: Shape):
-        boxes: list[tuple[int, int]] = []
-        zero_box = None
-        row_off = col_off = 0
-        for ci, parts in enumerate(shape.components):
-            coords, zb = _ribbon_coords(parts, shape.kind if ci == 0 else "A")
-            coords = [(r + row_off, c + col_off) for r, c in coords]
-            boxes.extend(coords)
-            if zb is not None:
-                zero_box = zb  # only the first component has one, unshifted
-                coords.append(zb)
-            if coords:
-                row_off = max(r for r, _ in coords) + 1
-                col_off = max(c for _, c in coords) + 1
-        index = {coord: i for i, coord in enumerate(boxes)}
-        left_of = tuple(
-            index.get((r, c - 1), "zero" if zero_box == (r, c - 1) else None)
-            for r, c in boxes
-        )
-        below = tuple(index.get((r - 1, c)) for r, c in boxes)
-        above_zero = None
-        if zero_box is not None:
-            above_zero = index.get((zero_box[0] + 1, zero_box[1]))
-        values = (shape, tuple(boxes), zero_box, left_of, below, above_zero)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.boxes)
-
-
-def _ribbon_coords(parts: Parts, kind: str):
-    """Coordinates of one (pseudo-)ribbon from row 1, column 1, plus its
-    0-box coordinate."""
-    zero = None
-    if kind != "A":
-        zero = (0, 1) if parts[0] == 0 else (1, 0)
-        parts = parts[1:] if parts[0] == 0 else parts
-    coords = []
-    col = 1
-    for row, p in enumerate(parts, start=1):
-        coords.extend((row, col + j) for j in range(p))
-        col += p - 1
-    return coords, zero
-
-
-@lru_cache(maxsize=None)
-def diagram(shape: Shape) -> Diagram:
-    return Diagram(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -350,31 +278,33 @@ def subshape_of_boxes(shape: Shape, picked: list[int], with_zero: bool = False):
     """The generalized shape formed by a subset of boxes, and the order in
     which those boxes are visited by the subshape's own reading order.
 
-    Two boxes touch only when they are consecutive in reading order, so
-    one pass over the picked boxes in that order reads off the shape: a
-    box right of the previous picked box extends its row, a box on top of
-    it starts the next row of its component, and any other box starts a
-    new component.  The order is therefore ``sorted(picked)``.  With
-    ``with_zero`` (kinds B and D) the 0-box joins the subshape: under a
-    picked first box it makes a leading zero part, left of one it leaves
-    the parts as they are, and otherwise it is a bare leading component.
+    One pass over the picked boxes in reading order reads off the shape
+    from the descent band (D0, D1): a box right after the previous picked
+    box extends its row when not in D1, starts the next row of its
+    component when in D0, and any other box starts a new component.  The
+    order is therefore ``sorted(picked)``.  With ``with_zero`` (kinds B
+    and D) the 0-box joins the subshape: under a picked box 0 (0 in D0)
+    it makes a leading zero part, left of one (0 not in D1) it leaves the
+    parts as they are, and otherwise it is a bare leading component.
     """
-    diag = diagram(shape)
+    lower, upper = descent_band(shape)
     order = sorted(picked)
     comps: list[list[int]] = []
     for k, i in enumerate(order):
-        if k and diag.left_of[i] == order[k - 1]:
+        touches = k and order[k - 1] == i - 1
+        if touches and i not in upper:
             comps[-1][-1] += 1
-        elif k and diag.below[i] == order[k - 1]:
+        elif touches and i in lower:
             comps[-1].append(1)
         else:
             comps.append([1])
     parts_list = [tuple(c) for c in comps]
     if not with_zero or shape.kind == "A":
         return Shape("A", tuple(parts_list)), order
-    if order and order[0] == diag.above_zero:
+    has_first = order[:1] == [0]
+    if has_first and 0 in lower:
         parts_list[0] = (0,) + parts_list[0]
-    elif not (order and diag.left_of[order[0]] == "zero"):
+    elif not (has_first and 0 not in upper):
         parts_list.insert(0, (0,))
     kind = "B" if shape.kind == "D" and len(order) < 2 else shape.kind
     return Shape(kind, tuple(parts_list)), order
@@ -385,30 +315,31 @@ def decompositions(shape: Shape) -> tuple[Decomposition, ...]:
     lexicographic order of their assignments.
 
     Along every row (left to right) and every column (top to bottom) the
-    labels weakly increase, with beta < gamma.  Two boxes touch only when
-    they are consecutive in reading order, so labelling the boxes in that
-    order checks each new label against the previous one alone, and
-    trying beta before gamma keeps the fillings sorted.  In kinds B and D
-    the 0-box is not assignable: it counts as a beta cell in the
-    monotonicity check (so the box on top of it is beta) and is attached
-    to the beta factor, which is therefore a pseudo-shape while gamma is
-    a type A shape.
+    labels weakly increase, with beta < gamma.  By the descent band, box
+    j touches at most box j-1, the 0-box for j = 0: so labelling the
+    boxes in reading order checks each new label against the previous
+    one alone, and trying beta before gamma keeps the fillings sorted.
+    In kinds B and D the 0-box is not assignable: it counts as a beta
+    cell in the monotonicity check (so the box on top of it is beta) and
+    is attached to the beta factor, which is therefore a pseudo-shape
+    while gamma is a type A shape.
     """
-    diag = diagram(shape)
-    assignments: list[tuple[str, ...]] = [()]
-    for i in range(diag.n):
-        right_of_prev = diag.left_of[i] == i - 1
-        on_top_of_prev = diag.below[i] == i - 1
-        labels = "b" if i == diag.above_zero else "bg"
+    lower, upper = descent_band(shape)
+    # the 0-box leads every assignment; type A has none, but there box 0
+    # is right of it, which a beta cell does not constrain
+    assignments: list[tuple[str, ...]] = [("b",)]
+    for i in range(shape.size):
+        on_top, right = i in lower, i not in upper
         assignments = [
             a + (label,)
             for a in assignments
-            for label in labels
-            if not (right_of_prev and label < a[-1] or on_top_of_prev and label > a[-1])
+            for label in "bg"
+            if not (right and label < a[-1] or on_top and label > a[-1])
         ]
     with_zero = shape.kind != "A"
     out = []
     for a in assignments:
+        a = a[1:]
         beta, _ = subshape_of_boxes(shape, [i for i, x in enumerate(a) if x == "b"], with_zero)
         gamma, _ = subshape_of_boxes(shape, [i for i, x in enumerate(a) if x == "g"])
         out.append(Decomposition(beta, gamma, a))

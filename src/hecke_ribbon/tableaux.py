@@ -2,7 +2,8 @@
 
 A tableau stores its entries in reading order (bottom row to top row,
 left to right), so the entry tuple of a standard tableau IS its reading
-word.  Validity is checked against the diagram: rows increase left to
+word.  Validity is checked against the descent band of the shape, which
+says which box each box touches (see ``shapes``): rows increase left to
 right, columns increase top to bottom, with the extra 0-box of types B
 and D participating in the comparisons (value 0 in type B; value -w(2)
 in type D, where w(2) is the second letter of the reading word).
@@ -14,11 +15,11 @@ filling whose reading word is s_i w(T), is standard exactly when the
 descent set of s_i w(T) lies in that band; ``modules.build_p`` reads the
 tableau action off this band rule.  A ``Tableau`` is a frozen
 dataclass with slots; the enumerated bases skip its constructor.
-Semistandard fillings are enumerated as words whose consecutive letters
-follow the weak/strict pattern the same band prescribes
-(``pattern_words``), and the diagram symmetry theta acts on reading
-words alone: it reverses them in type A and negates them in types B and
-D.
+Semistandard fillings are enumerated, and all fillings checked, as words
+whose consecutive letters follow the weak/strict pattern the same band
+prescribes (``pattern_words``), and the diagram symmetry theta acts on
+reading words alone: it reverses them in type A and negates them in
+types B and D.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .shapes import (
     complement,
     descent_band,
     descent_set,
-    diagram,
     positions,
     subshape_of_boxes,
     transpose,
@@ -79,7 +79,7 @@ def reading_word(t: Tableau) -> groups.GroupElement:
 
 
 def is_semistandard(shape: Shape, entries: tuple[int, ...]) -> bool:
-    return _filling_ok(shape, entries, strict_rows=False)
+    return _follows(shape.kind, _pattern(shape, "<="), entries)
 
 
 def is_standard(shape: Shape, entries: tuple[int, ...]) -> bool:
@@ -92,34 +92,7 @@ def is_standard(shape: Shape, entries: tuple[int, ...]) -> bool:
         return False
     if shape.kind == "D" and sum(1 for e in entries if e < 0) % 2:
         return False
-    return _filling_ok(shape, entries, strict_rows=True)
-
-
-def _filling_ok(shape: Shape, entries: tuple[int, ...], strict_rows: bool) -> bool:
-    diag = diagram(shape)
-    if len(entries) != diag.n:
-        return False
-    if shape.kind == "D":
-        zval = -entries[1]
-    elif shape.kind == "B":
-        zval = 0
-    else:
-        zval = None
-    for i, v in enumerate(entries):
-        left = diag.left_of[i]
-        if left == "zero":
-            if v < zval or (strict_rows and v == zval):
-                return False
-        elif left is not None:
-            lv = entries[left]
-            if lv > v or (strict_rows and lv == v):
-                return False
-        b = diag.below[i]
-        if b is not None and entries[b] <= v:  # columns are strict downward
-            return False
-    if diag.above_zero is not None and entries[diag.above_zero] >= zval:
-        return False
-    return True
+    return _follows(shape.kind, _pattern(shape, "<"), entries)
 
 
 def standard_tableaux(shape: Shape, band: tuple[int, ...] | None = None) -> tuple[Tableau, ...]:
@@ -272,9 +245,28 @@ def semistandard_tableaux(shape: Shape, alphabet) -> list[tuple[int, ...]]:
     way.  Raises ``ResourceLimitError`` when there are more words than the
     tableau guard allows, before building them.
     """
+    return pattern_words(shape.kind, _pattern(shape, "<="), alphabet, "semistandard tableaux of {}", shape)
+
+
+def _pattern(shape: Shape, row: str) -> list[str | None]:
+    """The ``pattern_words`` pattern of the fillings of the shape, with
+    the relation ``row`` ("<" or "<=") along rows: ">" where box j is on
+    top of box j-1 (j in D0), None where it starts a new component (j in
+    D1 but not D0), and ``row`` where it is right of box j-1."""
     lower, upper = descent_band(shape)
-    pattern = [">" if j in lower else None if j in upper else "<=" for j in range(shape.size)]
-    return pattern_words(shape.kind, pattern, alphabet, "semistandard tableaux of {}", shape)
+    return [">" if j in lower else None if j in upper else row for j in range(shape.size)]
+
+
+def _follows(kind: str, pattern, word) -> bool:
+    """Whether the word is one that ``pattern_words`` builds for the
+    pattern, over an alphabet that holds its letters."""
+    if len(word) != len(pattern):
+        return False
+    if kind != "A" and word and pattern[0] is not None:
+        zero = 0 if kind == "B" else -word[1]
+        if not _HOLDS[pattern[0]](zero, word[0]):
+            return False
+    return all(rel is None or _HOLDS[rel](a, b) for rel, a, b in zip(pattern[1:], word, word[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -282,39 +274,30 @@ def semistandard_tableaux(shape: Shape, alphabet) -> list[tuple[int, ...]]:
 
 
 def format_tableau(t: Tableau) -> str:
-    diag = diagram(t.shape)
-    cells: dict[int, list[tuple[int, str]]] = {}
-    for i, (r, c) in enumerate(diag.boxes):
-        cells.setdefault(r, []).append((c, str(t.entries[i])))
-    if diag.zero_box is not None:
-        zr, zc = diag.zero_box
-        cells.setdefault(zr, []).append((zc, "0*"))
-    rows = []
-    for r in sorted(cells, reverse=True):
-        rows.append(",".join(text for _, text in sorted(cells[r])))
-    return "/".join(rows)
+    cells = [str(e) for e in t.entries]
+    rows, start = [], 0
+    for part in sum(t.shape.components, ()):  # one row per part, bottom row first
+        rows.append(cells[start : start + part])
+        start += part
+    if t.shape.kind != "A":
+        rows[0].insert(0, "0*")
+    return "/".join(",".join(row) for row in reversed(rows))
 
 
 def parse_tableau(text: str, shape: Shape) -> Tableau:
-    diag = diagram(shape)
-    rows = [chunk.split(",") if chunk else [] for chunk in text.split("/")]
-    cells: dict[int, list[tuple[int, str]]] = {}
-    for i, (r, c) in enumerate(diag.boxes):
-        cells.setdefault(r, []).append((c, i))
-    if diag.zero_box is not None:
-        zr, zc = diag.zero_box
-        cells.setdefault(zr, []).append((zc, -1))
-    ordered_rows = [sorted(cells[r]) for r in sorted(cells, reverse=True)]
-    if len(rows) != len(ordered_rows):
-        raise ShapeError(f"tableau text has {len(rows)} rows, shape needs {len(ordered_rows)}")
-    values: dict[int, int] = {}
-    for texts, boxes in zip(rows, ordered_rows):
-        if len(texts) != len(boxes):
+    rows = [chunk.split(",") if chunk else [] for chunk in text.split("/")] if text else []
+    widths = list(sum(shape.components, ()))  # one row per part, bottom row first
+    if shape.kind != "A":
+        widths[0] += 1  # the 0-box leads the bottom row
+    if len(rows) != len(widths):
+        raise ShapeError(f"tableau text has {len(rows)} rows, shape needs {len(widths)}")
+    entries: list[int] = []
+    for k, texts in zip(reversed(range(len(rows))), rows):  # top to bottom, as the text reads
+        if len(texts) != widths[k]:
             raise ShapeError("tableau text row length does not match the shape")
-        for text_cell, (_, idx) in zip(texts, boxes):
-            if idx == -1:
-                if text_cell.strip() != "0*":
-                    raise ShapeError("the 0-box must be written as 0*")
-            else:
-                values[idx] = int(text_cell)
-    return Tableau(shape, tuple(values[i] for i in range(diag.n)))
+        if k == 0 and shape.kind != "A":
+            if texts[0].strip() != "0*":
+                raise ShapeError("the 0-box must be written as 0*")
+            texts = texts[1:]
+        entries[:0] = map(int, texts)
+    return Tableau(shape, tuple(entries))

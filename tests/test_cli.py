@@ -79,6 +79,14 @@ def test_theta_rejects_a_filling_that_is_not_standard(capsys):
         assert "is not standard" in capsys.readouterr().err
 
 
+def test_word_rejects_a_filling_that_is_not_standard(capsys):
+    code, out = run_cli(capsys, "tableau", "word", "--shape", "[1,2]", "--tableau=1,3/2")
+    assert (code, out) == (0, "2,1,3\ndescents 1\n")
+    for text in ("1,1/2", "5,9/7"):
+        assert cli.main(["tableau", "word", "--shape", "[1,2]", f"--tableau={text}"]) == 2
+        assert "is not standard" in capsys.readouterr().err
+
+
 def test_module_commands(capsys):
     code, out = run_cli(capsys, "module", "build", "--shape", "[0,2,1]", "--type", "B", "--format", "dot")
     assert code == 0

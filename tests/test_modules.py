@@ -5,6 +5,7 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from box_oracle import standard_by_boxes
 from hecke_ribbon import groups, linalg, modules, shapes, tableaux
 from hecke_ribbon.modules import (
     CertificationError,
@@ -61,9 +62,10 @@ def test_displayed_small_modules():
 def test_build_p_matches_defining_rule():
     """Each column of a generator matrix follows the defining rule: -T on
     a descent, s_i T when that filling is standard, and 0 otherwise.  The
-    reference builds s_i T by the group product and tests it with
-    ``is_standard``, without the left action table ``build_p`` reads; the
-    B/D single ribbons of size 5 add 14,400 products to it."""
+    reference builds s_i T by the group product and tests it on the box
+    coordinates, without the left action table and the descent band
+    ``build_p`` reads; the B/D single ribbons of size 5 add 14,400
+    products to it."""
     family = [Shape("A", ())]
     for kind, top in (("A", 6), ("B", 4), ("D", 4)):
         for n in range(top + 1):
@@ -82,7 +84,7 @@ def test_build_p_matches_defining_rule():
                     continue
                 s_i = groups.generator(shape.kind, shape.size, i)
                 swapped = groups.multiply(s_i, tableaux.reading_word(t)).window
-                if tableaux.is_standard(shape, swapped):
+                if standard_by_boxes(shape, swapped):
                     col.append(((index_of[swapped], 1),))
                 else:
                     col.append(())
@@ -579,7 +581,13 @@ def test_length_filtration_needs_cyclic():
 
 
 def test_module_json_round_trip():
-    for shape in (composition((2, 1)), pseudo_composition((0, 2)), Shape("A", ((1,), (2,)))):
+    for shape in (
+        composition((2, 1)),
+        pseudo_composition((0, 2)),
+        Shape("A", ((1,), (2,))),
+        Shape("A", ()),
+        Shape("B", ((0,),)),
+    ):
         module = build_p(shape)
         data = module_to_json(module)
         back = module_from_json(data)

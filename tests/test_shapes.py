@@ -3,6 +3,7 @@ from itertools import product as cartesian
 import pytest
 from hypothesis import given, strategies as st
 
+from box_oracle import box_coordinates, decompositions_by_boxes, small_generalized_shapes, subshape_by_boxes
 from hecke_ribbon import shapes
 from hecke_ribbon.shapes import (
     Shape,
@@ -13,7 +14,6 @@ from hecke_ribbon.shapes import (
     decompositions,
     descent_band,
     descent_set,
-    diagram,
     enumerate_shapes,
     format_shape,
     from_descents,
@@ -213,23 +213,32 @@ def test_decompositions_pseudo():
     assert len(only) == 1 and only[0].beta.parts == (0, 1)
 
 
-def test_diagram_reading_order():
-    diag = diagram(composition((2, 3, 1, 1)))
-    assert diag.boxes == ((1, 1), (1, 2), (2, 2), (2, 3), (2, 4), (3, 4), (4, 4))
-    pseudo = diagram(pseudo_composition((0, 2, 1)))
-    assert pseudo.zero_box == (0, 1)
-    assert pseudo.above_zero == 0
+def test_box_oracle_reading_order():
+    boxes, zero_box = box_coordinates(composition((2, 3, 1, 1)))
+    assert boxes == ((1, 1), (1, 2), (2, 2), (2, 3), (2, 4), (3, 4), (4, 4))
+    assert zero_box is None
+    assert box_coordinates(composition((2, 1))) == (((1, 1), (1, 2), (2, 2)), None)
+    boxes, zero_box = box_coordinates(pseudo_composition((0, 2, 1)))
+    assert zero_box == (0, 1) and boxes[0] == (1, 1)  # box 0 sits on top of the 0-box
+    # later components start above and right of everything before them
+    boxes, zero_box = box_coordinates(Shape("B", ((0,), (1,), (2,))))
+    assert (boxes, zero_box) == (((2, 3), (4, 5), (4, 6)), (0, 1))
 
 
-def test_diagram_is_read_only():
-    diag = diagram(composition((2, 1)))
-    with pytest.raises(AttributeError):
-        diag.boxes = ((9, 9),) * 3
-    with pytest.raises(AttributeError):
-        del diag.left_of
-    with pytest.raises(AttributeError):
-        diag.extra = ()
-    assert diagram(composition((2, 1))).boxes == ((1, 1), (1, 2), (2, 2))
+def test_subshape_of_boxes_equals_the_box_oracle():
+    # every subset of the boxes, with and without the 0-box
+    for shape in small_generalized_shapes():
+        for mask in range(2 ** shape.size):
+            picked = [i for i in range(shape.size) if mask >> i & 1]
+            for with_zero in (False, True):
+                got = shapes.subshape_of_boxes(shape, picked, with_zero)
+                assert got == subshape_by_boxes(shape, picked, with_zero), (shape, picked, with_zero)
+
+
+def test_decompositions_equal_the_box_oracle():
+    for shape in small_generalized_shapes():
+        got = [(d.beta, d.gamma, d.assignment) for d in decompositions(shape)]
+        assert got == decompositions_by_boxes(shape), shape
 
 
 def test_glue_band():

@@ -5,6 +5,13 @@ from itertools import product as cartesian
 
 import pytest
 
+from box_oracle import (
+    box_coordinates,
+    fits_boxes,
+    format_by_boxes,
+    small_generalized_shapes,
+    standard_by_boxes,
+)
 from hecke_ribbon import groups, shapes
 from hecke_ribbon.shapes import Shape, composition, pseudo_composition
 from hecke_ribbon.tableaux import (
@@ -28,11 +35,7 @@ def brute_standard_words(shape):
     """Independent oracle: filter every group window through the raw
     row/column filling rules on explicit coordinates."""
     kind, n = shape.kind, shape.size
-    words = []
-    for w in groups.enumerate_group(kind, n):
-        if is_standard(shape, w.window):
-            words.append(w.window)
-    return sorted(words)
+    return sorted(w.window for w in groups.enumerate_group(kind, n) if standard_by_boxes(shape, w.window))
 
 
 def test_counts_match_displayed_modules():
@@ -156,7 +159,7 @@ def box_reflection(t):
     the antidiagonal onto the transpose in type A and through the diagonal
     with negation onto the complement in types B and D, where type D then
     negates the entry of absolute value 1 if the sign count is odd."""
-    kind, boxes = t.shape.kind, shapes.diagram(t.shape).boxes
+    kind, (boxes, _) = t.shape.kind, box_coordinates(t.shape)
     if kind == "A":
         target = shapes.transpose(t.shape)
         rmax = max((r for r, _ in boxes), default=0)
@@ -165,7 +168,7 @@ def box_reflection(t):
     else:
         target = shapes.complement(t.shape)
         image = {(c, r): -e for (r, c), e in zip(boxes, t.entries)}
-    target_boxes = shapes.diagram(target).boxes
+    target_boxes, _ = box_coordinates(target)
     assert set(image) == set(target_boxes)
     entries = [image[b] for b in target_boxes]
     if kind == "D" and sum(e < 0 for e in entries) % 2:
@@ -257,22 +260,44 @@ def test_semistandard_unique_word_type_d():
 
 
 def test_parse_format_round_trip():
-    for kind, n in (("A", 4), ("B", 3), ("D", 3)):
-        for s in shapes.enumerate_shapes(n, "A" if kind == "A" else "B"):
-            shape = s if kind == "A" else Shape(kind, s.components)
-            for t in standard_tableaux(shape):
-                assert parse_tableau(format_tableau(t), shape) == t
+    # the text is the rows of the box coordinates, and reads back
+    family = small_generalized_shapes()
+    assert {Shape("A", ()), Shape("B", ((0,),))} <= set(family)
+    for shape in family:
+        for t in standard_tableaux(shape):
+            text = format_tableau(t)
+            assert text == format_by_boxes(shape, t.entries), t
+            assert parse_tableau(text, shape) == t
+    assert format_tableau(Tableau(Shape("A", ()), ())) == ""
+    assert format_tableau(Tableau(Shape("B", ((0,),)), ())) == "0*"
+
+
+def test_filling_predicates_equal_the_box_oracle():
+    # every word over a small window on the shapes of size at most 3, and
+    # every signed permutation on the single ribbons of size 4
+    for shape in small_generalized_shapes():
+        if shape.size > 3:
+            continue
+        for w in cartesian(range(-2, 3), repeat=shape.size):
+            assert is_semistandard(shape, w) == fits_boxes(shape, w, strict_rows=False), (shape, w)
+            assert is_standard(shape, w) == standard_by_boxes(shape, w), (shape, w)
+    for kind in "ABD":
+        for s in shapes.enumerate_shapes(4, "A" if kind == "A" else "B"):
+            shape = Shape(kind, s.components)
+            for w in groups.enumerate_group("B", 4):
+                assert is_standard(shape, w.window) == standard_by_boxes(shape, w.window), (shape, w)
 
 
 def test_semistandard_words_equal_filling_filter():
     # every generalized shape with n <= 4 and at most 3 components: the
-    # enumerated words are the sorted words of W^n that pass the filling rules
+    # enumerated words are the sorted words of W^n that fit the box coordinates
     for kind, window in (("A", range(1, 6)), ("B", range(-2, 3)), ("D", range(-2, 3))):
         family = [Shape("A", ())] if kind == "A" else []
         for n in range(5):
             family.extend(shapes.enumerate_generalized(n, kind, 3))
         for shape in family:
-            brute = [w for w in cartesian(window, repeat=shape.size) if is_semistandard(shape, w)]
+            words = cartesian(window, repeat=shape.size)
+            brute = [w for w in words if fits_boxes(shape, w, strict_rows=False)]
             assert semistandard_tableaux(shape, window) == brute, shape
 
 
