@@ -18,7 +18,14 @@ Most coefficients at q = 1 are small constants, so the constants from
 instead of a new one, and a zero result is always ``ZERO`` (never a
 ``(0,)`` tuple; the constructor trims that away as well).  Sharing is
 invisible to callers: instances cannot be edited, and equality and hash
-go by ``coeffs`` alone.
+go by ``coeffs`` alone.  ``QPoly()`` and ``QPoly(())`` are ``ZERO``
+itself.
+
+Sums and products are dispatched on the other operand, commonest first:
+a ``QPoly`` pair, where two constants read their result off the table
+(at q = 1 almost every coefficient is a constant, so this is most of the
+traffic); then an ``int``; then anything else, through ``QPoly.of``.
+Only then do the general loops run.
 
 Products whose shorter operand has at least ``KRONECKER_MIN_LEN``
 coefficients use Kronecker substitution: both operands are evaluated at
@@ -56,13 +63,17 @@ class QPoly:
 
     Instances are immutable values: ``coeffs`` cannot be assigned or
     deleted, equality holds only between ``QPoly``s, and the hash is that
-    of ``(coeffs,)``.  The constructor drops trailing zero coefficients.
+    of ``(coeffs,)``.  The constructor drops trailing zero coefficients
+    and returns the shared ``ZERO`` when none is left.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[int, ...] = ()):
-        _set_coeffs(self, _trim(coeffs))
+    def __new__(cls, coeffs: tuple[int, ...] = ()):
+        if coeffs == ():
+            return ZERO
+        coeffs = _trim(coeffs)
+        return _wrap(coeffs) if coeffs else ZERO
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -105,13 +116,18 @@ class QPoly:
 
     def __add__(self, other) -> "QPoly":
         a = self.coeffs
-        if isinstance(other, int):
+        if other.__class__ is QPoly:
+            b = other.coeffs
+            if len(a) == 1 and len(b) == 1:
+                c = a[0] + b[0]
+                return _CONSTANTS[c] if -65 < c < 65 else _wrap((c,))
+        elif isinstance(other, int):
             if not other:
                 return self
             return _plus_constant(self, other) if a else _constant(other)
-        if other.__class__ is not QPoly:
+        else:
             other = QPoly.of(other)
-        b = other.coeffs
+            b = other.coeffs
         if not b:
             return self
         if not a:
@@ -147,15 +163,21 @@ class QPoly:
 
     def __mul__(self, other) -> "QPoly":
         a = self.coeffs
-        if isinstance(other, int):
+        if other.__class__ is QPoly:
+            b = other.coeffs
+            if len(a) == 1 and len(b) == 1:
+                # two nonzero constants: a nonzero product
+                c = a[0] * b[0]
+                return _CONSTANTS[c] if -65 < c < 65 else _wrap((c,))
+        elif isinstance(other, int):
             return _scale(self, other) if other and a else ZERO
-        if other.__class__ is not QPoly:
+        else:
             other = QPoly.of(other)
-        b = other.coeffs
+            b = other.coeffs
         if not a or not b:
             return ZERO
         if len(a) == 1:
-            if len(b) == 1:
+            if len(b) == 1:  # a constant pair gets here only through QPoly.of
                 return _constant(a[0] * b[0])
             return _scale(other, a[0])
         if len(b) == 1:
@@ -260,8 +282,8 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-ZERO = QPoly()
-ONE = QPoly((1,))
+ZERO = _wrap(())
+ONE = _wrap((1,))
 # _CONSTANTS[c] is the constant c for |c| <= 64; a negative c reads from
 # the end of the list
 _CONSTANTS = [ZERO, ONE] + [_wrap((c,)) for c in range(2, 65)]

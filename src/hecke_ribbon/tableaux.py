@@ -46,11 +46,16 @@ class Tableau:
     """A shape together with one entry per box, in reading order: an
     immutable value with slots (declared here: the class that
     ``dataclass(slots=True)`` makes breaks the frozen ``__setattr__`` on
-    Python 3.11).  Enumerated bases come from ``_make``, unchecked."""
+    Python 3.11).  The constructor raises ``ShapeError`` unless there is
+    one entry per box; enumerated bases come from ``_make``, unchecked."""
 
     __slots__ = ("shape", "entries")
     shape: Shape
     entries: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.entries) != self.shape.size:
+            raise ShapeError(f"shape {self.shape} has {self.shape.size} boxes, not {len(self.entries)}")
 
     def __reduce__(self):
         return Tableau, (self.shape, self.entries)

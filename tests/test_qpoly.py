@@ -160,8 +160,35 @@ def test_shared_constants_cannot_be_edited():
 def test_int_subclasses_keep_their_behaviour():
     p = QPoly.of((1, 2))
     assert QPoly.of(True).coeffs == (True,) and QPoly.of(False) == ZERO
-    assert p * True == p and (p * False) == ZERO
+    assert p * True is p and (p * False) is ZERO
     assert (p + True).coeffs == (2, 2) and (ZERO + True).coeffs == (True,)
+    # a bool operand takes the int path, never the constant table
+    c = QPoly.of(3)
+    assert c * True is c and c * False is ZERO and True * c is c
+    assert (c + True).coeffs == (4,) and (True + c).coeffs == (4,) and c + False is c
+
+
+def test_the_empty_qpoly_is_zero():
+    for empty in (QPoly(), QPoly(()), QPoly(coeffs=()), QPoly([]), QPoly((0, 0))):
+        assert empty is ZERO
+    assert pickle.loads(pickle.dumps(ZERO)) is ZERO
+    assert copy.copy(ZERO) is ZERO and copy.deepcopy(ZERO) is ZERO
+    # the shortcut for the empty tuple does not swallow what is not a sequence
+    for bad in (0, None):
+        with pytest.raises(TypeError):
+            QPoly(bad)
+
+
+def test_mixed_products_keep_their_results():
+    p = QPoly.of((1, 2))
+    for c, out in ((1, p), (-1, QPoly((-1, -2))), (3, QPoly((3, 6))), (10**20, QPoly((10**20, 2 * 10**20)))):
+        k = QPoly.of(c)
+        assert p * k == k * p == out and type(p * k) is QPoly
+    assert p * ONE is p and ONE * p is p and p * ZERO is ZERO and ZERO * p is ZERO
+    assert p + ZERO is p and ZERO + p is p
+    # a tuple operand goes through QPoly.of and keeps the shared results
+    assert QPoly.of(3) * (2,) is QPoly.of(6) and QPoly.of(3) + (2,) is QPoly.of(5)
+    assert (QPoly.of(3) * (1, 1)).coeffs == (3, 3) and (QPoly.of(3) + (1, 1)).coeffs == (4, 1)
 
 
 # --- shared constants ----------------------------------------------------------
@@ -170,9 +197,16 @@ def test_int_subclasses_keep_their_behaviour():
 SMALL_OR_BIG = st.one_of(st.integers(-70, 70), st.integers(-BIG, BIG))
 
 
+# results just inside and just outside the table: 64 + 1, 5 * 13 and their
+# negatives, which a bound off by one would read from the wrong end
+@example(x=64, y=1)
+@example(x=-64, y=-1)
+@example(x=5, y=13)
+@example(x=-5, y=13)
 @given(SMALL_OR_BIG, SMALL_OR_BIG)
 def test_constant_arithmetic_is_trimmed_and_shared(x, y):
     a = QPoly.of(x)
+    b = QPoly((x,))  # equal to a, a new instance unless x is 0
     for out, value in [
         (a + QPoly.of(y), x + y),
         (a + y, x + y),
@@ -185,6 +219,9 @@ def test_constant_arithmetic_is_trimmed_and_shared(x, y):
         (y * a, x * y),
         (-a, -x),
         (QPoly((x,)) * QPoly((y,)), x * y),
+        (ZERO + a, x),
+        (a + ZERO, x),
+        (QPoly() + a * b * QPoly.of(y), x * x * y),
     ]:
         assert out == QPoly((value,)) and hash(out) == hash(QPoly((value,)))
         assert out.coeffs == ((value,) if value else ())

@@ -13,7 +13,7 @@ from box_oracle import (
     standard_by_boxes,
 )
 from hecke_ribbon import groups, shapes
-from hecke_ribbon.shapes import Shape, composition, pseudo_composition
+from hecke_ribbon.shapes import Shape, ShapeError, composition, pseudo_composition
 from hecke_ribbon.tableaux import (
     Tableau,
     format_tableau,
@@ -73,6 +73,16 @@ def test_displayed_signed_tableaux_round_trip():
     assert format_tableau(t) == "-7/-5/-4,-1,6/0*,2,3"
     assert parse_tableau(format_tableau(t), shape) == t
     assert is_standard(pseudo_composition((0, 2, 3, 1, 1)), (-6, 5, -4, 1, 7, 2, -3))
+
+
+def test_tableau_needs_one_entry_per_box():
+    shape = composition((2, 1))
+    for entries in ((1, 2, 3, 4), (1,), ()):
+        with pytest.raises(ShapeError):
+            Tableau(shape, entries)
+    with pytest.raises(ShapeError):
+        Tableau(pseudo_composition((0, 2)), (0, 1, 2))
+    assert str(Tableau(shape, (1, 2, 3))) == "3/1,2"
 
 
 def test_tableaux_are_slotted_values():
