@@ -18,11 +18,10 @@ Most coefficients at q = 1 are small constants, so the constants from
 instead of a new one, and a zero result is always ``ZERO`` (never a
 ``(0,)`` tuple; the constructor trims that away as well).  Sharing is
 invisible to callers: instances cannot be edited, and equality and hash
-go by ``coeffs`` alone.  ``QPoly()`` and ``QPoly(())`` are ``ZERO``
-itself.
+go by ``coeffs`` alone.
 
 Sums and products are dispatched on the other operand, commonest first:
-a ``QPoly`` pair, where two constants read their result off the table
+a ``QPoly``, where a pair of constants reads its result off the table
 (at q = 1 almost every coefficient is a constant, so this is most of the
 traffic); then an ``int``; then anything else, through ``QPoly.of``.
 Only then do the general loops run.
@@ -63,17 +62,13 @@ class QPoly:
 
     Instances are immutable values: ``coeffs`` cannot be assigned or
     deleted, equality holds only between ``QPoly``s, and the hash is that
-    of ``(coeffs,)``.  The constructor drops trailing zero coefficients
-    and returns the shared ``ZERO`` when none is left.
+    of ``(coeffs,)``.  The constructor drops trailing zero coefficients.
     """
 
     __slots__ = ("coeffs",)
 
-    def __new__(cls, coeffs: tuple[int, ...] = ()):
-        if coeffs == ():
-            return ZERO
-        coeffs = _trim(coeffs)
-        return _wrap(coeffs) if coeffs else ZERO
+    def __init__(self, coeffs: tuple[int, ...] = ()):
+        _set_coeffs(self, _trim(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -116,18 +111,16 @@ class QPoly:
 
     def __add__(self, other) -> "QPoly":
         a = self.coeffs
-        if other.__class__ is QPoly:
-            b = other.coeffs
-            if len(a) == 1 and len(b) == 1:
-                c = a[0] + b[0]
-                return _CONSTANTS[c] if -65 < c < 65 else _wrap((c,))
-        elif isinstance(other, int):
-            if not other:
-                return self
-            return _plus_constant(self, other) if a else _constant(other)
-        else:
+        if other.__class__ is not QPoly:
+            if isinstance(other, int):
+                if not other:
+                    return self
+                return _plus_constant(self, other) if a else _constant(other)
             other = QPoly.of(other)
-            b = other.coeffs
+        b = other.coeffs
+        if len(a) == 1 and len(b) == 1:  # _constant, inlined
+            c = a[0] + b[0]
+            return _CONSTANTS[c] if -65 < c < 65 else _wrap((c,))
         if not b:
             return self
         if not a:
@@ -163,22 +156,17 @@ class QPoly:
 
     def __mul__(self, other) -> "QPoly":
         a = self.coeffs
-        if other.__class__ is QPoly:
-            b = other.coeffs
-            if len(a) == 1 and len(b) == 1:
-                # two nonzero constants: a nonzero product
-                c = a[0] * b[0]
-                return _CONSTANTS[c] if -65 < c < 65 else _wrap((c,))
-        elif isinstance(other, int):
-            return _scale(self, other) if other and a else ZERO
-        else:
+        if other.__class__ is not QPoly:
+            if isinstance(other, int):
+                return _scale(self, other) if other and a else ZERO
             other = QPoly.of(other)
-            b = other.coeffs
+        b = other.coeffs
+        if len(a) == 1 and len(b) == 1:  # _constant, inlined
+            c = a[0] * b[0]
+            return _CONSTANTS[c] if -65 < c < 65 else _wrap((c,))
         if not a or not b:
             return ZERO
         if len(a) == 1:
-            if len(b) == 1:  # a constant pair gets here only through QPoly.of
-                return _constant(a[0] * b[0])
             return _scale(other, a[0])
         if len(b) == 1:
             return _scale(self, b[0])
@@ -282,8 +270,8 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-ZERO = _wrap(())
-ONE = _wrap((1,))
+ZERO = QPoly()
+ONE = QPoly((1,))
 # _CONSTANTS[c] is the constant c for |c| <= 64; a negative c reads from
 # the end of the list
 _CONSTANTS = [ZERO, ONE] + [_wrap((c,)) for c in range(2, 65)]
