@@ -4,11 +4,12 @@ The isobaric divided difference pi_i sends f to
 (x_i f - x_{i+1} s_i(f)) / (x_i - x_{i+1}).  No division is performed:
 pi_i is computed term by term from its closed form on monomials, and
 ``verify.cert_demazure`` checks it against the defining identity by
-multiplication.  The bar operator is pi_i - 1.  Collecting the images
-of the staircase-like monomial of a composition under all bar operators
-rebuilds the row-separated tableau module and, started from a suitable
-bar word, the ribbon module; both identifications are certified
-matrix-by-matrix.
+multiplication.  The bar operator is pi_i - 1.  One rule builds both
+polynomial models: the bar images of the staircase-like monomial
+x_gamma, one per reading word, span the ribbon module of any shape whose
+components concatenate to gamma, and the row-separated module of a
+ribbon is that of its single rows.  The tableau module's action is
+certified in place, on each basis polynomial under each bar operator.
 
 ``Poly`` is an immutable value with slots; its public constructor checks
 and normalises, and polynomials in different numbers of variables do
@@ -27,7 +28,6 @@ from .shapes import (
     Parts,
     Shape,
     composition,
-    descent_band,
     parts_descents,
     split_rows,
 )
@@ -270,85 +270,49 @@ def triangularity_check(alpha: Shape | Parts) -> list[str]:
 # certified polynomial modules
 
 
-def _express_in_basis(poly: Poly, leads: dict[Monomial, int], basis: list[Poly]):
-    """Write poly over the triangular basis by peeling leading monomials
-    (the ones whose sorted exponents match the reference block)."""
-    coeffs: dict[int, int] = {}
-    current = poly
-    while True:
-        hits = [(m, c) for m, c in current.terms if m in leads]
-        if not hits:
-            break
-        for m, c in hits:
-            j = leads[m]
-            coeffs[j] = coeffs.get(j, 0) + c
-            current = _combine(current, basis[j], -c)
-    if current:
-        raise modules.CertificationError("polynomial does not lie in the module span")
-    return coeffs
-
-
 def build_polynomial_module(shape: Shape, model: str | None = None):
-    """Rebuild a tableau module inside the polynomial ring.
+    """Realise a tableau module inside the polynomial ring.
 
-    With model "M" (the default for a single ribbon alpha) the cyclic
-    module generated by x_alpha has the bar images over
-    {w : D(w) <= D(alpha)} as a basis and is certified to match the
-    row-separated module of alpha.  With model "P" (the default for a
-    generalized ribbon) the submodule generated from the bar word of the
-    band minimum is certified against the ribbon module of the shape.
-    The basis is labeled by the tableaux of the module certified against,
-    so the module reads back from JSON.  Returns (module,
-    certified_against) and raises on failure.
+    One rule serves both models: model "P" (the default for a generalized
+    ribbon) is the module ``modules.build_p`` of the shape, and model "M"
+    (the default for a single ribbon alpha) is model "P" on
+    ``split_rows(alpha)``, the row-separated module.  With gamma the
+    concatenated parts, the basis polynomial of a tableau with reading
+    word w is the bar image of x_gamma at w (``_bar_images``), and the
+    tableau module's action is certified in place: for every generator i
+    and basis index j, pi-bar_i f_j must equal the sum of v f_r over the
+    entries (r, v) of column j of generator i.  The f_j are independent
+    by triangularity, which ``verify.cert_demazure`` certifies, and their
+    leading monomials must not collide.  Returns (module, certified
+    shape), the module on the tableau basis with no shape, so that it
+    reads back from JSON; raises ``CertificationError`` on failure.
     """
     if shape.kind != "A":
         raise ValueError("the polynomial model is type A only")
     if model is None:
         model = "M" if shape.is_single else "P"
-    gamma = sum(shape.components, ())  # the dot gluing of all components
     if model == "M":
         if not shape.is_single:
             raise ValueError("the row-separated model needs a single ribbon")
-        lower: frozenset[int] = frozenset()
-        target = modules.build_m(composition(gamma))
-        label = split_rows(composition(gamma))
-    elif model == "P":
-        lower, _ = descent_band(shape)
-        target = modules.build_p(shape)
-        label = shape
-    else:
+        shape = split_rows(shape)
+    elif model != "P":
         raise ValueError(f"unknown model {model!r}")
-    n = sum(gamma)
-    all_images = _bar_images(gamma)
-    words = groups.band_elements("A", n, lower, parts_descents(gamma))
-    basis = [all_images[w.window] for w in words]
-    base = x_alpha(gamma)
-    leads: dict[Monomial, int] = {}
-    for j, w in enumerate(words):
-        lead = base.permute(w).terms[0][0]
-        if lead in leads:
-            raise modules.CertificationError("leading monomials collide")
-        leads[lead] = j
-    gens = {}
-    for i in range(1, n):
-        cols = []
-        for j, poly in enumerate(basis):
-            coeffs = _express_in_basis(demazure_bar(i, poly), leads, basis)
-            cols.append(tuple(sorted(coeffs.items())))
-        gens[i] = tuple(cols)
-    # certify equality with the tableau module under the reading-word map,
-    # and label each basis polynomial by its tableau
-    target_index = {t.entries: j for j, t in enumerate(target.basis)}
-    if len(target_index) != len(words):
-        raise modules.CertificationError("polynomial and tableau bases differ in size")
-    relabel = {}
-    for j, w in enumerate(words):
-        if w.window not in target_index:
-            raise modules.CertificationError(f"word {w.window} is not a tableau word")
-        relabel[j] = target_index[w.window]
-    labels = tuple(target.basis[relabel[j]] for j in range(len(words)))
-    built = modules.HeckeModule("A", n, labels, gens, None)
-    report = modules.intertwiner_check(built, target, relabel)
-    if report:
-        raise modules.CertificationError(f"polynomial model of {shape}: {report[0]}")
-    return built, label
+    target = modules.build_p(shape)
+    gamma = sum(shape.components, ())  # the dot gluing of all components
+    n, images, base = sum(gamma), _bar_images(gamma), x_alpha(gamma)
+    basis, leads = [], set()
+    for t in target.basis:
+        if t.entries not in images:
+            raise modules.CertificationError(f"polynomial model of {shape}: word {t.entries} has no bar image")
+        basis.append(images[t.entries])
+        leads.add(base.permute(groups.GroupElement("A", t.entries)).terms[0][0])
+    if len(leads) != len(basis):
+        raise modules.CertificationError(f"polynomial model of {shape}: leading monomials collide")
+    zero = Poly(n, ())
+    for i in target.generator_indices():
+        for j, col in enumerate(target.gens[i]):
+            if demazure_bar(i, basis[j]) != sum([basis[r] * v for r, v in col], zero):
+                raise modules.CertificationError(
+                    f"polynomial model of {shape}: generator {i} fails at basis {j}"
+                )
+    return modules.HeckeModule("A", n, target.basis, target.gens, None), shape

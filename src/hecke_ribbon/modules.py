@@ -13,14 +13,14 @@ The main constructions: build_p (standard tableaux of a generalized
 shape), build_m (the same with the ribbon's rows pulled apart), build_c
 (one-dimensional), descent filtrations certifying the direct-sum
 decomposition over the bracket set, restriction certificates, twists by
-the two algebra automorphisms, and one-dimensional quotients computed by
-an exact linear solve.  Restriction to S_m x S_(n-m) keeps the set of
-boxes that hold the values <= m, so each such box set is one block,
-cut into its two subshapes once.  Every block, quotient and polynomial
-model is checked as a basis map that intertwines two actions
-(``_intertwining_failures``): each row and column of a block's table
-of pairs, the relabeled projection onto a quotient layer, the bijection
-onto the polynomial model.
+the two algebra automorphisms, and one-dimensional quotients, each with
+the dimension of its Hom space, computed by an exact linear solve.
+Restriction to S_m x S_(n-m) keeps the set of boxes that hold the values
+<= m, so each such box set is one block, cut into its two subshapes
+once.  Every block and quotient is checked as a basis map that
+intertwines two actions (``_intertwining_failures``): each row and
+column of a block's table of pairs, and the relabeled projection onto a
+quotient layer.
 
 Both filtrations rest on one rule.  Grade the basis: by the rank of the
 reading-word descent set, or by length above a cyclic generator.  The
@@ -401,6 +401,8 @@ def length_filtration(module: HeckeModule, generator_index: int) -> Filtration:
     to a cyclic generator; quotients split into one-dimensional pieces
     labeled by tableau descent sets: labels[t] holds the table's D(w^-1)
     of each basis word at length t above the generator, in basis order.
+    Each quotient must be diagonal: a generator i in D(w^-1) acts on w by
+    -1, and one outside sends w to no basis word of the same length.
     Lengths and descents are read off the group's table by the index of
     each reading word."""
     if module.shape is None:
@@ -433,7 +435,7 @@ def length_filtration(module: HeckeModule, generator_index: int) -> Filtration:
             col = module.gens[i][j]
             if i in desc and col != ((j, -1),):
                 raise CertificationError(f"length quotient not diagonal at ({i}, {j})")
-            if i not in desc and any(r == j for r, _ in col):
+            if i not in desc and any(lengths[r] == lengths[j] for r, _ in col):
                 raise CertificationError(f"length quotient not diagonal at ({i}, {j})")
     return Filtration(layers, labels)
 
@@ -501,10 +503,11 @@ def _shape_name(shape: Shape) -> str:
 # one-dimensional quotients
 
 
-def one_dim_quotients(module: HeckeModule) -> frozenset[frozenset[int]]:
+def one_dim_quotients(module: HeckeModule) -> dict[frozenset[int], int]:
     """All characters of one-dimensional quotients: covectors phi with
     phi M_i = lambda_i phi and lambda_i in {0, -1}, solved exactly over
-    the integers; labeled by {i : lambda_i = -1}."""
+    the integers; labeled by {i : lambda_i = -1}, each with the dimension
+    of its space of covectors, that of Hom(M, C_D)."""
     dim = module.dim
     states: list[tuple[frozenset[int], list[list[int]]]] = [
         (frozenset(), [[int(i == j) for j in range(dim)] for i in range(dim)])
@@ -522,7 +525,7 @@ def one_dim_quotients(module: HeckeModule) -> frozenset[frozenset[int]]:
                     new_rows = linalg.mat_mul_rows(coeffs, rows)
                     nxt.append((label | {i} if with_i else label, new_rows))
         states = nxt
-    return frozenset(label for label, rows in states if rows)
+    return {label: len(rows) for label, rows in states if rows}
 
 
 # ---------------------------------------------------------------------------

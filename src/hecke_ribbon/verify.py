@@ -223,7 +223,7 @@ def cert_antipode(max_size: int = 6) -> str:
     for alpha in family:
         twisted = modules.twist(modules.twist(modules.build_p(alpha), "theta"), "phi")
         tops = modules.one_dim_quotients(twisted)
-        expected = frozenset({shapes.descent_set(shapes.transpose(alpha))})
+        expected = {shapes.descent_set(shapes.transpose(alpha)): 1}
         _require(tops == expected, "twisted top of P_{} is {}", alpha, tops)
     return f"antipode formulas, axiom, and {len(family)} twisted-top checks pass"
 

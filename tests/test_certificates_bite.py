@@ -379,6 +379,27 @@ def test_demazure_checks_the_defining_identity(monkeypatch):
         verify.cert_demazure(3, 2, 3)
 
 
+def test_doubled_twisted_top_bites_antipode(monkeypatch):
+    """A phi twist that returns M + M has the right top with a Hom space
+    of dimension 2, which the antipode certificate must count."""
+    twist = modules.twist
+
+    def doubled(module, which):
+        twisted = twist(module, which)
+        if which != "phi":
+            return twisted
+        dim = twisted.dim
+        gens = {
+            i: cols + tuple(tuple((r + dim, v) for r, v in col) for col in cols)
+            for i, cols in twisted.gens.items()
+        }
+        return modules.HeckeModule(twisted.kind, twisted.n, twisted.basis * 2, gens, None)
+
+    monkeypatch.setattr(modules, "twist", doubled)
+    with pytest.raises(modules.CertificationError, match=r"twisted top of P_\[1\] is \{frozenset\(\): 2\}"):
+        verify.cert_antipode(3)
+
+
 def test_verify_has_no_assert_statement():
     tree = ast.parse(Path(verify.__file__).read_text())
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
@@ -397,6 +418,25 @@ def test_package_is_integer_only():
                 found.append(f"{path.name}:{node.lineno}: import fractions")
             elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
                 found.append(f"{path.name}:{node.lineno}: from fractions import")
+    assert not found, found
+
+
+def test_module_imports_are_used():
+    """Every module-level import of the package is used in its module or
+    exported by its ``__all__``, so a deletion leaves no stale import."""
+    found = []
+    for path in sorted(Path(verify.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used |= {elt.value for elt in node.value.elts}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno}: {name}")
     assert not found, found
 
 

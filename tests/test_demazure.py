@@ -2,6 +2,7 @@ import dataclasses
 import json
 import pickle
 from itertools import product as cartesian
+from types import MappingProxyType
 
 import pytest
 
@@ -170,6 +171,46 @@ def test_polynomial_module_reads_back_from_json():
         back = modules.module_from_json(json.loads(json.dumps(modules.module_to_json(module))))
         assert back.basis == module.basis, shape
         assert back.gens == module.gens, shape
+
+
+def test_row_separated_model_is_the_projective_model_of_the_rows():
+    for n in range(5):
+        for s in shapes.enumerate_shapes(n, "A"):
+            module, label = build_polynomial_module(s)
+            rows, rows_label = build_polynomial_module(shapes.split_rows(s), "P")
+            assert (module.basis, module.gens, label) == (rows.basis, rows.gens, rows_label), s
+
+
+def test_in_place_check_rejects_a_negated_basis_polynomial(monkeypatch):
+    """The bar image of x_(2,1) at 2,3,1, negated, has leading coefficient
+    -1 and is no longer the image of basis 1 (word 1,3,2) under generator 1."""
+    bar_images = demazure._bar_images
+
+    def negated(alpha):
+        images = dict(bar_images(alpha))
+        images[2, 3, 1] = -images[2, 3, 1]
+        return MappingProxyType(images)
+
+    monkeypatch.setattr(demazure, "_bar_images", negated)
+    with pytest.raises(modules.CertificationError, match=r"\[2\]\+\[1\]: generator 1 fails at basis 1$"):
+        build_polynomial_module(composition((2, 1)))
+
+
+def test_in_place_check_rejects_a_wrong_target(monkeypatch):
+    """An emptied column of P_[2,1], and a target on the words of another
+    shape, which have no bar image of x_(2,1)."""
+    build_p, shape = modules.build_p, composition((2, 1))
+    target = build_p(shape)
+    assert target.gens[1][0] == ((1, 1),)
+    gens = {**target.gens, 1: ((),) + target.gens[1][1:]}
+    for planted, witness in (
+        (modules.HeckeModule("A", 3, target.basis, gens, shape), r"generator 1 fails at basis 0$"),
+        (build_p(composition((1, 2))), r"word \(2, 1, 3\) has no bar image$"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(modules, "build_p", lambda s: planted if s == shape else build_p(s))
+            with pytest.raises(modules.CertificationError, match=r"\[2,1\]: " + witness):
+                build_polynomial_module(shape, "P")
 
 
 def test_bar_images_are_read_only():

@@ -435,6 +435,19 @@ def test_graded_filtrations_reject_an_arrow_to_a_lower_grade():
         length_filtration(broken, 0)
 
 
+def test_length_quotient_rejects_an_arrow_within_a_length():
+    """Basis 1 (word 1,4,2,3) and basis 2 (word 2,3,1,4) of P_[2,2] both
+    have length 2, and generator 1 is not in D(w^-1) of basis 1: an arrow
+    between them keeps the graded rule but not a diagonal quotient."""
+    module = build_p(composition((2, 2)))
+    assert [module.basis[j].entries for j in (1, 2)] == [(1, 4, 2, 3), (2, 3, 1, 4)]
+    assert module.gens[1][1] == ((3, 1),)
+    gens = {**module.gens, 1: module.gens[1][:1] + (((2, 1),),) + module.gens[1][2:]}
+    planted = modules.HeckeModule(module.kind, module.n, module.basis, gens, module.shape)
+    with pytest.raises(CertificationError, match=r"length quotient not diagonal at \(1, 1\)"):
+        length_filtration(planted, 0)
+
+
 def test_restriction():
     """restrict_p's blocks are those that ``split_tableau`` finds tableau
     by tableau: each set of boxes holding the values <= m is one block,
@@ -486,14 +499,14 @@ def test_c_module_labels_carry_the_shape_descents():
 
 
 def test_one_dim_quotients():
+    # each top is labeled by its character, with the dimension of its Hom
+    # space: one for every simple top of a P_alpha (Norton)
     for alpha in all_single("A", 4):
-        assert one_dim_quotients(build_p(alpha)) == frozenset({shapes.descent_set(alpha)})
-        assert one_dim_quotients(build_c(alpha)) == frozenset({shapes.descent_set(alpha)})
+        assert one_dim_quotients(build_p(alpha)) == {shapes.descent_set(alpha): 1}
+        assert one_dim_quotients(build_c(alpha)) == {shapes.descent_set(alpha): 1}
     alpha = composition((2, 1))
     tops = one_dim_quotients(build_m(alpha))
-    assert tops == frozenset(
-        {shapes.descent_set(beta) for beta in shapes.coarsenings(alpha)}
-    )
+    assert tops == {shapes.descent_set(beta): 1 for beta in shapes.coarsenings(alpha)}
 
 
 def test_twists():
@@ -504,9 +517,7 @@ def test_twists():
         assert twist(t, "theta").gens == module.gens
         # the twist of the one-dimensional module swaps eigenvalues
         tc = twist(build_c(alpha), "theta")
-        assert one_dim_quotients(tc) == frozenset(
-            {shapes.descent_set(shapes.complement(alpha))}
-        )
+        assert one_dim_quotients(tc) == {shapes.descent_set(shapes.complement(alpha)): 1}
     module = build_p(composition((2, 1)))
     assert twist(twist(module, "phi"), "phi").gens == module.gens
 
