@@ -413,6 +413,8 @@ def length_filtration(module: HeckeModule, generator_index: int) -> Filtration:
     base = lengths[generator_index]
     if any(ell < base for ell in lengths):
         raise ShapeError("the chosen generator does not have minimal length")
+    # the graded rule bounds every row before the cyclicity walk reads one
+    layers = _check_graded(module, [ell - base for ell in lengths], "length")
     reached = {generator_index}
     frontier = [generator_index]
     while frontier:
@@ -424,7 +426,6 @@ def length_filtration(module: HeckeModule, generator_index: int) -> Filtration:
                     frontier.append(r)
     if len(reached) != module.dim:
         raise ShapeError("module is not cyclic over the chosen generator")
-    layers = _check_graded(module, [ell - base for ell in lengths], "length")
     descents = [table.inverse_descents[g] for g in words]
     labels = tuple(
         tuple(desc for desc, ell in zip(descents, lengths) if ell == base + t)

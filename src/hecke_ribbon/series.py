@@ -9,9 +9,10 @@ The products implemented are the shifted-shuffle product of fundamentals
 functions on the noncommutative side (including the right action of the
 type A space on the B and D spaces), and the concatenation rule in the h
 bases.  Coproducts: reading-order cuts for F, deconcatenations for M,
-the multiplicative rule for h, and monotone box splittings for s; in
-types B and D these are one-sided comodule maps whose right factor is
-the type A space.  Everything else (duality pairing, antipode, skew
+the multiplicative rule for h, and monotone box splittings for s,
+counted on the descent masks of the two factors' bands; in types B and
+D these are one-sided comodule maps whose right factor is the type A
+space.  Everything else (duality pairing, antipode, skew
 elements, characteristics, q-ribbon numbers, truncated realizations as
 honest power series) is built on top of these.  Skews are read off the
 dual basis: M and h are dual under the pairing <h_a, M_b> = delta, and
@@ -36,14 +37,12 @@ from functools import lru_cache, wraps
 from itertools import accumulate, chain, combinations, product, repeat
 
 from . import groups, linalg, modules, tableaux
-from .qpoly import ONE, QPoly, q_binomial, q_multinomial
+from .qpoly import ONE, QPoly, _constant, q_binomial, q_multinomial
 from .shapes import (
     Parts,
     Shape,
     ShapeError,
-    bracket_set,
     composition,
-    decompositions,
     descent_band,
     format_shape,
     glue_parts,
@@ -54,6 +53,7 @@ from .shapes import (
     positions,
     ribbon_shape,
     split_rows,
+    splitting_counts,
     transpose,
 )
 
@@ -287,14 +287,11 @@ def coproduct_spaces(space: str) -> tuple[str, str]:
 
 
 def schur_coproduct(shape: Shape) -> dict[tuple[Parts, Parts], QPoly]:
-    """Coproduct of the ribbon function of a generalized type A shape,
-    as a sum over monotone box splittings expanded over bracket sets."""
-    return _collect(
-        ((left.parts, right.parts), ONE)
-        for dec in decompositions(shape)
-        for left in bracket_set(dec.beta)
-        for right in bracket_set(dec.gamma)
-    )
+    """Coproduct of the ribbon function of a generalized shape: the
+    monotone splittings of the shape counted by the labels of their two
+    factors' bracket sets (``shapes.splitting_counts``), each count made
+    a ``QPoly`` constant."""
+    return {key: _constant(c) for key, c in splitting_counts(shape).items()}
 
 
 def _cut_parts(parts: Parts, kind: str, i: int) -> tuple[Parts, Parts]:

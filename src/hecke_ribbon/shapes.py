@@ -18,6 +18,14 @@ consecutive in reading order, so the descent band (D0, D1) holds every
 box relation: box j sits on top of box j-1 when j is in D0, starts a new
 component when j is in D1 but not D0, and is right of box j-1 otherwise.
 Box 0 relates to the 0-box the same way.
+
+The subshapes of box subsets and the monotone beta/gamma splittings are
+read off the band without building a diagram: a subshape's own band, as
+two int bit masks, grows box by box by one rule (``box_relations``), and
+one walk over the monotone splittings (``splitting_bands``) grows both
+factors' bands at once.  ``decompositions`` builds its shapes from those
+bands, and ``splitting_counts``, the ribbon coproduct of ``series``,
+counts the labels of their intervals.
 """
 
 from __future__ import annotations
@@ -134,20 +142,31 @@ def descent_set(shape: Shape) -> frozenset[int]:
     return parts_descents(shape.parts)
 
 
+def mask_parts(kind: str, size: int, mask: int) -> Parts:
+    """The label of size ``size`` whose descent set is the bit mask; in
+    kind A bit 0 is ignored, and in kinds B and D a descent at 0 shows up
+    as a leading zero part."""
+    if kind == "A":
+        if not size:
+            return ()
+        mask &= -2
+    parts, last = [], 0
+    while mask:
+        j = (mask & -mask).bit_length() - 1  # the lowest descent left
+        parts.append(j - last)
+        last, mask = j, mask & mask - 1
+    parts.append(size - last)
+    return tuple(parts)
+
+
 def parts_from_descents(dset, n: int, kind: str) -> Parts:
-    dset = sorted(dset)
     lo = 1 if kind == "A" else 0
+    mask = 0
     for d in dset:
         if d < lo or d >= n:
             raise ShapeError(f"descent {d} out of range for size {n}, kind {kind}")
-    if kind == "A":
-        if not n:
-            return ()
-    elif n == 0:
-        return (0,)
-    # a type B/D descent at 0 shows up as a leading zero part
-    cuts = [0] + dset + [n]
-    return tuple(b - a for a, b in zip(cuts, cuts[1:]))
+        mask |= 1 << d
+    return mask_parts(kind, n, mask)
 
 
 def from_descents(dset, n: int, kind: str) -> Shape:
@@ -190,6 +209,17 @@ def interval(lower, upper) -> tuple[frozenset[int], ...]:
     for x in sorted(upper - lower):
         out += [s | {x} for s in out]
     return tuple(out)
+
+
+def mask_interval(lower: int, upper: int) -> list[int]:
+    """``interval`` on bit masks, in the same order: every S with
+    lower <= S <= upper, for lower <= upper."""
+    free = upper & ~lower
+    out, sub = [lower], 0
+    while sub != free:
+        sub = sub - free & free  # the next subset of free
+        out.append(lower | sub)
+    return out
 
 
 def coarsenings(shape: Shape) -> tuple[Shape, ...]:
@@ -274,76 +304,147 @@ class Decomposition:
     assignment: tuple[str, ...]
 
 
+# What a box adds to the band of the subshape it joins, at its position
+# there, as (bit of D0, bit of D1): nothing when it is right of the
+# subshape's previous box, a descent in D0 and D1 when it sits on top of
+# it, and a descent in D1 alone when it starts a new component.
+RIGHT, ON_TOP, NEW = (0, 0), (1, 1), (0, 1)
+
+
+def box_relations(shape: Shape) -> list[tuple[int, int]]:
+    """The relation of each box j to box j-1 (to the 0-box for j = 0),
+    read off the descent band: on top when j is in D0, a new component
+    when j is in D1 only, right of it otherwise.  A box that joins a
+    subshape without its previous box there starts a new component."""
+    lower, upper = descent_band(shape)
+    return [ON_TOP if j in lower else NEW if j in upper else RIGHT for j in range(shape.size)]
+
+
+def band_shape(kind: str, size: int, lower: int, upper: int) -> Shape:
+    """The generalized shape of size ``size`` with descent band (D0, D1)
+    given as bit masks: the label of D1 cut into components at the
+    junctions D1 - D0.  In kind A bit 0 is ignored; a kind D shape of
+    size below 2 is the pseudo-shape of kind B."""
+    parts = mask_parts(kind, size, upper)
+    if not parts:
+        return Shape("A", ())
+    if kind == "D" and size < 2:
+        kind = "B"
+    junctions = upper & ~lower
+    comps, start = [], 0
+    for p in parts:
+        if not comps or junctions >> start & 1:
+            comps.append(())
+        comps[-1] += (p,)
+        start += p
+    return Shape(kind, tuple(comps))
+
+
 def subshape_of_boxes(shape: Shape, picked: list[int], with_zero: bool = False):
     """The generalized shape formed by a subset of boxes, and the order in
     which those boxes are visited by the subshape's own reading order.
 
-    One pass over the picked boxes in reading order reads off the shape
-    from the descent band (D0, D1): a box right after the previous picked
-    box extends its row when not in D1, starts the next row of its
-    component when in D0, and any other box starts a new component.  The
-    order is therefore ``sorted(picked)``.  With ``with_zero`` (kinds B
-    and D) the 0-box joins the subshape: under a picked box 0 (0 in D0)
-    it makes a leading zero part, left of one (0 not in D1) it leaves the
-    parts as they are, and otherwise it is a bare leading component.
+    One pass over the picked boxes in reading order grows the subshape's
+    descent band by ``box_relations``: a box right after the previous
+    picked box relates to it as in the shape, and any other box starts a
+    new component.  The order is therefore ``sorted(picked)``.  With
+    ``with_zero`` (kinds B and D) the 0-box joins the subshape as the box
+    before box 0: under a picked box 0 (0 in D0) it makes a leading zero
+    part, left of one (0 not in D1) it leaves the parts as they are, and
+    otherwise it is a bare leading component.
     """
-    lower, upper = descent_band(shape)
+    relations = box_relations(shape)
     order = sorted(picked)
-    comps: list[list[int]] = []
-    for k, i in enumerate(order):
-        touches = k and order[k - 1] == i - 1
-        if touches and i not in upper:
-            comps[-1][-1] += 1
-        elif touches and i in lower:
-            comps[-1].append(1)
-        else:
-            comps.append([1])
-    parts_list = [tuple(c) for c in comps]
-    if not with_zero or shape.kind == "A":
-        return Shape("A", tuple(parts_list)), order
-    has_first = order[:1] == [0]
-    if has_first and 0 in lower:
-        parts_list[0] = (0,) + parts_list[0]
-    elif not (has_first and 0 not in upper):
-        parts_list.insert(0, (0,))
-    kind = "B" if shape.kind == "D" and len(order) < 2 else shape.kind
-    return Shape(kind, tuple(parts_list)), order
+    zero = with_zero and shape.kind != "A"
+    last, size, lower, upper = -1 if zero else -2, 0, 0, 0
+    for j in order:
+        low, high = relations[j] if last == j - 1 else NEW
+        lower |= low << size
+        upper |= high << size
+        size, last = size + 1, j
+    return band_shape(shape.kind if zero else "A", size, lower, upper), order
 
 
-def decompositions(shape: Shape) -> tuple[Decomposition, ...]:
-    """All monotone beta/gamma fillings of the boxes of the shape, in
-    lexicographic order of their assignments.
+def splitting_bands(shape: Shape) -> list[tuple[int, int, int, int, int, int]]:
+    """Every monotone beta/gamma filling of the boxes of the shape, in
+    lexicographic order of the assignments, as (picked, size of beta,
+    beta's D0, beta's D1, gamma's D0, gamma's D1).  The sets are bit
+    masks; bit j+1 of picked says that box j is beta, and bit 0 is the
+    0-box.  In kind A bit 0 of D1 is to be ignored (``band_shape`` and
+    ``mask_parts`` do).
 
     Along every row (left to right) and every column (top to bottom) the
     labels weakly increase, with beta < gamma.  By the descent band, box
     j touches at most box j-1, the 0-box for j = 0: so labelling the
     boxes in reading order checks each new label against the previous
     one alone, and trying beta before gamma keeps the fillings sorted.
-    In kinds B and D the 0-box is not assignable: it counts as a beta
-    cell in the monotonicity check (so the box on top of it is beta) and
-    is attached to the beta factor, which is therefore a pseudo-shape
-    while gamma is a type A shape.
+    Each factor's band grows as in ``subshape_of_boxes``: box j relates
+    to the factor's previous box by ``box_relations`` when that box is
+    j-1, and starts a new component otherwise.  The 0-box is not
+    assignable: it counts as a beta cell, so the box on top of it is beta
+    and beta's band starts from it in kinds B and D.  Type A has no
+    0-box, but there box 0 is right of it, which a beta cell does not
+    constrain and which adds nothing to the band.
     """
-    lower, upper = descent_band(shape)
-    # the 0-box leads every assignment; type A has none, but there box 0
-    # is right of it, which a beta cell does not constrain
-    assignments: list[tuple[str, ...]] = [("b",)]
-    for i in range(shape.size):
-        on_top, right = i in lower, i not in upper
-        assignments = [
-            a + (label,)
-            for a in assignments
-            for label in "bg"
-            if not (right and label < a[-1] or on_top and label > a[-1])
-        ]
-    with_zero = shape.kind != "A"
-    out = []
-    for a in assignments:
-        a = a[1:]
-        beta, _ = subshape_of_boxes(shape, [i for i, x in enumerate(a) if x == "b"], with_zero)
-        gamma, _ = subshape_of_boxes(shape, [i for i, x in enumerate(a) if x == "g"])
-        out.append(Decomposition(beta, gamma, a))
-    return tuple(out)
+    states = [(1, 0, 0, 0, 0, 0)]
+    for j, (low, high) in enumerate(box_relations(shape)):
+        # box j is on top of box j-1 when low is set, right of it when
+        # high is not
+        bit, grown = 2 << j, []
+        for picked, size, b0, b1, g0, g1 in states:
+            if picked >> j & 1:
+                # box j-1 is beta: beta grows by the relation, and gamma,
+                # which may not sit on top of it, by a new component
+                grown.append((picked | bit, size + 1, b0 | low << size, b1 | high << size, g0, g1))
+                if not low:
+                    grown.append((picked, size, b0, b1, g0, g1 | 1 << j - size))
+            else:
+                # box j-1 is gamma: beta may not sit right of it
+                if high:
+                    grown.append((picked | bit, size + 1, b0, b1 | 1 << size, g0, g1))
+                k = j - size
+                grown.append((picked, size, b0, b1, g0 | low << k, g1 | high << k))
+        states = grown
+    return states
+
+
+def splitting_counts(shape: Shape) -> dict[tuple[Parts, Parts], int]:
+    """The ribbon coproduct of the shape as int counts: for each pair of
+    labels, the number of monotone splittings whose two factors' bracket
+    sets hold them.  A bracket set is the interval between the D0 and D1
+    of the factor's band, so each splitting of ``splitting_bands`` adds 1
+    to every pair of bit masks of its two intervals; then each distinct
+    mask gets its label once.  No shape or bracket set is built."""
+    n, kind = shape.size, shape.kind
+    beta_bits = -2 if kind == "A" else -1  # bit 0 is a descent only in kinds B and D
+    counts: dict[tuple[int, int, int], int] = {}
+    for _, size, b0, b1, g0, g1 in splitting_bands(shape):
+        rights = mask_interval(g0, g1 & -2)
+        for left in mask_interval(b0, b1 & beta_bits):
+            for right in rights:
+                key = (size, left, right)
+                counts[key] = counts.get(key, 0) + 1
+    left_label = {key: mask_parts(kind, *key) for key in {(size, l) for size, l, _ in counts}}
+    right_label = {key: mask_parts("A", *key) for key in {(n - size, r) for size, _, r in counts}}
+    return {
+        (left_label[size, l], right_label[n - size, r]): c for (size, l, r), c in counts.items()
+    }
+
+
+def decompositions(shape: Shape) -> tuple[Decomposition, ...]:
+    """All monotone beta/gamma fillings of the boxes of the shape, in
+    lexicographic order of their assignments (see ``splitting_bands``).
+    In kinds B and D the 0-box is attached to the beta factor, which is
+    therefore a pseudo-shape while gamma is a type A shape."""
+    n, kind = shape.size, shape.kind
+    return tuple(
+        Decomposition(
+            band_shape(kind, size, b0, b1),
+            band_shape("A", n - size, g0, g1),
+            tuple(["b" if picked >> j & 1 else "g" for j in range(1, n + 1)]),
+        )
+        for picked, size, b0, b1, g0, g1 in splitting_bands(shape)
+    )
 
 
 def enumerate_generalized(n: int, kind: str, max_components: int) -> list[Shape]:

@@ -132,6 +132,15 @@ def _schur_coproduct_via_h(shape: shapes.Shape) -> dict:
 
 
 def cert_coproduct(max_size: int = 7, max_components: int = 3) -> str:
+    """The ribbon coproduct of every generalized type A shape along two
+    routes: directly, by ``schur_coproduct`` (the monotone splittings
+    counted on descent masks), and through h (the bracket set glued as
+    shapes, the h coproduct and the h/s conversion table, summed as
+    ``QPoly``).  The two routes still share ``shapes.parts_descents``
+    (the direct route reads it through ``descent_band``), the label of a
+    descent mask (``shapes.mask_parts``, which ``parts_from_descents``
+    calls on the h-route), ``Shape.size`` and the table of ``QPoly``
+    constants."""
     got = {(l, r): c for l, r, c in series.coproduct(E("QSym", "F", (1, 2)))}
     want = {((), (1, 2)), ((1,), (2,)), ((1, 1), (1,)), ((1, 2), ())}
     _require(got == dict.fromkeys(want, QPoly.of(1)), "fundamental coproduct regression failed")

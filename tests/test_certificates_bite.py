@@ -339,6 +339,35 @@ def test_quotient_reports_a_row_outside_the_basis():
             modules.filtration_by_descent(planted)
 
 
+def test_length_filtration_reports_a_row_outside_the_basis():
+    """The graded rule bounds every row before the cyclicity walk reads
+    one: a row past the end, or a row -1, in the last column of generator
+    2 of P_[2]+[2] raises CertificationError, not IndexError or the
+    ShapeError of a module that is not cyclic."""
+    module = modules.build_p(SHAPE_22)
+    top = module.dim - 1
+    assert (module.dim, module.gens[2][top]) == (6, ((top, -1),))
+    modules.length_filtration(module, 0)
+    for row in (module.dim, -1):
+        planted = _with_column(module, 2, top, ((row, -1),))
+        with pytest.raises(modules.CertificationError, match="outside the layer"):
+            modules.length_filtration(planted, 0)
+
+
+def test_junction_read_as_on_top_bites_coproduct(monkeypatch):
+    """A component junction read as "on top" goes into D0 of the bands
+    that schur_coproduct counts; the h-route glues its bracket sets and
+    reads no box relation, so the two routes differ."""
+    relations = shapes.box_relations
+    monkeypatch.setattr(
+        shapes,
+        "box_relations",
+        lambda shape: [shapes.ON_TOP if r == shapes.NEW else r for r in relations(shape)],
+    )
+    with pytest.raises(modules.CertificationError, match="coproduct mismatch"):
+        verify.cert_coproduct(4, 3)
+
+
 def test_coproduct_routes_leave_the_label_memo_empty():
     """The direct route of cert_coproduct is schur_coproduct itself, and
     its h-route expands h coproducts: neither reads the s memo."""
