@@ -21,7 +21,7 @@ Box 0 relates to the 0-box the same way.
 
 The subshapes of box subsets and the monotone beta/gamma splittings are
 read off the band without building a diagram: a subshape's own band, as
-two int bit masks, grows box by box by one rule (``box_relations``), and
+two int bit masks, grows box by box by one rule (``box_bits``), and
 one walk over the monotone splittings (``splitting_bands``) grows both
 factors' bands at once.  ``decompositions`` builds its shapes from those
 bands, and ``splitting_counts``, the ribbon coproduct of ``series``,
@@ -44,12 +44,12 @@ class ShapeError(ValueError):
 
 
 def _check_ribbon(parts: Parts) -> None:
-    if not parts or any(p < 1 for p in parts):
+    if not parts or min(parts) < 1:
         raise ShapeError(f"not a composition: {parts}")
 
 
 def _check_pseudo(parts: Parts) -> None:
-    if not parts or parts[0] < 0 or any(p < 1 for p in parts[1:]):
+    if not parts or parts[0] < 0 or min(parts[1:], default=1) < 1:
         raise ShapeError(f"not a pseudo-composition: {parts}")
 
 
@@ -304,20 +304,21 @@ class Decomposition:
     assignment: tuple[str, ...]
 
 
-# What a box adds to the band of the subshape it joins, at its position
-# there, as (bit of D0, bit of D1): nothing when it is right of the
-# subshape's previous box, a descent in D0 and D1 when it sits on top of
-# it, and a descent in D1 alone when it starts a new component.
-RIGHT, ON_TOP, NEW = (0, 0), (1, 1), (0, 1)
+# What a box adds to the band of a subshape it joins when it does not
+# follow its previous box in the shape there: a new component.
+NEW = (0, 1)
 
 
-def box_relations(shape: Shape) -> list[tuple[int, int]]:
-    """The relation of each box j to box j-1 (to the 0-box for j = 0),
-    read off the descent band: on top when j is in D0, a new component
-    when j is in D1 only, right of it otherwise.  A box that joins a
-    subshape without its previous box there starts a new component."""
-    lower, upper = descent_band(shape)
-    return [ON_TOP if j in lower else NEW if j in upper else RIGHT for j in range(shape.size)]
+def box_bits(band, j: int, follows: bool) -> tuple[int, int]:
+    """What box j adds to the band of a subshape it joins, at its
+    position there, as (bit of D0, bit of D1).  Following box j-1 there
+    (the 0-box for j = 0), it relates to it as in the shape, which the
+    shape's band (D0, D1) says: on top of it when j is in D0 (a descent
+    in D0 and D1), a new component when j is in D1 only (a descent in D1
+    alone), right of it otherwise (no descent).  So its bits are j's
+    membership in the band.  Any other box starts a new component."""
+    lower, upper = band
+    return (j in lower, j in upper) if follows else NEW
 
 
 def band_shape(kind: str, size: int, lower: int, upper: int) -> Shape:
@@ -325,12 +326,14 @@ def band_shape(kind: str, size: int, lower: int, upper: int) -> Shape:
     given as bit masks: the label of D1 cut into components at the
     junctions D1 - D0.  In kind A bit 0 is ignored; a kind D shape of
     size below 2 is the pseudo-shape of kind B."""
-    parts = mask_parts(kind, size, upper)
-    if not parts:
-        return Shape("A", ())
-    if kind == "D" and size < 2:
+    if kind == "A":
+        upper &= -2
+    elif kind == "D" and size < 2:
         kind = "B"
+    parts = mask_parts(kind, size, upper)
     junctions = upper & ~lower
+    if not junctions:
+        return Shape(kind, (parts,) if parts else ())
     comps, start = [], 0
     for p in parts:
         if not comps or junctions >> start & 1:
@@ -345,20 +348,20 @@ def subshape_of_boxes(shape: Shape, picked: list[int], with_zero: bool = False):
     which those boxes are visited by the subshape's own reading order.
 
     One pass over the picked boxes in reading order grows the subshape's
-    descent band by ``box_relations``: a box right after the previous
-    picked box relates to it as in the shape, and any other box starts a
-    new component.  The order is therefore ``sorted(picked)``.  With
+    descent band by ``box_bits``: a box right after the previous picked
+    box relates to it as in the shape, and any other box starts a new
+    component.  The order is therefore ``sorted(picked)``.  With
     ``with_zero`` (kinds B and D) the 0-box joins the subshape as the box
     before box 0: under a picked box 0 (0 in D0) it makes a leading zero
     part, left of one (0 not in D1) it leaves the parts as they are, and
     otherwise it is a bare leading component.
     """
-    relations = box_relations(shape)
+    band = descent_band(shape)
     order = sorted(picked)
     zero = with_zero and shape.kind != "A"
     last, size, lower, upper = -1 if zero else -2, 0, 0, 0
     for j in order:
-        low, high = relations[j] if last == j - 1 else NEW
+        low, high = box_bits(band, j, last == j - 1)
         lower |= low << size
         upper |= high << size
         size, last = size + 1, j
@@ -378,30 +381,36 @@ def splitting_bands(shape: Shape) -> list[tuple[int, int, int, int, int, int]]:
     j touches at most box j-1, the 0-box for j = 0: so labelling the
     boxes in reading order checks each new label against the previous
     one alone, and trying beta before gamma keeps the fillings sorted.
-    Each factor's band grows as in ``subshape_of_boxes``: box j relates
-    to the factor's previous box by ``box_relations`` when that box is
-    j-1, and starts a new component otherwise.  The 0-box is not
+    Each factor's band grows as in ``subshape_of_boxes``, by
+    ``box_bits``: box j relates to the factor's previous box as in the
+    shape when that box is j-1, and starts a new component otherwise.  The 0-box is not
     assignable: it counts as a beta cell, so the box on top of it is beta
     and beta's band starts from it in kinds B and D.  Type A has no
     0-box, but there box 0 is right of it, which a beta cell does not
     constrain and which adds nothing to the band.
     """
+    band = descent_band(shape)
     states = [(1, 0, 0, 0, 0, 0)]
-    for j, (low, high) in enumerate(box_relations(shape)):
+    for j in range(shape.size):
         # box j is on top of box j-1 when low is set, right of it when
         # high is not
+        low, high = box_bits(band, j, True)
+        new_low, new_high = box_bits(band, j, False)
         bit, grown = 2 << j, []
         for picked, size, b0, b1, g0, g1 in states:
             if picked >> j & 1:
-                # box j-1 is beta: beta grows by the relation, and gamma,
-                # which may not sit on top of it, by a new component
+                # box j-1 is beta: beta follows it, and gamma, which may
+                # not sit on top of it, does not
                 grown.append((picked | bit, size + 1, b0 | low << size, b1 | high << size, g0, g1))
                 if not low:
-                    grown.append((picked, size, b0, b1, g0, g1 | 1 << j - size))
+                    k = j - size
+                    grown.append((picked, size, b0, b1, g0 | new_low << k, g1 | new_high << k))
             else:
                 # box j-1 is gamma: beta may not sit right of it
                 if high:
-                    grown.append((picked | bit, size + 1, b0, b1 | 1 << size, g0, g1))
+                    grown.append(
+                        (picked | bit, size + 1, b0 | new_low << size, b1 | new_high << size, g0, g1)
+                    )
                 k = j - size
                 grown.append((picked, size, b0, b1, g0 | low << k, g1 | high << k))
         states = grown
