@@ -21,7 +21,7 @@ Box 0 relates to the 0-box the same way.
 
 The subshapes of box subsets and the monotone beta/gamma splittings are
 read off the band without building a diagram: a subshape's own band, as
-two int bit masks, grows box by box by one rule (``box_bits``), and
+two int bit masks, grows box by box by one rule (``_box_bits``), and
 one walk over the monotone splittings (``splitting_bands``) grows both
 factors' bands at once.  ``decompositions`` builds its shapes from those
 bands, and ``splitting_counts``, the ribbon coproduct of ``series``,
@@ -142,7 +142,7 @@ def descent_set(shape: Shape) -> frozenset[int]:
     return parts_descents(shape.parts)
 
 
-def mask_parts(kind: str, size: int, mask: int) -> Parts:
+def _mask_parts(kind: str, size: int, mask: int) -> Parts:
     """The label of size ``size`` whose descent set is the bit mask; in
     kind A bit 0 is ignored, and in kinds B and D a descent at 0 shows up
     as a leading zero part."""
@@ -166,7 +166,7 @@ def parts_from_descents(dset, n: int, kind: str) -> Parts:
         if d < lo or d >= n:
             raise ShapeError(f"descent {d} out of range for size {n}, kind {kind}")
         mask |= 1 << d
-    return mask_parts(kind, n, mask)
+    return _mask_parts(kind, n, mask)
 
 
 def from_descents(dset, n: int, kind: str) -> Shape:
@@ -211,7 +211,7 @@ def interval(lower, upper) -> tuple[frozenset[int], ...]:
     return tuple(out)
 
 
-def mask_interval(lower: int, upper: int) -> list[int]:
+def _mask_interval(lower: int, upper: int) -> list[int]:
     """``interval`` on bit masks, in the same order: every S with
     lower <= S <= upper, for lower <= upper."""
     free = upper & ~lower
@@ -306,10 +306,10 @@ class Decomposition:
 
 # What a box adds to the band of a subshape it joins when it does not
 # follow its previous box in the shape there: a new component.
-NEW = (0, 1)
+_NEW = (0, 1)
 
 
-def box_bits(band, j: int, follows: bool) -> tuple[int, int]:
+def _box_bits(band, j: int, follows: bool) -> tuple[int, int]:
     """What box j adds to the band of a subshape it joins, at its
     position there, as (bit of D0, bit of D1).  Following box j-1 there
     (the 0-box for j = 0), it relates to it as in the shape, which the
@@ -318,10 +318,10 @@ def box_bits(band, j: int, follows: bool) -> tuple[int, int]:
     alone), right of it otherwise (no descent).  So its bits are j's
     membership in the band.  Any other box starts a new component."""
     lower, upper = band
-    return (j in lower, j in upper) if follows else NEW
+    return (j in lower, j in upper) if follows else _NEW
 
 
-def band_shape(kind: str, size: int, lower: int, upper: int) -> Shape:
+def _band_shape(kind: str, size: int, lower: int, upper: int) -> Shape:
     """The generalized shape of size ``size`` with descent band (D0, D1)
     given as bit masks: the label of D1 cut into components at the
     junctions D1 - D0.  In kind A bit 0 is ignored; a kind D shape of
@@ -330,7 +330,7 @@ def band_shape(kind: str, size: int, lower: int, upper: int) -> Shape:
         upper &= -2
     elif kind == "D" and size < 2:
         kind = "B"
-    parts = mask_parts(kind, size, upper)
+    parts = _mask_parts(kind, size, upper)
     junctions = upper & ~lower
     if not junctions:
         return Shape(kind, (parts,) if parts else ())
@@ -348,7 +348,7 @@ def subshape_of_boxes(shape: Shape, picked: list[int], with_zero: bool = False):
     which those boxes are visited by the subshape's own reading order.
 
     One pass over the picked boxes in reading order grows the subshape's
-    descent band by ``box_bits``: a box right after the previous picked
+    descent band by ``_box_bits``: a box right after the previous picked
     box relates to it as in the shape, and any other box starts a new
     component.  The order is therefore ``sorted(picked)``.  With
     ``with_zero`` (kinds B and D) the 0-box joins the subshape as the box
@@ -361,11 +361,11 @@ def subshape_of_boxes(shape: Shape, picked: list[int], with_zero: bool = False):
     zero = with_zero and shape.kind != "A"
     last, size, lower, upper = -1 if zero else -2, 0, 0, 0
     for j in order:
-        low, high = box_bits(band, j, last == j - 1)
+        low, high = _box_bits(band, j, last == j - 1)
         lower |= low << size
         upper |= high << size
         size, last = size + 1, j
-    return band_shape(shape.kind if zero else "A", size, lower, upper), order
+    return _band_shape(shape.kind if zero else "A", size, lower, upper), order
 
 
 def splitting_bands(shape: Shape) -> list[tuple[int, int, int, int, int, int]]:
@@ -373,8 +373,8 @@ def splitting_bands(shape: Shape) -> list[tuple[int, int, int, int, int, int]]:
     lexicographic order of the assignments, as (picked, size of beta,
     beta's D0, beta's D1, gamma's D0, gamma's D1).  The sets are bit
     masks; bit j+1 of picked says that box j is beta, and bit 0 is the
-    0-box.  In kind A bit 0 of D1 is to be ignored (``band_shape`` and
-    ``mask_parts`` do).
+    0-box.  In kind A bit 0 of D1 is to be ignored (``_band_shape`` and
+    ``_mask_parts`` do).
 
     Along every row (left to right) and every column (top to bottom) the
     labels weakly increase, with beta < gamma.  By the descent band, box
@@ -382,20 +382,20 @@ def splitting_bands(shape: Shape) -> list[tuple[int, int, int, int, int, int]]:
     boxes in reading order checks each new label against the previous
     one alone, and trying beta before gamma keeps the fillings sorted.
     Each factor's band grows as in ``subshape_of_boxes``, by
-    ``box_bits``: box j relates to the factor's previous box as in the
-    shape when that box is j-1, and starts a new component otherwise.  The 0-box is not
-    assignable: it counts as a beta cell, so the box on top of it is beta
-    and beta's band starts from it in kinds B and D.  Type A has no
-    0-box, but there box 0 is right of it, which a beta cell does not
-    constrain and which adds nothing to the band.
+    ``_box_bits``: box j relates to the factor's previous box as in the
+    shape when that box is j-1, and starts a new component otherwise.
+    The 0-box is not assignable: it counts as a beta cell, so the box on
+    top of it is beta and beta's band starts from it in kinds B and D.
+    Type A has no 0-box, but there box 0 is right of it, which a beta
+    cell does not constrain and which adds nothing to the band.
     """
     band = descent_band(shape)
     states = [(1, 0, 0, 0, 0, 0)]
     for j in range(shape.size):
         # box j is on top of box j-1 when low is set, right of it when
         # high is not
-        low, high = box_bits(band, j, True)
-        new_low, new_high = box_bits(band, j, False)
+        low, high = _box_bits(band, j, True)
+        new_low, new_high = _box_bits(band, j, False)
         bit, grown = 2 << j, []
         for picked, size, b0, b1, g0, g1 in states:
             if picked >> j & 1:
@@ -428,13 +428,13 @@ def splitting_counts(shape: Shape) -> dict[tuple[Parts, Parts], int]:
     beta_bits = -2 if kind == "A" else -1  # bit 0 is a descent only in kinds B and D
     counts: dict[tuple[int, int, int], int] = {}
     for _, size, b0, b1, g0, g1 in splitting_bands(shape):
-        rights = mask_interval(g0, g1 & -2)
-        for left in mask_interval(b0, b1 & beta_bits):
+        rights = _mask_interval(g0, g1 & -2)
+        for left in _mask_interval(b0, b1 & beta_bits):
             for right in rights:
                 key = (size, left, right)
                 counts[key] = counts.get(key, 0) + 1
-    left_label = {key: mask_parts(kind, *key) for key in {(size, l) for size, l, _ in counts}}
-    right_label = {key: mask_parts("A", *key) for key in {(n - size, r) for size, _, r in counts}}
+    left_label = {key: _mask_parts(kind, *key) for key in {(size, l) for size, l, _ in counts}}
+    right_label = {key: _mask_parts("A", *key) for key in {(n - size, r) for size, _, r in counts}}
     return {
         (left_label[size, l], right_label[n - size, r]): c for (size, l, r), c in counts.items()
     }
@@ -448,8 +448,8 @@ def decompositions(shape: Shape) -> tuple[Decomposition, ...]:
     n, kind = shape.size, shape.kind
     return tuple(
         Decomposition(
-            band_shape(kind, size, b0, b1),
-            band_shape("A", n - size, g0, g1),
+            _band_shape(kind, size, b0, b1),
+            _band_shape("A", n - size, g0, g1),
             tuple(["b" if picked >> j & 1 else "g" for j in range(1, n + 1)]),
         )
         for picked, size, b0, b1, g0, g1 in splitting_bands(shape)

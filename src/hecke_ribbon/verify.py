@@ -138,7 +138,7 @@ def cert_coproduct(max_size: int = 7, max_components: int = 3) -> str:
     shapes, the h coproduct and the h/s conversion table, summed as
     ``QPoly``).  The two routes still share ``shapes.parts_descents``
     (the direct route reads it through ``descent_band``), the label of a
-    descent mask (``shapes.mask_parts``, which ``parts_from_descents``
+    descent mask (``shapes._mask_parts``, which ``parts_from_descents``
     calls on the h-route), ``Shape.size`` and the table of ``QPoly``
     constants."""
     got = {(l, r): c for l, r, c in series.coproduct(E("QSym", "F", (1, 2)))}

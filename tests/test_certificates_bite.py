@@ -358,13 +358,13 @@ def test_junction_read_as_on_top_bites_coproduct(monkeypatch):
     """A component junction read as "on top" goes into D0 of the bands
     that schur_coproduct counts; the h-route glues its bracket sets and
     reads no box relation, so the two routes differ."""
-    box_bits = shapes.box_bits
+    _box_bits = shapes._box_bits
 
     def junction_on_top(band, j, follows):
-        low, high = box_bits(band, j, follows)
+        low, high = _box_bits(band, j, follows)
         return (1, 1) if follows and high else (low, high)
 
-    monkeypatch.setattr(shapes, "box_bits", junction_on_top)
+    monkeypatch.setattr(shapes, "_box_bits", junction_on_top)
     with pytest.raises(modules.CertificationError, match="coproduct mismatch"):
         verify.cert_coproduct(4, 3)
 

@@ -251,17 +251,17 @@ def test_masks_match_the_sets():
     for upper in range(2**6):
         for lower in range(2**6):
             if not lower & ~upper:
-                got = [bits(s) for s in shapes.mask_interval(lower, upper)]
+                got = [bits(s) for s in shapes._mask_interval(lower, upper)]
                 assert got == list(interval(bits(lower), bits(upper))), (lower, upper)
     for kind in shapes.KINDS:
         for n in range(7):
             for mask in range(2**n):
                 cuts = [0, *sorted(bits(mask) - ({0} if kind == "A" else set())), n]
                 want = tuple(b - a for a, b in zip(cuts, cuts[1:])) if n or kind != "A" else ()
-                assert shapes.mask_parts(kind, n, mask) == want, (kind, n, mask)
+                assert shapes._mask_parts(kind, n, mask) == want, (kind, n, mask)
     for shape in small_generalized_shapes():
         lower, upper = (sum(1 << j for j in d) for d in descent_band(shape))
-        assert shapes.band_shape(shape.kind, shape.size, lower, upper) == shape
+        assert shapes._band_shape(shape.kind, shape.size, lower, upper) == shape
 
 
 def test_glue_band():
