@@ -317,43 +317,6 @@ def test_skew_matches_pairing_definition():
     assert cases == 3364
 
 
-# every generalized shape with at most 3 components, of size at most 6
-# in type A and 4 in types B and D, the empty shapes included
-BAND_FAMILY = [Shape("A", ())] + [
-    shape
-    for kind, top in (("A", 6), ("B", 4), ("D", 4))
-    for n in range(top + 1)
-    for shape in shapes.enumerate_generalized(n, kind, 3)
-]
-
-
-def test_bracket_sets_are_the_band_intervals():
-    """The trusted base of schur_coproduct: a shape's bracket set, built
-    by gluing its components, has exactly the descent sets of the
-    interval between the two sets of its descent band."""
-    for shape in BAND_FAMILY:
-        got = [shapes.descent_set(b) for b in shapes.bracket_set(shape)]
-        want = shapes.interval(*shapes.descent_band(shape))
-        assert len(got) == len(want) and set(got) == set(want), shape
-
-
-def _schur_coproduct_by_brackets(shape):
-    """The ribbon coproduct as the sum over the monotone splittings of the
-    products of the two factors' bracket sets, built as shapes."""
-    out = {}
-    for dec in shapes.decompositions(shape):
-        for left in shapes.bracket_set(dec.beta):
-            for right in shapes.bracket_set(dec.gamma):
-                key = (left.parts, right.parts)
-                out[key] = out.get(key, 0) + 1
-    return {key: QPoly.of(c) for key, c in out.items()}
-
-
-def test_schur_coproduct_equals_the_bracket_set_formula():
-    for shape in BAND_FAMILY:
-        assert schur_coproduct(shape) == _schur_coproduct_by_brackets(shape), shape
-
-
 def test_schur_coproduct_of_generalized_shapes():
     shape = Shape("A", ((1,), (1,)))
     got = schur_coproduct(shape)

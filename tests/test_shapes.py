@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from box_oracle import box_coordinates, decompositions_by_boxes, small_generalized_shapes, subshape_by_boxes
 from hecke_ribbon import shapes
+from hecke_ribbon.qpoly import QPoly
+from hecke_ribbon.series import schur_coproduct
 from hecke_ribbon.shapes import (
     Shape,
     ShapeError,
@@ -125,18 +127,43 @@ def test_bracket_set_regression():
     assert {b.parts for b in bracket_set(Shape("A", ((1,), (1,))))} == {(1, 1), (2,)}
 
 
+# every generalized shape with at most 3 components, of size at most 6
+# in type A and 4 in types B and D, the empty shapes included
+BAND_FAMILY = [Shape("A", ())] + [
+    shape
+    for kind, top in (("A", 6), ("B", 4), ("D", 4))
+    for n in range(top + 1)
+    for shape in shapes.enumerate_generalized(n, kind, 3)
+]
+
+
 def test_bracket_band_coherence():
-    # every bracket element sits between the triangle and dot gluings, and
-    # the extra descents biject with subsets of the junction positions
-    for shape in shapes.enumerate_generalized(5, "A", 3):
-        lower, upper = descent_band(shape)
-        junctions = upper - lower
-        seen = set()
-        for gamma in bracket_set(shape):
-            d = descent_set(gamma)
-            assert lower <= d <= upper
-            seen.add(frozenset(d & junctions))
-        assert len(seen) == 2 ** len(junctions) == len(bracket_set(shape))
+    """The trusted base of the ribbon coproduct on masks: a shape's
+    bracket set, built by gluing its components, has exactly the descent
+    sets of the interval between the two sets of its descent band."""
+    for shape in BAND_FAMILY:
+        got = [descent_set(b) for b in bracket_set(shape)]
+        want = interval(*descent_band(shape))
+        assert len(got) == len(want) and set(got) == set(want), shape
+
+
+def _schur_coproduct_by_brackets(shape):
+    """The ribbon coproduct as the sum over the monotone splittings of the
+    products of the two factors' bracket sets, built as shapes.  The
+    splittings come from the box-coordinate oracle, not from
+    ``decompositions``, which runs the same walk as ``schur_coproduct``."""
+    out = {}
+    for beta, gamma, _ in decompositions_by_boxes(shape):
+        for left in bracket_set(beta):
+            for right in bracket_set(gamma):
+                key = (left.parts, right.parts)
+                out[key] = out.get(key, 0) + 1
+    return {key: QPoly.of(c) for key, c in out.items()}
+
+
+def test_schur_coproduct_equals_the_bracket_set_formula():
+    for shape in BAND_FAMILY:
+        assert schur_coproduct(shape) == _schur_coproduct_by_brackets(shape), shape
 
 
 def brute_decomposition_count(components):
