@@ -1,73 +1,62 @@
-"""Small exact linear algebra over the integers, fraction-free: one
-Gauss-Jordan elimination in Bareiss's form (1968), whose divisions are
-all exact; dividing its result by the last pivot gives the rational
-reduced row echelon form."""
+"""Exact linear algebra over the integers: one incremental, fraction-free
+echelon over sparse rows, dicts {column: int} whose columns are any
+mutually comparable keys.  Pivot rows are kept in insertion order, each
+keyed by its least column and reduced against the ones before it, so one
+pass in that order reduces any row; each is primitive (its content
+divided out exactly, its pivot positive), so entries stay small."""
 
 from __future__ import annotations
 
-
-def rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """The fraction-free reduced row echelon form, in which every pivot
-    equals the last one, and the pivot columns; the input is not modified."""
-    m = [list(row) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        # A positive pivot keeps unit pivots at 1, and a step with p == prev
-        # leaves a row with f == 0 as it is: sparse rows then cost nothing.
-        if m[r][c] < 0:
-            m[r] = [-x for x in m[r]]
-        p, prow = m[r][c], m[r]
-        for i in range(nrows):
-            f = m[i][c]
-            if i != r and (f or p != prev):
-                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], prow)]
-        prev = p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+from math import gcd
 
 
-def rank(rows: list[list[int]]) -> int:
-    return len(rref(rows)[1])
+class Echelon:
+    """The span of the rows added so far; ``rows`` maps each pivot column
+    to its pivot row."""
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    def reduce(self, row) -> dict:
+        """The remainder of ``row`` (a multiple of it minus a combination of
+        the pivot rows), zero at every pivot column."""
+        rem = {c: v for c, v in row.items() if v}
+        for p, prow in self.rows.items():
+            f = rem.get(p)
+            if not f:
+                continue
+            a = prow[p]
+            if a != 1:
+                g = gcd(a, f)
+                a, f = a // g, f // g
+                rem = {c: a * v for c, v in rem.items()}
+            for c, v in prow.items():
+                x = rem.get(c, 0) - f * v
+                if x:
+                    rem[c] = x
+                else:
+                    del rem[c]
+        return rem
+
+    def add(self, row) -> bool:
+        """Add the remainder of ``row`` as a pivot row; False when ``row``
+        is already in the span."""
+        rem = self.reduce(row)
+        if not rem:
+            return False
+        p = min(rem)
+        g = gcd(*rem.values()) if rem[p] > 0 else -gcd(*rem.values())
+        self.rows[p] = rem if g == 1 else {c: v // g for c, v in rem.items()}
+        return True
 
 
-def left_kernel(rows: list[list[int]]) -> list[list[int]]:
-    """An integer basis of {x : x M = 0} for the matrix given by rows."""
-    nrows = len(rows)
-    red, pivots = rref([list(col) for col in zip(*rows)])
-    d = red[len(pivots) - 1][pivots[-1]] if pivots else 1
-    basis = []
-    for fc in range(nrows):
-        if fc in pivots:
-            continue
-        vec = [0] * nrows
-        vec[fc] = d
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def mat_mul_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    nb = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * nb
-        for k, x in enumerate(row):
-            if x:
-                brow = b[k]
-                for j in range(nb):
-                    if brow[j]:
-                        acc[j] += x * brow[j]
-        out.append(acc)
-    return out
+def left_kernel(rows) -> list[dict[int, int]]:
+    """An integer basis of {x : x M = 0}, M given by sparse rows, as dicts
+    over row indices: row k is tagged by a column (1, k) after every real
+    column (0, c), and the pivot rows that reduce to tags alone are it."""
+    ech = Echelon()
+    for k, row in enumerate(rows):
+        tagged = {(0, c): v for c, v in row.items()}
+        tagged[1, k] = 1
+        ech.add(tagged)
+    return [{k: v for (_, k), v in row.items()} for (tag, _), row in ech.rows.items() if tag]

@@ -449,7 +449,7 @@ def restrict_p(shape: Shape, m: int) -> list[tuple[Shape, Shape]]:
     """Certify that forgetting the generator at position m splits the
     module into blocks, one per set of boxes holding the values <= m,
     each acting as the pair of modules on its two subshapes (the cut of
-    ``tableaux.split_tableau``); returns the pairs of subshapes, sorted."""
+    ``tableaux.split_tableau``); returns each block's pair, sorted."""
     if shape.kind != "A":
         raise ShapeError("restriction certificates are for type A shapes")
     module = build_p(shape)
@@ -489,7 +489,7 @@ def restrict_p(shape: Shape, m: int) -> list[tuple[Shape, Shape]]:
                         )
         except IndexError:
             raise CertificationError("restriction block is not closed under the action") from None
-    pairs = {(bshape, gshape) for bshape, _, gshape, _, _ in blocks.values()}
+    pairs = [(bshape, gshape) for bshape, _, gshape, _, _ in blocks.values()]
     return sorted(pairs, key=lambda pair: (_shape_name(pair[0]), _shape_name(pair[1])))
 
 
@@ -508,25 +508,32 @@ def one_dim_quotients(module: HeckeModule) -> dict[frozenset[int], int]:
     """All characters of one-dimensional quotients: covectors phi with
     phi M_i = lambda_i phi and lambda_i in {0, -1}, solved exactly over
     the integers; labeled by {i : lambda_i = -1}, each with the dimension
-    of its space of covectors, that of Hom(M, C_D)."""
-    dim = module.dim
-    states: list[tuple[frozenset[int], list[list[int]]]] = [
-        (frozenset(), [[int(i == j) for j in range(dim)] for i in range(dim)])
-    ]
+    of its space of covectors, that of Hom(M, C_D).  A state keeps sparse
+    covectors; each M_i is transposed once, so phi M_i costs nnz(phi)."""
+    states = [(frozenset(), [{r: 1} for r in range(module.dim)])]
     for i in module.generator_indices():
-        dense = mat_to_dense(module.gens[i], dim)
+        by_row: dict[int, list[tuple[int, int]]] = {}
+        for j, col in enumerate(module.gens[i]):
+            for r, v in col:
+                by_row.setdefault(r, []).append((j, v))
         nxt = []
         for label, rows in states:
-            image = linalg.mat_mul_rows(rows, dense)
-            for with_i, target in ((False, image), (True, [
-                [a + b for a, b in zip(img, row)] for img, row in zip(image, rows)
-            ])):
-                coeffs = linalg.left_kernel(target)
-                if coeffs:
-                    new_rows = linalg.mat_mul_rows(coeffs, rows)
-                    nxt.append((label | {i} if with_i else label, new_rows))
+            image = [_combine((by_row.get(r, ()), c) for r, c in phi.items()) for phi in rows]
+            shifted = [_combine([(img.items(), 1), (phi.items(), 1)]) for img, phi in zip(image, rows)]
+            for key, target in ((label, image), (label | {i}, shifted)):
+                if kernel := linalg.left_kernel(target):
+                    nxt.append((key, [_combine((rows[k].items(), c) for k, c in x.items()) for x in kernel]))
         states = nxt
     return {label: len(rows) for label, rows in states if rows}
+
+
+def _combine(scaled) -> dict[int, int]:
+    """The sparse sum of c * row over (row entries, c) pairs."""
+    acc: dict[int, int] = {}
+    for entries, c in scaled:
+        for j, v in entries:
+            acc[j] = acc.get(j, 0) + c * v
+    return {j: v for j, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------

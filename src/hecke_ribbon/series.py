@@ -691,9 +691,10 @@ def evaluate_commutative(elem: SeriesElement, window) -> dict[tuple[int, ...], i
 
 
 def truncation_independent(series_list) -> bool:
-    """Exact rank test: are the truncated series (dicts from words or
-    exponent vectors to ints, as the evaluations return) linearly
-    independent?
+    """Exact independence test: are the truncated series (sparse rows, dicts
+    from words or exponent vectors to ints, as the evaluations return)
+    linearly independent?  Each is added to one ``linalg.Echelon``, and
+    the test stops at the first that lies in the span of those before it.
 
     Independent truncations imply independent series, but not the
     converse: a window that is too small can make independent series
@@ -701,15 +702,8 @@ def truncation_independent(series_list) -> bool:
     letters, since r_(1^n) vanishes in fewer. For types B and D, the
     tests and ``verify.cert_truncation`` use a window of radius size + 1.
     """
-    words = sorted({w for s in series_list for w in s})
-    index = {w: i for i, w in enumerate(words)}
-    rows = []
-    for s in series_list:
-        row = [0] * len(words)
-        for w, c in s.items():
-            row[index[w]] = c
-        rows.append(row)
-    return linalg.rank(rows) == len(series_list)
+    ech = linalg.Echelon()
+    return all(ech.add(s) for s in series_list)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ The checks must also survive ``python -O``, so ``verify.py`` may hold no
 import ast
 import dataclasses
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import MappingProxyType
 
@@ -438,7 +440,8 @@ def test_verify_has_no_assert_statement():
 
 def test_package_is_integer_only():
     """No fractions import and no true division anywhere in the package;
-    the only division left is the exact floor division in linalg.rref."""
+    the divisions left are exact floor divisions, such as the content
+    division of a pivot row in linalg.Echelon."""
     found = []
     for path in sorted(Path(verify.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -467,6 +470,49 @@ def test_module_imports_are_used():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found, found
+
+
+
+def _references(node) -> tuple[Counter, Counter, set]:
+    """Under an AST node: the counts of bare names and of attribute names,
+    and the (module, name) pairs brought in by ``from .module import name``."""
+    names, attrs, imported = Counter(), Counter(), set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            attrs[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            imported |= {(sub.module, alias.name) for alias in sub.names}
+    return names, attrs, imported
+
+
+def test_public_functions_are_used_or_documented():
+    """Every public module-level function of the package is referenced in
+    the package outside its own body, or named in the README's "What is
+    inside" table, so a routine that nothing calls fails here instead of
+    lingering.  A bare name counts only in the defining module and in the
+    modules that import it, so a local variable elsewhere does not."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## What is inside\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"`(?:\w+\.)*(\w+)(?:\([^`]*\))?`", table))
+    paths = sorted(Path(verify.__file__).parent.glob("*.py"))
+    trees = {path.stem: ast.parse(path.read_text()) for path in paths}
+    refs = {mod: _references(tree) for mod, tree in trees.items()}
+    found = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            name = getattr(node, "name", "_")
+            if not isinstance(node, ast.FunctionDef) or name.startswith("_") or name in documented:
+                continue
+            total = sum(
+                attrs[name] + (names[name] if other == mod or (mod, name) in imported else 0)
+                for other, (names, attrs, imported) in refs.items()
+            )
+            own_names, own_attrs, _ = _references(node)
+            if total == own_names[name] + own_attrs[name]:
+                found.append(f"{mod}.py:{node.lineno}: {name}")
     assert not found, found
 
 

@@ -1,15 +1,18 @@
-"""The fraction-free elimination against a Gauss-Jordan reference over
+"""The sparse fraction-free echelon against a Gauss-Jordan reference over
 the rationals."""
 
 from fractions import Fraction
+from math import gcd
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hecke_ribbon.linalg import left_kernel, rank, rref
+from hecke_ribbon.linalg import Echelon, left_kernel
 
 
 def reference_rref(rows):
-    """Textbook Gauss-Jordan over Fraction, same pivot choice as rref."""
+    """Textbook Gauss-Jordan over Fraction, pivoting on the first nonzero
+    row of each column; the pivot columns of rows taken as columns are the
+    rows that are independent of the rows before them."""
     m = [[Fraction(x) for x in row] for row in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0
     pivots, r = [], 0
@@ -52,27 +55,53 @@ def matrices(draw):
     return m
 
 
-@settings(deadline=None, max_examples=300)
-@given(matrices())
-def test_rref_matches_rational_reference(m):
-    red, pivots = rref(m)
-    ref, ref_pivots = reference_rref(m)
-    assert pivots == ref_pivots
-    d = red[len(pivots) - 1][pivots[-1]] if pivots else 1
-    assert d != 0
-    assert all(red[r][c] == d for r, c in enumerate(pivots))
-    for row, ref_row in zip(red, ref):
-        assert [Fraction(a, d) for a in row] == ref_row
-    assert rank(m) == len(ref_pivots)
+def sparse(row):
+    return {c: v for c, v in enumerate(row) if v}
 
 
+def reference_rank(rows):
+    return len(reference_rref(rows)[1])
+
+
+# a row with content 2 and a negative pivot, so that a pivot row kept
+# negative or with its content left in fails on every run
 @settings(deadline=None, max_examples=300)
 @given(matrices())
-def test_left_kernel_is_a_basis(m):
-    basis = left_kernel(m)
+@example([[-2, 4, 0], [0, 3, 6], [-2, 7, 6]])
+def test_echelon_matches_rational_reference(m):
+    """add is True exactly at the rows that the reference finds
+    independent of the rows before them, reduce is empty exactly at the
+    others and zero at every pivot column, and the pivot rows are
+    primitive, positive at their least column and zero at the earlier
+    pivot columns."""
+    independent = set(reference_rref([list(col) for col in zip(*m)])[1])
+    ech = Echelon()
+    for k, row in enumerate(m):
+        rem = ech.reduce(sparse(row))
+        assert not any(p in rem for p in ech.rows)
+        assert bool(rem) == (k in independent)
+        assert ech.add(sparse(row)) == (k in independent)
+    assert len(ech.rows) == len(independent)
+    earlier = []
+    for p, row in ech.rows.items():
+        assert p == min(row) and row[p] > 0
+        assert all(isinstance(v, int) and v for v in row.values())
+        assert gcd(*row.values()) == 1
+        assert not any(q in row for q in earlier)
+        earlier.append(p)
     ncols = len(m[0]) if m else 0
-    assert len(basis) == len(m) - rank(m)
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in ech.rows.values()]
+    assert reference_rank(m + dense) == len(ech.rows)
+
+
+@settings(deadline=None, max_examples=300)
+@given(matrices())
+@example([[-2, 4, 0], [0, 3, 6], [-2, 7, 6]])
+def test_left_kernel_is_a_basis(m):
+    basis = left_kernel([sparse(row) for row in m])
+    ncols = len(m[0]) if m else 0
+    assert len(basis) == len(m) - reference_rank(m)
     for vec in basis:
-        assert all(isinstance(x, int) for x in vec)
-        assert all(sum(v * row[j] for v, row in zip(vec, m)) == 0 for j in range(ncols))
-    assert rank(basis) == len(basis)
+        assert vec and all(0 <= k < len(m) and isinstance(v, int) and v for k, v in vec.items())
+        assert all(sum(v * m[k][j] for k, v in vec.items()) == 0 for j in range(ncols))
+    assert reference_rank([[vec.get(k, 0) for k in range(len(m))] for vec in basis]) == len(basis)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter, defaultdict
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from box_oracle import standard_by_boxes
-from hecke_ribbon import groups, linalg, modules, shapes, tableaux
+from test_linalg import reference_rref
+from hecke_ribbon import groups, modules, shapes, tableaux
 from hecke_ribbon.modules import (
     CertificationError,
     build_c,
@@ -241,10 +243,14 @@ def _dense_failures(gens, target_gens, phi, columns, sigma):
     0/1 matrix of phi, all as dense matrices."""
     dim = len(phi)
     t = mat_to_dense(tuple(() if k is None else ((k, 1),) for k in phi), dim)
+
+    def product(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
     out = []
     for i in sorted(gens):
-        left = linalg.mat_mul_rows(t, mat_to_dense(gens[i], dim))
-        right = linalg.mat_mul_rows(mat_to_dense(target_gens[sigma[i]], dim), t)
+        left = product(t, mat_to_dense(gens[i], dim))
+        right = product(mat_to_dense(target_gens[sigma[i]], dim), t)
         out += [(i, j) for j in columns if [row[j] for row in left] != [row[j] for row in right]]
     return out
 
@@ -455,23 +461,28 @@ def test_restriction():
     assert restrict_p(composition((2,)), 1) == [(composition((1,)), composition((1,)))]
     blocks = restrict_p(composition((1, 3)), 2)
     assert len(blocks) == 2
+    # two box sets, {0} and {1}, with the same subshapes: two blocks
+    one = composition((1,))
+    assert restrict_p(shapes.parse_shape("[1]+[1]", "A"), 1) == [(one, one), (one, one)]
     for n in range(6):
         for shape in shapes.enumerate_generalized(n, "A", 3):
-            basis = build_p(shape).basis
+            module = build_p(shape)
             for m in range(n + 1):
                 sizes: Counter = Counter()
                 box_sets = defaultdict(set)
-                for t in basis:
+                for t in module.basis:
                     left, right = tableaux.split_tableau(t, m)
                     sizes[left.shape, right.shape] += 1
                     box_sets[left.shape, right.shape].add(
                         frozenset(k for k, v in enumerate(t.entries) if v <= m)
                     )
                 blocks = restrict_p(shape, m)
-                assert blocks == sorted(sizes, key=lambda pair: (str(pair[0]), str(pair[1])))
+                assert blocks == sorted(blocks, key=lambda pair: (str(pair[0]), str(pair[1])))
+                assert Counter(blocks) == Counter({pair: len(sets) for pair, sets in box_sets.items()})
                 for b, g in blocks:
                     block_dim = build_p(b).dim * build_p(g).dim
                     assert sizes[b, g] == len(box_sets[b, g]) * block_dim, (shape, m, b, g)
+                assert sum(build_p(b).dim * build_p(g).dim for b, g in blocks) == module.dim
 
 
 def test_c_module_labels_carry_the_shape_descents():
@@ -507,6 +518,51 @@ def test_one_dim_quotients():
     alpha = composition((2, 1))
     tops = one_dim_quotients(build_m(alpha))
     assert tops == {shapes.descent_set(beta): 1 for beta in shapes.coarsenings(alpha)}
+
+
+
+def _hom_dims_by_rank(module):
+    """dim Hom(M, C_D) for every label D, the generators acting on C_D by
+    -1 on D and by 0 elsewhere: dim M minus the rank over Fraction of the
+    horizontally stacked M_i + [i in D] I."""
+    dim, indices = module.dim, module.generator_indices()
+    dense = {i: mat_to_dense(module.gens[i], dim) for i in indices}
+    dims = {}
+    for size in range(len(indices) + 1):
+        for label in itertools.combinations(indices, size):
+            stacked = [
+                [x + (i in label and r == c) for i in indices for c, x in enumerate(dense[i][r])]
+                for r in range(dim)
+            ]
+            dims[frozenset(label)] = dim - len(reference_rref(stacked)[1])
+    return dims
+
+
+def _direct_sum(module):
+    dim = module.dim
+    gens = {
+        i: cols + tuple(tuple((r + dim, v) for r, v in col) for col in cols)
+        for i, cols in module.gens.items()
+    }
+    return modules.HeckeModule(module.kind, module.n, module.basis * 2, gens, None)
+
+
+def test_hom_dimensions_match_a_rational_rank():
+    """one_dim_quotients gives dim Hom(M, C_D) for every label D, checked
+    over all 2^|S| labels against an independent rank over Fraction."""
+    family = []
+    for kind, top in (("A", 4), ("B", 3), ("D", 3)):
+        for alpha in all_single(kind, top):
+            p = build_p(alpha)
+            family += [p, build_m(alpha), build_c(alpha), twist(twist(p, "theta"), "phi")]
+    doubled = _direct_sum(build_m(composition((2, 1))))
+    family.append(doubled)
+    for module in family:
+        dims = _hom_dims_by_rank(module)
+        tops = one_dim_quotients(module)
+        assert all(tops.get(label, 0) == d for label, d in dims.items()), module.basis
+        assert set(tops) <= set(dims) and all(tops.values())
+    assert one_dim_quotients(doubled) == {frozenset(): 2, frozenset({2}): 2}
 
 
 def test_twists():
