@@ -520,7 +520,6 @@ def test_one_dim_quotients():
     assert tops == {shapes.descent_set(beta): 1 for beta in shapes.coarsenings(alpha)}
 
 
-
 def _hom_dims_by_rank(module):
     """dim Hom(M, C_D) for every label D, the generators acting on C_D by
     -1 on D and by 0 elsewhere: dim M minus the rank over Fraction of the
@@ -539,6 +538,7 @@ def _hom_dims_by_rank(module):
 
 
 def _direct_sum(module):
+    """M + M, the second copy on the basis indices shifted by dim M."""
     dim = module.dim
     gens = {
         i: cols + tuple(tuple((r + dim, v) for r, v in col) for col in cols)
