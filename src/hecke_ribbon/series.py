@@ -25,8 +25,9 @@ every label through ``_check_key`` and makes every coefficient a nonzero
 in that form, and every operation here returns through it.  One-term
 elements, the common case of the certificates, skip the summing: a
 conversion reads the label's row of the memoised table (distinct labels,
-signs ±1) straight into a new dict, and a coproduct sorts the label's
-distinct splittings, returning the memoised Δ(s_α) itself for s_α.
+signs ±1) straight into a new dict, and a coproduct reads the label's
+memoised row of distinct splittings, in every basis, and returns it
+itself when the coefficient is 1.
 """
 
 from __future__ import annotations
@@ -294,82 +295,74 @@ def schur_coproduct(shape: Shape) -> dict[tuple[Parts, Parts], QPoly]:
     return {key: _constant(c) for key, c in splitting_counts(shape).items()}
 
 
-def _cut_parts(parts: Parts, kind: str, i: int) -> tuple[Parts, Parts]:
-    n = sum(parts)
-    dset = parts_descents(parts)
-    left = parts_from_descents({d for d in dset if d < i}, i, kind)
-    right = parts_from_descents({d - i for d in dset if d > i}, n - i, "A")
-    return left, right
-
-
 def coproduct(elem: SeriesElement) -> tuple[tuple[Parts, Parts, QPoly], ...]:
     """Tensor expansion of the coproduct (or one-sided comodule map).
 
     Terms are (left label, right label, coefficient), sorted by the label
     pair; the left factor lives in the element's own space and the right
-    factor in the type A space with the same basis letter.  The splittings
-    of one label are distinct pairs, so a one-term element needs no
-    summing, and Δ(s_α) itself is returned for s_α.
+    factor in the type A space with the same basis letter.  Each label's
+    splittings are one memoised row (``_coproduct_row``): a one-term
+    element with coefficient ``ONE`` returns that row itself, any other
+    one-term element scales it, and a sum of terms collects its rows.
     """
     space, basis = elem.space, elem.basis
-    kind = SPACE_KIND[space]
     if basis in ("h", "s") and space != "NSym":
         raise ValueError(f"no coproduct on the {space} side in basis {basis}")
+    kind = SPACE_KIND[space]
     if len(elem.terms) == 1:
         ((parts, coeff),) = elem.terms.items()
-        if basis == "s" and coeff is ONE and space == "NSym":
-            return _s_splits(parts)
-        return tuple(sorted(_label_coproduct(space, kind, basis, parts, coeff)))
+        row = _coproduct_row(parts, kind, basis)
+        return row if coeff is ONE else tuple((l, r, coeff * m) for l, r, m in row)
     pairs = (
-        ((left, right), c)
+        ((left, right), coeff * m)
         for parts, coeff in elem.terms.items()
-        for left, right, c in _label_coproduct(space, kind, basis, parts, coeff)
+        for left, right, m in _coproduct_row(parts, kind, basis)
     )
     return tuple((l, r, c) for (l, r), c in sorted(_collect(pairs).items()))
 
 
-def _label_coproduct(space: str, kind: str, basis: str, parts: Parts, coeff: QPoly):
-    """The coproduct of coeff times one basis element, as (left, right,
-    coefficient) triples with distinct (left, right) pairs."""
-    n = sum(parts)
+@lru_cache(maxsize=None)
+def _coproduct_row(parts: Parts, kind: str, basis: str) -> tuple[tuple[Parts, Parts, QPoly], ...]:
+    """The coproduct of one basis label as (left, right, multiplicity)
+    triples with distinct label pairs, sorted, the multiplicities shared
+    ``QPoly`` constants: the reading-order cuts of F (in type D, none
+    before position 2), the deconcatenations of M (the left factor of a
+    type B or D label keeps its leading part), the multiplicative rule of
+    h, and Δ(s) from ``schur_coproduct``.  ``schur_coproduct`` itself
+    stays uncached: it is the direct route of ``verify.cert_coproduct``,
+    which must not read values that another route filled."""
+    n, ell = sum(parts), len(parts)
     if basis == "F":
-        start = 2 if kind == "D" else 0
-        return [(*_cut_parts(parts, kind, i), coeff) for i in range(start, n + 1)]
-    if basis == "M":
-        ell = len(parts)
-        if kind == "A":
-            valid = range(ell + 1)
-        elif kind == "B":
-            valid = range(0 if parts[0] > 0 else 1, ell + 1)
-        else:
-            k = next(j for j in range(1, ell + 1) if sum(parts[:j]) >= 2)
-            valid = range(k, ell + 1)
-        return [
-            (parts[:i] if (kind == "A" or i > 0) else (0,), parts[i:], coeff) for i in valid
-        ]
-    splits = _h_splits(parts) if basis == "h" else _s_splits(parts)
-    return [(left, right, coeff * mult) for left, right, mult in splits]
-
-
-@lru_cache(maxsize=None)
-def _h_splits(parts: Parts) -> tuple[tuple[Parts, Parts, int], ...]:
-    splits: dict[tuple[Parts, Parts], int] = {((), ()): 1}
-    for p in parts:
-        splits = _collect(
-            ((left + ((c,) if c else ()), right + ((p - c,) if p - c else ())), mult)
-            for (left, right), mult in splits.items()
-            for c in range(p + 1)
+        dset = parts_descents(parts)
+        cuts = (
+            (
+                parts_from_descents([d for d in dset if d < i], i, kind),
+                parts_from_descents([d - i for d in dset if d > i], n - i, "A"),
+            )
+            for i in range(2 if kind == "D" else 0, n + 1)
         )
+        splits = dict.fromkeys(cuts, ONE)
+    elif basis == "M":
+        if kind == "A":
+            first = 0
+        elif kind == "B":
+            first = 0 if parts[0] > 0 else 1
+        else:
+            first = next(j for j in range(1, ell + 1) if sum(parts[:j]) >= 2)
+        cuts = ((parts[:i] if kind == "A" or i else (0,), parts[i:]) for i in range(first, ell + 1))
+        splits = dict.fromkeys(cuts, ONE)
+    elif basis == "h":
+        splits = {((), ()): 1}
+        for p in parts:
+            splits = _collect(
+                ((left + ((c,) if c else ()), right + ((p - c,) if p - c else ())), mult)
+                for (left, right), mult in splits.items()
+                for c in range(p + 1)
+            )
+        splits = {key: _constant(m) for key, m in splits.items()}
+    else:
+        splits = schur_coproduct(composition(parts))
     return tuple((l, r, m) for (l, r), m in sorted(splits.items()))
-
-
-@lru_cache(maxsize=None)
-def _s_splits(parts: Parts) -> tuple[tuple[Parts, Parts, QPoly], ...]:
-    """Δ(s_parts) as sorted (left, right, multiplicity) triples, computed
-    once per label.  ``schur_coproduct`` itself stays uncached: it is the
-    direct route of ``verify.cert_coproduct``, which must not read values
-    that another route filled."""
-    return tuple((l, r, m) for (l, r), m in sorted(schur_coproduct(composition(parts)).items()))
 
 
 # ---------------------------------------------------------------------------

@@ -371,11 +371,52 @@ def test_junction_read_as_on_top_bites_coproduct(monkeypatch):
         verify.cert_coproduct(4, 3)
 
 
-def test_coproduct_routes_leave_the_label_memo_empty():
+def test_coproduct_routes_read_no_ribbon_row(monkeypatch):
     """The direct route of cert_coproduct is schur_coproduct itself, and
-    its h-route expands h coproducts: neither reads the s memo."""
+    its h-route expands h coproducts: neither computes nor reads a
+    memoised s row.  The spy sees every row read, memo hits included;
+    the h-route's h rows and the F regression's row go through it too."""
+    row, reads = series._coproduct_row, Counter()
+
+    def spy(parts, kind, basis):
+        reads[basis] += 1
+        return row(parts, kind, basis)
+
+    monkeypatch.setattr(series, "_coproduct_row", spy)
     verify.cert_coproduct(4, 3)
-    assert series._s_splits.cache_info().currsize == 0
+    assert reads["s"] == 0 and reads["h"] and reads["F"] == 1
+    series.coproduct(series.element("NSym", "s", (1,)))
+    assert reads["s"] == 1
+
+
+def _cut_row(basis, kinds, keep):
+    """_coproduct_row with the rows of one basis in some types cut to
+    the slice keep."""
+    row = series._coproduct_row
+
+    def wrong(parts, kind, basis_):
+        got = row(parts, kind, basis_)
+        return got[keep] if basis_ == basis and kind in kinds else got
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "basis, kinds, keep, witness",
+    [
+        ("F", "BD", slice(None, -1), "module/comodule duality fails in B at (0,),(),(0,)"),
+        ("M", "ABD", slice(1, None), "duality of product/coproduct fails at (),(1,),(1,)"),
+    ],
+)
+def test_wrong_coproduct_row_bites_duality(monkeypatch, basis, kinds, keep, witness):
+    """cert_duality pairs every F or M coproduct it takes against the
+    product of two ribbon functions, so one triple missing from a
+    memoised row fails it: the last F triple in types B and D (first
+    seen at the type B unit, whose row is that one triple), or the first
+    M triple."""
+    monkeypatch.setattr(series, "_coproduct_row", _cut_row(basis, kinds, keep))
+    with pytest.raises(modules.CertificationError, match=re.escape(witness)):
+        verify.cert_duality(3, 2)
 
 
 def test_checks_survive_optimize():

@@ -211,7 +211,7 @@ def test_coassociativity_on_drawn_compositions(parts, space_basis):
 @given(small_compositions())
 def test_ribbon_coproduct_memo_matches_schur_coproduct(parts):
     want = tuple((l, r, c) for (l, r), c in sorted(schur_coproduct(composition(parts)).items()))
-    series._s_splits.cache_clear()
+    series._coproduct_row.cache_clear()
     assert coproduct(E("NSym", "s", parts)) == want  # cold: computes the label
     assert coproduct(E("NSym", "s", parts)) == want  # warm: reads it back
 
@@ -708,6 +708,67 @@ def test_one_term_paths_match_the_general_path(space):
                 for key, d in coproduct_dict(other).items():
                     general[key] = general.get(key, QPoly()) - d
                 assert dict(((l, r), c) for l, r, c in got) == {k: v for k, v in general.items() if v}
+
+
+def _reference_row(space, basis, parts):
+    """The coproduct of one basis label computed afresh on every call, as
+    a dict from label pairs to ints: the reading-order cuts of F, the
+    deconcatenations of M, the product of the Δ(h_p) over the parts of
+    an h label, and schur_coproduct for s."""
+    kind = series.SPACE_KIND[space]
+    out = {}
+    if basis == "F":
+        n, dset = sum(parts), shapes.parts_descents(parts)
+        for i in range(2 if kind == "D" else 0, n + 1):
+            left = shapes.parts_from_descents([d for d in dset if d < i], i, kind)
+            right = shapes.parts_from_descents([d - i for d in dset if d > i], n - i, "A")
+            out[left, right] = 1
+    elif basis == "M":
+        for i in range(len(parts) + 1):
+            left, right = parts[:i], parts[i:]
+            if 0 not in right and (kind != "D" or sum(left) >= 2):
+                out[(left or (0,)) if kind == "B" else left, right] = 1
+    elif basis == "h":
+        for cuts in product(*(range(p + 1) for p in parts)):
+            left = tuple(c for c in cuts if c)
+            right = tuple(p - c for p, c in zip(parts, cuts) if p - c)
+            out[left, right] = out.get((left, right), 0) + 1
+    else:
+        out = {key: c.coeffs[0] for key, c in schur_coproduct(composition(parts)).items()}
+    return out
+
+
+def test_coproduct_rows_match_a_per_call_reference():
+    """Every label's memoised row, cold and warm, equals the reference;
+    rows are tuples of triples sorted by label pair with shared QPoly
+    constants, and the row itself comes back for a coefficient of 1.
+    Scaled elements and sums of two labels equal their summed rows."""
+    series._coproduct_row.cache_clear()
+    for space in sorted(series.SPACE_KIND):
+        labels = all_labels(space, 6 if series.SPACE_KIND[space] == "A" else 4)
+        for basis in bases_of(space):
+            if basis in ("h", "s") and space != "NSym":
+                continue
+            for parts in labels:
+                want = _reference_row(space, basis, parts)
+                for _ in ("cold", "warm"):
+                    row = coproduct(E(space, basis, parts))
+                    assert type(row) is tuple and all(type(t) is tuple for t in row)
+                    assert [(l, r) for l, r, _ in row] == sorted(want)
+                    assert all(m is QPoly.of(want[l, r]) for l, r, m in row), parts
+                assert coproduct(E(space, basis, parts)) is row
+            for x, y in zip(labels, labels[1:] + labels[:1]):
+                for c in (QPoly.of(3), QPoly((0, 1)), -ONE):
+                    one = E(space, basis, x, c)
+                    scaled = {(l, r): c * m for (l, r), m in _reference_row(space, basis, x).items()}
+                    assert coproduct_dict(one) == scaled
+                    summed = dict(scaled)
+                    for key, m in _reference_row(space, basis, y).items():
+                        summed[key] = summed.get(key, QPoly()) + m
+                    got = coproduct(one + E(space, basis, y))
+                    assert list(got) == sorted(got)
+                    assert {(l, r): m for l, r, m in got} == {k: v for k, v in summed.items() if v}
+        series._coproduct_row.cache_clear()
 
 
 def test_converted_terms_are_a_new_dict_every_time():
