@@ -4,7 +4,9 @@ The isobaric divided difference pi_i sends f to
 (x_i f - x_{i+1} s_i(f)) / (x_i - x_{i+1}).  No division is performed:
 pi_i is computed term by term from its closed form on monomials, and
 ``verify.cert_demazure`` checks it against the defining identity by
-multiplication.  The bar operator is pi_i - 1.  One rule builds both
+multiplication.  The bar operator pi-bar_i = pi_i - 1 has its own closed
+form, which ``verify.cert_demazure`` certifies equal to pi_i - 1 on every
+monomial it sweeps.  One rule builds both
 polynomial models: the bar images of the staircase-like monomial
 x_gamma, one per reading word, span the ribbon module of any shape whose
 components concatenate to gamma, and the row-separated module of a
@@ -74,10 +76,10 @@ class Poly:
         return bool(self.terms)
 
     def __add__(self, other: "Poly") -> "Poly":
-        return _combine(self, other, 1)
+        return _combine(self, other, 1) if isinstance(other, Poly) else NotImplemented
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return _combine(self, other, -1)
+        return _combine(self, other, -1) if isinstance(other, Poly) else NotImplemented
 
     def __neg__(self) -> "Poly":
         return _make(self.n, tuple([(m, -c) for m, c in self.terms]))
@@ -85,8 +87,14 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, int):
             return _make(self.n, tuple([(m, c * other) for m, c in self.terms]) if other else ())
+        if not isinstance(other, Poly):
+            return NotImplemented
         if self.n != other.n:
             raise ValueError(f"cannot combine polynomials in {self.n} and {other.n} variables")
+        if len(other.terms) == 1:
+            return _shift(self, *other.terms[0])
+        if len(self.terms) == 1:
+            return _shift(other, *self.terms[0])
         out: dict[Monomial, int] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
@@ -133,6 +141,12 @@ def _combine(f: Poly, g: Poly, sign: int) -> Poly:
     for m, c in g.terms:
         out[m] = out.get(m, 0) + sign * c
     return Poly.from_dict(f.n, out)
+
+
+def _shift(f: Poly, m: Monomial, c: int) -> Poly:
+    """f times the term c x^m: adding m to every monomial keeps their
+    order, and c is nonzero, so the terms stay normal without a sort."""
+    return _make(f.n, tuple([(tuple(map(add, mf, m)), cf * c) for mf, cf in f.terms]))
 
 
 def format_poly(f: Poly) -> str:
@@ -191,21 +205,31 @@ def demazure(i: int, f: Poly) -> Poly:
     """pi_i(f) = (x_i f - x_{i+1} s_i(f)) / (x_i - x_{i+1}), term by term:
     pi_i(x_i^a x_{i+1}^b) is the sum of x_i^(a+b-j) x_{i+1}^j over
     b <= j <= a when a >= b, and minus that sum over a < j < b otherwise."""
+    return _closed_form(i, f, 0)
+
+
+def demazure_bar(i: int, f: Poly) -> Poly:
+    """pi-bar_i(f) = pi_i(f) - f in one pass, from its own closed form:
+    pi-bar_i(x_i^a x_{i+1}^b) is the sum of x_i^(a+b-j) x_{i+1}^j over
+    b < j <= a when a >= b, and minus that sum over a < j <= b otherwise."""
+    return _closed_form(i, f, 1)
+
+
+def _closed_form(i: int, f: Poly, bar: int) -> Poly:
+    """pi_i(f) for bar = 0 and pi-bar_i(f) for bar = 1: the two closed
+    forms differ only in the term j = b, which pi-bar_i moves from the
+    first sum to the second."""
     if not 1 <= i <= f.n - 1:
         raise ValueError(f"operator index {i} out of range for {f.n} variables")
     out: dict[Monomial, int] = {}
     for m, c in f.terms:
         a, b = m[i - 1], m[i]
         head, total, tail = m[: i - 1], a + b, m[i + 1 :]
-        span, sign = (range(b, a + 1), c) if a >= b else (range(a + 1, b), -c)
+        span, sign = (range(b + bar, a + 1), c) if a >= b else (range(a + 1, b + bar), -c)
         for j in span:
             key = head + (total - j, j) + tail
             out[key] = out.get(key, 0) + sign
     return Poly.from_dict(f.n, out)
-
-
-def demazure_bar(i: int, f: Poly) -> Poly:
-    return demazure(i, f) - f
 
 
 def x_alpha(alpha: Shape | Parts) -> Poly:
@@ -231,18 +255,22 @@ def sorted_exponents(m: Monomial) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _bar_images(alpha: Parts) -> MappingProxyType[tuple[int, ...], Poly]:
-    """pi-bar_w applied to x_alpha for every w with D(w) <= D(alpha),
-    computed along the weak order; a read-only cached mapping."""
-    images: dict[tuple[int, ...], Poly] = {}
-    gens = groups.generators("A", sum(alpha))
-    for w in sorted(groups.min_coset_reps("A", composition(alpha)), key=groups.length):
-        left = groups.descents(groups.inverse(w))
+    """pi-bar_w applied to x_alpha for every w with D(w) <= D(alpha), keyed
+    by window in order of length, then window; a read-only cached mapping.
+    Computed along the weak order on the group table: the image at w is
+    pi-bar_i of the image at s_i w, for i the least left descent of w."""
+    n = sum(alpha)
+    table, elements = groups.left_actions("A", n), groups.enumerate_group("A", n)
+    band = groups.band_indices("A", n, frozenset(), parts_descents(composition(alpha).parts))
+    by_index: dict[int, Poly] = {}
+    for g in sorted(band, key=table.lengths.__getitem__):
+        left = table.inverse_descents[g]
         if not left:  # the identity
-            images[w.window] = x_alpha(alpha)
+            by_index[g] = x_alpha(alpha)
             continue
         i = min(left)
-        images[w.window] = demazure_bar(i, images[groups.multiply(gens[i], w).window])
-    return MappingProxyType(images)
+        by_index[g] = demazure_bar(i, by_index[table.step[i][g]])
+    return MappingProxyType({elements[g].window: f for g, f in by_index.items()})
 
 
 def triangularity_check(alpha: Shape | Parts) -> list[str]:
@@ -268,6 +296,16 @@ def triangularity_check(alpha: Shape | Parts) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # certified polynomial modules
+
+
+def _column_image(col, basis: list[Poly], zero: Poly) -> Poly:
+    """The sum of v f_r over the entries (r, v) of a column: f_r itself
+    for the one entry (r, 1), v f_r unsorted for another one entry, and
+    zero for none, so that only a column of several entries is summed."""
+    if len(col) != 1:
+        return sum([basis[r] * v for r, v in col], zero)
+    r, v = col[0]
+    return basis[r] if v == 1 else basis[r] * v
 
 
 def build_polynomial_module(shape: Shape, model: str | None = None):
@@ -311,7 +349,7 @@ def build_polynomial_module(shape: Shape, model: str | None = None):
     zero = Poly(n, ())
     for i in target.generator_indices():
         for j, col in enumerate(target.gens[i]):
-            if demazure_bar(i, basis[j]) != sum([basis[r] * v for r, v in col], zero):
+            if demazure_bar(i, basis[j]) != _column_image(col, basis, zero):
                 raise modules.CertificationError(
                     f"polynomial model of {shape}: generator {i} fails at basis {j}"
                 )

@@ -333,20 +333,22 @@ def cert_demazure(max_size: int = 5, op_degree: int = 6, op_vars: int = 5) -> st
     x = {i: demazure.parse_poly(f"x{i}", op_vars) for i in range(1, op_vars + 1)}
     for m in mono:
         f = demazure.Poly.monomial(op_vars, m)
+        p = {}  # pi_i f for each i, read again by the braid and commutation checks
         for i in range(1, op_vars):
-            pf = pi(i, f)
+            p[i] = pf = pi(i, f)
             sf = f.permute(groups.generator("A", op_vars, i))
-            lhs, rhs = (x[i] - x[i + 1]) * pf, x[i] * f - x[i + 1] * sf
+            lhs, rhs = x[i] * pf - x[i + 1] * pf, x[i] * f - x[i + 1] * sf
             _require(lhs == rhs, "pi_{} fails its defining identity on {}", i, m)
             _require(pi(i, pf) == pf, "pi_{} not idempotent on {}", i, m)
             bf = bar(i, f)
+            _require(bf == pf - f, "pi-bar_{} is not pi_{} - 1 on {}", i, i, m)
             _require(bar(i, bf) == -1 * bf, "bar relation fails on {}", m)
         for i in range(1, op_vars - 1):
-            lhs = pi(i, pi(i + 1, pi(i, f)))
-            _require(lhs == pi(i + 1, pi(i, pi(i + 1, f))), "braid fails on {} at {}", m, i)
+            lhs = pi(i, pi(i + 1, p[i]))
+            _require(lhs == pi(i + 1, pi(i, p[i + 1])), "braid fails on {} at {}", m, i)
         for i in range(1, op_vars):
             for j in range(i + 2, op_vars):
-                _require(pi(i, pi(j, f)) == pi(j, pi(i, f)), "commutation fails on {}", m)
+                _require(pi(i, p[j]) == pi(j, p[i]), "commutation fails on {}", m)
     family = _single_shapes("A", max_size)
     for alpha in family:
         violations = demazure.triangularity_check(alpha)

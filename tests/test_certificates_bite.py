@@ -452,6 +452,44 @@ def test_demazure_checks_the_defining_identity(monkeypatch):
         verify.cert_demazure(3, 2, 3)
 
 
+def test_demazure_ties_the_bar_operator_to_pi(monkeypatch):
+    """A pi-bar_i whose a < b branch stops at j = b - 1 drops the term
+    -x_i^a x_{i+1}^b; on x_3 (i = 2) it returns 0, which still squares to
+    minus itself, so only the tie pi-bar_i = pi_i - 1 catches it."""
+
+    def short(i, f):
+        terms = []
+        for m, c in f.terms:
+            a, b = m[i - 1], m[i]
+            span, sign = (range(b + 1, a + 1), c) if a >= b else (range(a + 1, b), -c)
+            terms += [(m[: i - 1] + (a + b - j, j) + m[i + 1 :], sign) for j in span]
+        return demazure.Poly(f.n, tuple(terms))
+
+    monkeypatch.setattr(demazure, "demazure_bar", short)
+    with pytest.raises(modules.CertificationError, match=r"^pi-bar_2 is not pi_2 - 1 on \(0, 0, 1\)$"):
+        verify.cert_demazure(3, 2, 3)
+
+
+def test_wrong_left_action_entry_bites_demazure(monkeypatch):
+    """The bar images of x_alpha are read along the group table's steps.
+    One wrong entry, s_1 w = 1 at w = 2,3,1 in A_3 (it is 1,3,2), makes the
+    image at 2,3,1 pi-bar_1 x_(2,1) = 0, which has no unit leading term."""
+    left_actions = groups.left_actions
+
+    def wrong(kind, n):
+        table = left_actions(kind, n)
+        if (kind, n) != ("A", 3):
+            return table
+        g, e = table.index[(2, 3, 1)], table.index[(1, 2, 3)]
+        assert table.step[1][g] == table.index[(1, 3, 2)]
+        step = {**table.step, 1: table.step[1][:g] + (e,) + table.step[1][g + 1 :]}
+        return dataclasses.replace(table, step=MappingProxyType(step))
+
+    monkeypatch.setattr(groups, "left_actions", wrong)
+    with pytest.raises(modules.CertificationError, match=r"^triangularity fails for \[2,1\]: w=2,3,1: "):
+        verify.cert_demazure(3, 2, 3)
+
+
 def test_doubled_twisted_top_bites_antipode(monkeypatch):
     """A phi twist that returns M + M has the right top with a Hom space
     of dimension 2, which the antipode certificate must count."""

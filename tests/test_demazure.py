@@ -2,6 +2,7 @@ import dataclasses
 import json
 import pickle
 from itertools import product as cartesian
+from operator import add
 from types import MappingProxyType
 
 import pytest
@@ -52,6 +53,7 @@ def test_operator_relations_exhaustive_small():
         f = Poly.monomial(n, m)
         for i in range(1, n):
             assert pi(i, pi(i, f)) == pi(i, f)
+            assert pibar(i, f) == pi(i, f) - f
             assert pibar(i, pibar(i, f)) == -1 * pibar(i, f)
         assert pi(1, pi(2, pi(1, f))) == pi(2, pi(1, pi(2, f)))
 
@@ -85,6 +87,46 @@ def test_poly_products_keep_their_signs():
     assert parse_poly("x1 - x2", 2) * parse_poly("x1 + x2", 2) == parse_poly("x1^2 - x2^2", 2)
     assert parse_poly("x1", 2) * parse_poly("x1", 2) == parse_poly("x1^2", 2)
     assert parse_poly("-x1", 2) * parse_poly("x2", 2) == parse_poly("-x1*x2", 2)
+
+
+def _general_product(f, g):
+    """f * g as the sum over all pairs of terms, normalised by the
+    constructor: the rule the one-term shift must agree with."""
+    return Poly(f.n, tuple((tuple(map(add, m1, m2)), c1 * c2) for m1, c1 in f.terms for m2, c2 in g.terms))
+
+
+def test_one_term_products_match_the_general_product():
+    polys = [
+        parse_poly("x1^2*x3 - 3*x2 + 5", 3),
+        parse_poly("-2*x1*x2^4 + x3^2 - x1", 3),
+        Poly(3, ()),
+    ]
+    terms = [parse_poly(t, 3) for t in ("x1", "-x2^2*x3", "7", "-4*x1*x3^3")]
+    for f in polys + terms:
+        for t in terms:
+            for got, want in ((f * t, _general_product(f, t)), (t * f, _general_product(t, f))):
+                assert got == want and got.terms == want.terms, (f, t)
+    # no variables: the only monomial is the empty one
+    for c, d in ((1, 1), (-3, 2), (2, -5)):
+        f, t = Poly.monomial(0, (), c), Poly.monomial(0, (), d)
+        assert f * t == t * f == _general_product(f, t) == Poly.monomial(0, (), c * d)
+    assert Poly(0, ()) * Poly.one(0) == Poly.one(0) * Poly(0, ()) == Poly(0, ())
+
+
+def test_poly_arithmetic_rejects_other_operands():
+    f = parse_poly("x1 - x2", 2)
+    for combine in (
+        lambda: f + 1,
+        lambda: f - 1,
+        lambda: f * 1.5,
+        lambda: 1.5 * f,
+        lambda: f * None,
+        lambda: 1 + f,
+        lambda: 1 - f,
+    ):
+        with pytest.raises(TypeError):
+            combine()
+    assert 2 * f == f * 2 == f + f
 
 
 def test_parse_poly_rejects_bad_input():
@@ -129,6 +171,30 @@ def test_bar_word_application():
             for i in reversed(word):
                 f = pibar(i, f)
             assert f == demazure._bar_images(parts)[w.window], w
+
+
+def _bar_images_by_multiplication(alpha):
+    """The bar images of x_alpha along the weak order, walked with group
+    element arithmetic: the minimal coset representatives sorted by
+    length, each image pi-bar_i of the image at s_i w, with i the least
+    left descent of w."""
+    images = {}
+    gens = groups.generators("A", sum(alpha))
+    for w in sorted(groups.min_coset_reps("A", composition(alpha)), key=groups.length):
+        left = groups.descents(groups.inverse(w))
+        if not left:
+            images[w.window] = x_alpha(alpha)
+            continue
+        i = min(left)
+        images[w.window] = pibar(i, images[groups.multiply(gens[i], w).window])
+    return images
+
+
+def test_bar_images_match_the_group_arithmetic_walk():
+    for n in range(7):
+        for s in shapes.enumerate_shapes(n, "A"):
+            images = demazure._bar_images(s.parts)
+            assert list(images.items()) == list(_bar_images_by_multiplication(s.parts).items()), s
 
 
 def test_polynomial_module_matches_row_separated():
