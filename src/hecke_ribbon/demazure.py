@@ -300,8 +300,8 @@ def triangularity_check(alpha: Shape | Parts) -> list[str]:
 
 def _column_image(col, basis: list[Poly], zero: Poly) -> Poly:
     """The sum of v f_r over the entries (r, v) of a column: f_r itself
-    for the one entry (r, 1), v f_r unsorted for another one entry, and
-    zero for none, so that only a column of several entries is summed."""
+    for a single entry (r, 1), f_r scaled by v (no sort) for another
+    single entry, zero for none; only several entries are summed."""
     if len(col) != 1:
         return sum([basis[r] * v for r, v in col], zero)
     r, v = col[0]
