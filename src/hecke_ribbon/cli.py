@@ -458,6 +458,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
+    except modules.CertificationError as exc:
+        print(f"certification failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, shapes.ShapeError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

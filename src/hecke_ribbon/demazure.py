@@ -10,7 +10,8 @@ monomial it sweeps.  One rule builds both
 polynomial models: the bar images of the staircase-like monomial
 x_gamma, one per reading word, span the ribbon module of any shape whose
 components concatenate to gamma, and the row-separated module of a
-ribbon is that of its single rows.  The tableau module's action is
+ribbon is that of its single rows.  Each basis polynomial is certified
+triangular where it is built, and the tableau module's action is
 certified in place, on each basis polynomial under each bar operator.
 
 ``Poly`` is an immutable value with slots; its public constructor checks
@@ -269,43 +270,21 @@ def _bar_images(alpha: Parts) -> MappingProxyType[tuple[int, ...], Poly]:
             by_index[g] = x_alpha(alpha)
             continue
         i = min(left)
-        by_index[g] = demazure_bar(i, by_index[table.step[i][g]])
+        parent = by_index.get(table.step[i][g])
+        if parent is None:
+            raise modules.CertificationError(
+                f"bar images of x_{composition(alpha)}: s_{i} w leaves the band at w={_word(elements[g].window)}"
+            )
+        by_index[g] = demazure_bar(i, parent)
     return MappingProxyType({elements[g].window: f for g, f in by_index.items()})
 
 
-def triangularity_check(alpha: Shape | Parts) -> list[str]:
-    """Certify that each bar image of x_alpha is the permuted monomial
-    plus strictly smaller terms in the sorted-exponent order."""
-    parts = alpha.parts if isinstance(alpha, Shape) else tuple(alpha)
-    base = x_alpha(parts)
-    reference = sorted_exponents(base.terms[0][0])
-    violations = []
-    for window, poly in _bar_images(parts).items():
-        w = groups.GroupElement("A", window)
-        lead = base.permute(w).terms[0][0]
-        seen_lead = False
-        for m, c in poly.terms:
-            if m == lead:
-                seen_lead = c == 1
-            elif not sorted_exponents(m) < reference:
-                violations.append(f"w={','.join(map(str, window))}: stray monomial {m}")
-        if not seen_lead:
-            violations.append(f"w={','.join(map(str, window))}: missing unit leading term")
-    return violations
+def _word(window: tuple[int, ...]) -> str:
+    return ",".join(map(str, window))
 
 
 # ---------------------------------------------------------------------------
 # certified polynomial modules
-
-
-def _column_image(col, basis: list[Poly], zero: Poly) -> Poly:
-    """The sum of v f_r over the entries (r, v) of a column: f_r itself
-    for a single entry (r, 1), f_r scaled by v (no sort) for another
-    single entry, zero for none; only several entries are summed."""
-    if len(col) != 1:
-        return sum([basis[r] * v for r, v in col], zero)
-    r, v = col[0]
-    return basis[r] if v == 1 else basis[r] * v
 
 
 def build_polynomial_module(shape: Shape, model: str | None = None):
@@ -315,20 +294,23 @@ def build_polynomial_module(shape: Shape, model: str | None = None):
     ribbon) is the module ``modules.build_p`` of the shape, and model "M"
     (the default for a single ribbon alpha) is model "P" on
     ``split_rows(alpha)``, the row-separated module.  With gamma the
-    concatenated parts, the basis polynomial of a tableau with reading
-    word w is the bar image of x_gamma at w (``_bar_images``), and the
-    tableau module's action is certified in place: for every generator i
-    and basis index j, pi-bar_i f_j must equal the sum of v f_r over the
-    entries (r, v) of column j of generator i.  The f_j are independent
-    by triangularity, which ``verify.cert_demazure`` certifies, and their
-    leading monomials must not collide.  Returns (module, certified
-    shape), the module on the tableau basis with no shape, so that it
-    reads back from JSON; raises ``CertificationError`` on failure.
+    concatenated parts, the basis polynomial f_j of a tableau with reading
+    word w is the bar image of x_gamma at w (``_bar_images``), certified
+    where it is built: it must be its lead, x_gamma with exponent i moved
+    to position w(i), with coefficient 1, plus terms strictly smaller in
+    the sorted-exponent order, and no two leads may collide, so the f_j
+    are independent.  The tableau module's action is then certified in
+    place: for every generator i and basis index j, pi-bar_i f_j must
+    equal v f_r for the one entry (r, v) of column j of generator i, or
+    zero for an empty column.  Returns (module, certified shape), the
+    module on the tableau basis with no shape, so that it reads back from
+    JSON; raises ``CertificationError`` on failure.
     """
     if shape.kind != "A":
         raise ValueError("the polynomial model is type A only")
     if model is None:
         model = "M" if shape.is_single else "P"
+    given = shape
     if model == "M":
         if not shape.is_single:
             raise ValueError("the row-separated model needs a single ribbon")
@@ -337,19 +319,35 @@ def build_polynomial_module(shape: Shape, model: str | None = None):
         raise ValueError(f"unknown model {model!r}")
     target = modules.build_p(shape)
     gamma = sum(shape.components, ())  # the dot gluing of all components
-    n, images, base = sum(gamma), _bar_images(gamma), x_alpha(gamma)
+    n, images = sum(gamma), _bar_images(gamma)
+    base = x_alpha(gamma).terms[0][0]
+    reference = sorted_exponents(base)
     basis, leads = [], set()
     for t in target.basis:
-        if t.entries not in images:
-            raise modules.CertificationError(f"polynomial model of {shape}: word {t.entries} has no bar image")
-        basis.append(images[t.entries])
-        leads.add(base.permute(groups.GroupElement("A", t.entries)).terms[0][0])
+        w = t.entries
+        if w not in images:
+            raise modules.CertificationError(f"polynomial model of {shape}: word {w} has no bar image")
+        f = images[w]
+        lead = [0] * n
+        for wi, e in zip(w, base):  # exponent i of x_gamma moves to position w(i)
+            lead[wi - 1] = e
+        lead = tuple(lead)
+        stray = [m for m, _ in f.terms if m != lead and not sorted_exponents(m) < reference]
+        if stray or (lead, 1) not in f.terms:
+            reason = f"stray monomial {stray[0]}" if stray else "missing unit leading term"
+            raise modules.CertificationError(f"triangularity fails for {given}: w={_word(w)}: {reason}")
+        basis.append(f)
+        leads.add(lead)
     if len(leads) != len(basis):
         raise modules.CertificationError(f"polynomial model of {shape}: leading monomials collide")
-    zero = Poly(n, ())
     for i in target.generator_indices():
         for j, col in enumerate(target.gens[i]):
-            if demazure_bar(i, basis[j]) != _column_image(col, basis, zero):
+            if len(col) > 1:
+                raise modules.CertificationError(
+                    f"polynomial model of {shape}: generator {i} has {len(col)} entries at basis {j}"
+                )
+            r, v = col[0] if col else (j, 0)  # an empty column asks for zero
+            if demazure_bar(i, basis[j]) != (basis[r] if v == 1 else basis[r] * v):
                 raise modules.CertificationError(
                     f"polynomial model of {shape}: generator {i} fails at basis {j}"
                 )

@@ -9,8 +9,8 @@ that no division is ever needed.
 arithmetic is the kernel the certificates spend their time in.  Every
 instance is trimmed (no trailing zero coefficient) and immutable, so sums
 and products return ``ZERO`` or an operand itself whenever the result
-equals it, and add or multiply integers and constants without the
-general loops.
+equals it, and multiply by integers and constants without the general
+loops.
 
 Most coefficients at q = 1 are small constants, so the constants from
 -64 to 64 are made once, in one table: a sum, product, negation or
@@ -23,8 +23,9 @@ go by ``coeffs`` alone.
 Sums and products are dispatched on the other operand, commonest first:
 a ``QPoly``, where a pair of constants reads its result off the table
 (at q = 1 almost every coefficient is a constant, so this is most of the
-traffic); then an ``int``; then anything else, through ``QPoly.of``.
-Only then do the general loops run.
+traffic); then, for a product only, an ``int``; then anything else,
+through ``QPoly.of``.  Only then do the general loops run; a sum with
+one constant operand takes them too.
 
 Products whose shorter operand has at least ``KRONECKER_MIN_LEN``
 coefficients use Kronecker substitution: both operands are evaluated at
@@ -112,10 +113,6 @@ class QPoly:
     def __add__(self, other) -> "QPoly":
         a = self.coeffs
         if other.__class__ is not QPoly:
-            if isinstance(other, int):
-                if not other:
-                    return self
-                return _plus_constant(self, other) if a else _constant(other)
             other = QPoly.of(other)
         b = other.coeffs
         if len(a) == 1 and len(b) == 1:  # _constant, inlined
@@ -125,10 +122,6 @@ class QPoly:
             return self
         if not a:
             return other
-        if len(b) == 1:
-            return _plus_constant(self, b[0])
-        if len(a) == 1:
-            return _plus_constant(other, a[0])
         if len(a) < len(b):
             a, b = b, a
         out = [x + y for x, y in zip(a, b)]
@@ -227,14 +220,6 @@ def _wrap(coeffs: tuple[int, ...]) -> QPoly:
 def _constant(c: int) -> QPoly:
     """The constant c: the shared instance when |c| <= 64 (ZERO for 0)."""
     return _CONSTANTS[c] if -65 < c < 65 else _wrap((c,))
-
-
-def _plus_constant(p: QPoly, c: int) -> QPoly:
-    """p plus an integer c, for a nonzero p."""
-    a = p.coeffs
-    if len(a) > 1:
-        return _wrap((a[0] + c,) + a[1:])
-    return _constant(a[0] + c)
 
 
 def _scale(p: QPoly, c: int) -> QPoly:

@@ -6,9 +6,9 @@ through ``_require``, which raises ``modules.CertificationError`` with a
 witness, so the checks stay in force under ``python -O``.  The registry
 at the bottom drives both the acceptance test suite and the command line
 ``verify`` subcommand; ``run`` reports a certificate that fails or
-raises ``ValueError`` (``ShapeError`` included) or ``ArithmeticError``
-as FAIL and goes on with the next one, while ``ResourceLimitError``
-propagates (the command line exits with 1 on a FAIL and 3 on a guard).
+raises any other exception as FAIL and goes on with the next one, while
+``ResourceLimitError`` propagates (the command line exits with 1 on a
+FAIL and 3 on a guard).
 """
 
 from __future__ import annotations
@@ -351,9 +351,7 @@ def cert_demazure(max_size: int = 5, op_degree: int = 6, op_vars: int = 5) -> st
                 _require(pi(i, p[j]) == pi(j, p[i]), "commutation fails on {}", m)
     family = _single_shapes("A", max_size)
     for alpha in family:
-        violations = demazure.triangularity_check(alpha)
-        _require(not violations, "triangularity fails for {}: {[0]}", alpha, violations)
-        demazure.build_polynomial_module(alpha)
+        demazure.build_polynomial_module(alpha)  # model M: every bar image of x_alpha
     for shape, model, dim in (
         (shapes.Shape("A", ((2, 1), (1,))), "P", 8),
         (shapes.Shape("A", ((2,), (1, 1))), "P", 6),
@@ -487,11 +485,14 @@ def run(names, kind: str | None = None, max_size: int | None = None) -> list[Cer
 
 
 def _run_one(name: str, thunk) -> CertResult:
-    """A failed check (CertificationError is an AssertionError) or a value
-    or arithmetic error is a FAIL; ResourceLimitError propagates."""
+    """ResourceLimitError propagates; any other exception is a FAIL, with
+    the bare witness of a failed check (CertificationError is an
+    AssertionError) and "Type: message" for anything else."""
     try:
         return CertResult(name, True, thunk())
+    except groups.ResourceLimitError:
+        raise
     except AssertionError as exc:
         return CertResult(name, False, str(exc))
-    except (ValueError, ArithmeticError) as exc:  # ShapeError is a ValueError
+    except Exception as exc:
         return CertResult(name, False, f"{type(exc).__name__}: {exc}")

@@ -17,3 +17,14 @@ def package_caches() -> dict:
             if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
                 found[f"{info.name}.{name}"] = value
     return found
+
+
+@pytest.fixture
+def fresh_caches(package_caches):
+    """A planted bug must neither read the right values that earlier tests
+    left in the package's caches nor leave wrong values there."""
+    for cached in package_caches.values():
+        cached.cache_clear()
+    yield
+    for cached in package_caches.values():
+        cached.cache_clear()

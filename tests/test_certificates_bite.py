@@ -22,15 +22,7 @@ from hecke_ribbon import demazure, groups, modules, series, shapes, verify
 from hecke_ribbon.qpoly import QPoly
 
 
-@pytest.fixture(autouse=True)
-def _fresh_caches(package_caches):
-    """A planted bug must neither read the right values that earlier tests
-    left in the package's caches nor leave wrong values there."""
-    for cached in package_caches.values():
-        cached.cache_clear()
-    yield
-    for cached in package_caches.values():
-        cached.cache_clear()
+pytestmark = pytest.mark.usefixtures("fresh_caches")
 
 
 def _zero_skew(a, f, side="right"):

@@ -1,9 +1,10 @@
 import hashlib
 import json
+from types import MappingProxyType
 
 import pytest
 
-from hecke_ribbon import cli, groups, modules, series, shapes, verify
+from hecke_ribbon import cli, demazure, groups, modules, series, shapes, verify
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +157,21 @@ def test_demazure_commands(capsys):
     assert code == 0 and "dimension 3" in out
 
 
+def test_failed_certification_exits_1(capsys, monkeypatch):
+    """A polynomial model whose bar images are all zero fails its
+    triangularity check: one stderr line with the witness, exit 1."""
+    bar_images = demazure._bar_images
+    monkeypatch.setattr(
+        demazure, "_bar_images", lambda alpha: MappingProxyType({w: f * 0 for w, f in bar_images(alpha).items()})
+    )
+    code = cli.main(["demazure", "module", "--shape", "[2]+[1,1]", "--model", "P"])
+    assert code == 1
+    assert capsys.readouterr() == (
+        "",
+        "certification failed: triangularity fails for [2]+[1,1]: w=1,2,4,3: missing unit leading term\n",
+    )
+
+
 def test_verify_command(capsys):
     code, out = run_cli(capsys, "verify", "relations", "--max-size", "2", "--type", "all")
     assert code == 0
@@ -175,7 +191,15 @@ def test_verify_all_output_is_pinned(capsys):
 
 
 @pytest.mark.parametrize(
-    "exc", [shapes.ShapeError("not cyclic"), ValueError("bad split"), ZeroDivisionError("by 0")]
+    "exc",
+    [
+        shapes.ShapeError("not cyclic"),
+        ValueError("bad split"),
+        ZeroDivisionError("by 0"),
+        KeyError(2),
+        IndexError("tuple index out of range"),
+        TypeError("unhashable type: 'list'"),
+    ],
 )
 def test_verify_reports_exceptions_as_failures(capsys, monkeypatch, exc):
     def broken(max_size=6):

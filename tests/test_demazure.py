@@ -7,7 +7,7 @@ from types import MappingProxyType
 
 import pytest
 
-from hecke_ribbon import demazure, groups, modules, shapes
+from hecke_ribbon import demazure, groups, modules, shapes, verify
 from hecke_ribbon.demazure import (
     Poly,
     build_polynomial_module,
@@ -15,7 +15,6 @@ from hecke_ribbon.demazure import (
     demazure_bar as pibar,
     format_poly,
     parse_poly,
-    triangularity_check,
     x_alpha,
 )
 from hecke_ribbon.shapes import Shape, composition
@@ -150,12 +149,6 @@ def test_permute_leading_terms():
         seen.add(lead)
 
 
-def test_triangularity():
-    for n in range(1, 6):
-        for s in shapes.enumerate_shapes(n, "A"):
-            assert triangularity_check(s) == [], s.parts
-
-
 def test_bar_word_application():
     # pibar_w x_alpha does not depend on the reduced word of w: applying the
     # bar operators along the word that peels the largest left descent
@@ -247,30 +240,92 @@ def test_row_separated_model_is_the_projective_model_of_the_rows():
             assert (module.basis, module.gens, label) == (rows.basis, rows.gens, rows_label), s
 
 
-def test_in_place_check_rejects_a_negated_basis_polynomial(monkeypatch):
-    """The bar image of x_(2,1) at 2,3,1, negated, has leading coefficient
-    -1 and is no longer the image of basis 1 (word 1,3,2) under generator 1."""
+def _planted_images(monkeypatch, plant):
+    """Replace the bar images of every composition by plant(window, image)."""
     bar_images = demazure._bar_images
 
-    def negated(alpha):
-        images = dict(bar_images(alpha))
-        images[2, 3, 1] = -images[2, 3, 1]
-        return MappingProxyType(images)
+    def planted(alpha):
+        return MappingProxyType({w: plant(w, f) for w, f in bar_images(alpha).items()})
 
-    monkeypatch.setattr(demazure, "_bar_images", negated)
+    monkeypatch.setattr(demazure, "_bar_images", planted)
+
+
+def test_in_place_check_rejects_a_negated_basis_polynomial(monkeypatch):
+    """The bar image of x_(2,1) at 2,3,1, negated, has leading coefficient
+    -1, which the triangularity check rejects where the basis is built,
+    before any action is compared."""
+    _planted_images(monkeypatch, lambda w, f: -f if w == (2, 3, 1) else f)
+    with pytest.raises(
+        modules.CertificationError, match=r"^triangularity fails for \[2,1\]: w=2,3,1: missing unit leading term$"
+    ):
+        build_polynomial_module(composition((2, 1)))
+
+
+@pytest.mark.parametrize(
+    "plant, shape, model, witness",
+    [
+        # every image zeroed: no basis polynomial has its lead, which the
+        # window alone would not notice
+        (lambda w, f: f * 0, Shape("A", ((2,), (1, 1))), "P", r"\[2\]\+\[1,1\]: w=1,2,4,3: missing unit leading term"),
+        (lambda w, f: f * 0, composition((2, 2, 2)), None, r"\[2,2,2\]: w=1,2,3,4,5,6: missing unit leading term"),
+        # x1*x3, the lead at 1,3,2, added at 2,3,1: a second term of the
+        # leading exponent pattern (1,1), not a smaller one
+        (
+            lambda w, f: f + parse_poly("x1*x3", 3) if w == (2, 3, 1) else f,
+            composition((2, 1)),
+            None,
+            r"\[2,1\]: w=2,3,1: stray monomial \(1, 0, 1\)",
+        ),
+    ],
+    ids=["zeroed-P", "zeroed-M", "stray"],
+)
+def test_planted_bar_images_fail_triangularity(monkeypatch, plant, shape, model, witness):
+    _planted_images(monkeypatch, plant)
+    with pytest.raises(modules.CertificationError, match=rf"^triangularity fails for {witness}$"):
+        build_polynomial_module(shape, model)
+
+
+def test_triangular_plant_still_fails_the_action(monkeypatch):
+    """The constant 1 added to the image at 2,3,1 keeps it triangular (the
+    constant is below every lead of x_(2,1)) and leaves its own bar images
+    unchanged, since pi-bar_i kills constants, but basis 1 (word 1,3,2) no
+    longer maps onto it under generator 1."""
+    _planted_images(monkeypatch, lambda w, f: f + Poly.one(3) if w == (2, 3, 1) else f)
     with pytest.raises(modules.CertificationError, match=r"\[2\]\+\[1\]: generator 1 fails at basis 1$"):
         build_polynomial_module(composition((2, 1)))
 
 
+def test_left_action_step_outside_the_band_reports_fail(monkeypatch, fresh_caches):
+    """s_1 w = 2,1,3 at w = 2,3,1 in A_3 (it is 1,3,2) leaves the band of
+    (2,1), so the walk has no image to apply pi-bar_1 to: a FAIL with a
+    witness, not a KeyError that stops the run."""
+    left_actions = groups.left_actions
+
+    def wrong(kind, n):
+        table = left_actions(kind, n)
+        if (kind, n) != ("A", 3):
+            return table
+        g, h = table.index[(2, 3, 1)], table.index[(2, 1, 3)]
+        step = {**table.step, 1: table.step[1][:g] + (h,) + table.step[1][g + 1 :]}
+        return dataclasses.replace(table, step=MappingProxyType(step))
+
+    monkeypatch.setattr(groups, "left_actions", wrong)
+    [result] = verify.run(["demazure"], max_size=3)
+    assert (result.name, result.passed) == ("demazure", False)
+    assert result.detail == "bar images of x_[2,1]: s_1 w leaves the band at w=2,3,1"
+
+
 def test_in_place_check_rejects_a_wrong_target(monkeypatch):
-    """An emptied column of P_[2,1], and a target on the words of another
-    shape, which have no bar image of x_(2,1)."""
+    """An emptied column of P_[2,1], a column of two entries, and a target
+    on the words of another shape, which have no bar image of x_(2,1)."""
     build_p, shape = modules.build_p, composition((2, 1))
     target = build_p(shape)
     assert target.gens[1][0] == ((1, 1),)
-    gens = {**target.gens, 1: ((),) + target.gens[1][1:]}
+    emptied = {**target.gens, 1: ((),) + target.gens[1][1:]}
+    doubled = {**target.gens, 1: (((1, 1), (2, 1)),) + target.gens[1][1:]}
     for planted, witness in (
-        (modules.HeckeModule("A", 3, target.basis, gens, shape), r"generator 1 fails at basis 0$"),
+        (modules.HeckeModule("A", 3, target.basis, emptied, shape), r"generator 1 fails at basis 0$"),
+        (modules.HeckeModule("A", 3, target.basis, doubled, shape), r"generator 1 has 2 entries at basis 0$"),
         (build_p(composition((1, 2))), r"word \(2, 1, 3\) has no bar image$"),
     ):
         with monkeypatch.context() as patch:
