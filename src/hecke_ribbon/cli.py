@@ -270,7 +270,7 @@ def cmd_series(args) -> int:
             {
                 "left": shapes.format_shape(shapes.ribbon_shape(l, kind)),
                 "right": shapes.format_shape(shapes.composition(r)),
-                "coeff": list(c.coeffs),
+                "coeff": list(QPoly.of(c).coeffs),
             }
             for l, r, c in series.coproduct(left)
         ]
@@ -285,7 +285,7 @@ def cmd_series(args) -> int:
                 out = series.nsym_product(left, right)
             _emit(args, _series_out(args, out), [str(out)])
         else:
-            val = series.pairing(left, right)
+            val = QPoly.of(series.pairing(left, right))
             _emit(args, {"value": _qpoly_out(args, val)}, [str(val)])
     elif args.action == "skew":
         den = _parse_element(args, "den", kind)

@@ -5,25 +5,19 @@ The q-analogs provided are the q-integer [k], the q-factorial [k]!, and
 q-binomial/multinomial coefficients, built by the Pascal recurrence so
 that no division is ever needed.
 
-``QPoly`` is the coefficient ring of every series identity, so its
-arithmetic is the kernel the certificates spend their time in.  Every
-instance is trimmed (no trailing zero coefficient) and immutable, so sums
-and products return ``ZERO`` or an operand itself whenever the result
-equals it, and multiply by integers and constants without the general
-loops.
-
-Most coefficients at q = 1 are small constants, so the constants from
--64 to 64 are made once, in one table: a sum, product, negation or
-``QPoly.of`` whose value is such a constant returns the shared instance
-instead of a new one, and a zero result is always ``ZERO`` (never a
-``(0,)`` tuple; the constructor trims that away as well).  Sharing is
-invisible to callers: instances cannot be edited, and equality and hash
-go by ``coeffs`` alone.
-
-Sums and products are dispatched on the other operand, commonest first:
-a ``QPoly``, where a pair of constants reads its result off the table
-(at q = 1 almost every coefficient is a constant, so this is most of the
-traffic); then, for a product only, an ``int``; then anything else,
+``QPoly`` holds the values of the q-analogs and the coefficients of
+``series`` that depend on q (constant ones are ints there).  Every
+instance is trimmed (no trailing zero coefficient; a coefficient that is
+not an ``int`` raises ``TypeError``) and immutable, so sums and products
+return ``ZERO`` or an operand itself whenever the result equals it, and
+multiply by integers and constants without the general loops.  The
+constants from -64 to 64 are made once, in one table: a sum, product,
+negation or ``QPoly.of`` whose value is such a constant returns the
+shared instance, and a zero result is always ``ZERO``.  Sums and
+products are dispatched on the other operand: a ``QPoly`` first, where
+a pair of constants reads its result off the table (most of that
+traffic is the benchmark's h-route summing ``series.schur_coproduct``'s
+constants); then, for a product only, an ``int``; then anything else,
 through ``QPoly.of``.  Only then do the general loops run; a sum with
 one constant operand takes them too.
 
@@ -63,12 +57,17 @@ class QPoly:
 
     Instances are immutable values: ``coeffs`` cannot be assigned or
     deleted, equality holds only between ``QPoly``s, and the hash is that
-    of ``(coeffs,)``.  The constructor drops trailing zero coefficients.
+    of ``(coeffs,)``.  The constructor drops trailing zero coefficients
+    and takes ``int`` coefficients only (a ``bool`` raises too).
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...] = ()):
+        coeffs = tuple(coeffs)
+        for c in coeffs:
+            if type(c) is not int:
+                raise TypeError(f"coefficient {c!r} of {coeffs!r} is not an int")
         _set_coeffs(self, _trim(coeffs))
 
     def __setattr__(self, name, value):

@@ -19,15 +19,20 @@ dual basis: M and h are dual under the pairing <h_a, M_b> = delta, and
 so are F and s, so the dual element is converted once and each
 coproduct term's coefficient is looked up in it.
 
-Elements come from two constructors.  ``SeriesElement(...)`` validates
-every label through ``_check_key`` and makes every coefficient a nonzero
-``QPoly``; the private ``_normal_element`` trusts terms that are already
-in that form, and every operation here returns through it.  One-term
-elements, the common case of the certificates, skip the summing: a
-conversion reads the label's row of the memoised table (distinct labels,
-signs ±1) straight into a new dict, and a coproduct reads the label's
-memoised row of distinct splittings, in every basis, and returns it
-itself when the coefficient is 1.
+Coefficients, conversion signs, coproduct multiplicities and pairing
+values follow one rule (``_coeff``): an ``int`` when constant, a
+``QPoly`` only when of degree at least 1, since q enters only through
+graded characteristics.  ``schur_coproduct`` alone returns ``QPoly``
+constants, which the benchmark's h-route compares with sums started
+from ``QPoly()`` (``QPoly(1) == 1`` is False); ``_schur_counts`` unwraps
+them for the s row of ``_coproduct_row`` and ``verify.cert_coproduct``.
+``SeriesElement(...)`` validates every label through ``_check_key`` and
+every coefficient through ``_coeff``; the private ``_normal_element``
+trusts normal terms, and every operation here returns through it.
+One-term elements, the common case of the certificates, skip the
+summing: a conversion reads the label's memoised row (distinct labels,
+signs ±1) into a new dict, and a coproduct returns the label's memoised
+row of distinct splittings itself when the coefficient is 1.
 """
 
 from __future__ import annotations
@@ -79,13 +84,25 @@ def _check_key(space: str, parts: Parts) -> Parts:
     return ribbon_shape(parts, SPACE_KIND[space]).parts
 
 
+def _coeff(c):
+    """The coefficient rule: an ``int`` when c is constant, c itself when it
+    is a ``QPoly`` of degree >= 1; anything else (a ``bool`` too) raises ``TypeError``."""
+    if type(c) is int:
+        return c
+    if type(c) is QPoly:
+        coeffs = c.coeffs
+        return c if len(coeffs) > 1 else coeffs[0] if coeffs else 0
+    raise TypeError(f"coefficient {c!r} is not an int or a QPoly")
+
+
 def _collect(pairs) -> dict:
     """Sum (key, coefficient) pairs into a sparse dict, dropping the keys
-    whose coefficients sum to zero; coefficients are QPoly or int."""
+    whose coefficients sum to zero; the sums follow ``_coeff``, since two
+    ``QPoly``s may add up to a constant."""
     out = {}
     for key, c in pairs:
         out[key] = out[key] + c if key in out else c
-    return {key: c for key, c in out.items() if c}
+    return {key: c if type(c) is int else _coeff(c) for key, c in out.items() if c}
 
 
 def _check_space(space: str, basis: str) -> None:
@@ -99,18 +116,18 @@ class SeriesElement:
 
     The constructor validates: every label goes through ``_check_key``
     (so a malformed one raises ``ShapeError``, and the type B unit given
-    as () becomes (0,)), every coefficient becomes a ``QPoly``, terms whose
+    as () becomes (0,)), every coefficient through ``_coeff``, terms whose
     labels agree are summed and zero terms are dropped."""
 
     space: str
     basis: str
-    terms: dict[Parts, QPoly] = field(default_factory=dict)
+    terms: dict[Parts, int | QPoly] = field(default_factory=dict)
 
     def __post_init__(self):
         _check_space(self.space, self.basis)
         space = self.space
         self.terms = _collect(
-            (_check_key(space, tuple(k)), QPoly.of(v)) for k, v in self.terms.items()
+            (_check_key(space, tuple(k)), _coeff(v)) for k, v in self.terms.items()
         )
 
     def __add__(self, other: "SeriesElement") -> "SeriesElement":
@@ -123,14 +140,13 @@ class SeriesElement:
         return self + other.scale(-1)
 
     def scale(self, c) -> "SeriesElement":
-        c = QPoly.of(c)
+        c = _coeff(c)
         terms = {k: v * c for k, v in self.terms.items()} if c else {}
         return _normal_element(self.space, self.basis, terms)
 
     def specialize_q(self, value: int) -> "SeriesElement":
-        return SeriesElement(
-            self.space, self.basis, {k: QPoly.of(v(value)) for k, v in self.terms.items()}
-        )
+        terms = {k: v if type(v) is int else v(value) for k, v in self.terms.items()}
+        return SeriesElement(self.space, self.basis, terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -139,16 +155,15 @@ class SeriesElement:
         for k in sorted(self.terms):
             c = self.terms[k]
             label = f"{self.basis}[{','.join(map(str, k))}]"
-            text = str(c)
-            bits.append(label if text == "1" else f"({text})*{label}")
+            bits.append(label if c == 1 else f"({c})*{label}")
         return " + ".join(bits)
 
 
-def _normal_element(space: str, basis: str, terms: dict[Parts, QPoly]) -> SeriesElement:
+def _normal_element(space: str, basis: str, terms: dict[Parts, int | QPoly]) -> SeriesElement:
     """An element built without the constructor's checks, for terms that
     are already normal: labels that ``_check_key`` returns unchanged, and
-    nonzero ``QPoly`` coefficients.  ``element``, ``convert``, sums,
-    ``scale``, the products, ``antipode``, ``skew`` and
+    nonzero coefficients that ``_coeff`` returns unchanged.  ``element``,
+    ``convert``, sums, ``scale``, the products, ``antipode``, ``skew`` and
     ``series_from_json`` build their results here."""
     elem = object.__new__(SeriesElement)
     elem.space, elem.basis, elem.terms = space, basis, terms
@@ -158,7 +173,7 @@ def _normal_element(space: str, basis: str, terms: dict[Parts, QPoly]) -> Series
 def element(space: str, basis: str, parts, coeff=1) -> SeriesElement:
     parts = _check_key(space, tuple(parts))
     _check_space(space, basis)
-    coeff = QPoly.of(coeff)
+    coeff = _coeff(coeff)
     return _normal_element(space, basis, {parts: coeff} if coeff else {})
 
 
@@ -171,13 +186,12 @@ def unit(space: str, basis: str) -> SeriesElement:
 
 
 @lru_cache(maxsize=None)
-def _conversion(parts: Parts, kind: str, frm: str, to: str) -> tuple[tuple[Parts, QPoly], ...]:
+def _conversion(parts: Parts, kind: str, frm: str, to: str) -> tuple[tuple[Parts, int], ...]:
     """The triangular change of basis of one label, as (label, sign) pairs
-    with distinct labels and the shared constants ``ONE`` and ``-ONE`` as
-    signs.  F_α is the sum of the M_β with D(α) <= D(β), and h_α the sum
-    of the s_β with D(β) <= D(α); the inverses M -> F and s -> h run over
-    the same interval of descent sets, signed by its Möbius function
-    (-1)^|D(β) △ D(α)|."""
+    with distinct labels and signs ±1.  F_α is the sum of the M_β with
+    D(α) <= D(β), and h_α the sum of the s_β with D(β) <= D(α); the
+    inverses M -> F and s -> h run over the same interval of descent
+    sets, signed by its Möbius function (-1)^|D(β) △ D(α)|."""
     n = sum(parts)
     dset = parts_descents(parts)
     if {frm, to} == {"F", "M"}:
@@ -186,7 +200,7 @@ def _conversion(parts: Parts, kind: str, frm: str, to: str) -> tuple[tuple[Parts
         lower, upper = (), dset
     else:
         raise ValueError(f"no conversion from {frm} to {to}")
-    signs = (ONE, -ONE) if frm in ("M", "s") else (ONE, ONE)
+    signs = (1, -1) if frm in ("M", "s") else (1, 1)
     return tuple(
         (parts_from_descents(d, n, kind), signs[len(d ^ dset) % 2])
         for d in interval(lower, upper)
@@ -206,7 +220,7 @@ def convert(elem: SeriesElement, target: str) -> SeriesElement:
     if len(elem.terms) == 1:
         ((parts, coeff),) = elem.terms.items()
         row = _conversion(parts, kind, elem.basis, target)
-        terms = dict(row) if coeff is ONE else {other: coeff * sign for other, sign in row}
+        terms = dict(row) if coeff == 1 else {other: coeff * sign for other, sign in row}
     else:
         terms = _collect(
             (other, coeff * sign)
@@ -291,18 +305,23 @@ def schur_coproduct(shape: Shape) -> dict[tuple[Parts, Parts], QPoly]:
     """Coproduct of the ribbon function of a generalized shape: the
     monotone splittings of the shape counted by the labels of their two
     factors' bracket sets (``shapes.splitting_counts``), each count made
-    a ``QPoly`` constant."""
+    a ``QPoly`` constant (the one exception to the coefficient rule)."""
     return {key: _constant(c) for key, c in splitting_counts(shape).items()}
 
 
-def coproduct(elem: SeriesElement) -> tuple[tuple[Parts, Parts, QPoly], ...]:
+def _schur_counts(shape: Shape) -> dict[tuple[Parts, Parts], int]:
+    """``schur_coproduct`` as ints: the s row and ``verify.cert_coproduct`` read it."""
+    return {key: _coeff(c) for key, c in schur_coproduct(shape).items()}
+
+
+def coproduct(elem: SeriesElement) -> tuple[tuple[Parts, Parts, int | QPoly], ...]:
     """Tensor expansion of the coproduct (or one-sided comodule map).
 
     Terms are (left label, right label, coefficient), sorted by the label
     pair; the left factor lives in the element's own space and the right
     factor in the type A space with the same basis letter.  Each label's
     splittings are one memoised row (``_coproduct_row``): a one-term
-    element with coefficient ``ONE`` returns that row itself, any other
+    element with coefficient 1 returns that row itself, any other
     one-term element scales it, and a sum of terms collects its rows.
     """
     space, basis = elem.space, elem.basis
@@ -312,7 +331,7 @@ def coproduct(elem: SeriesElement) -> tuple[tuple[Parts, Parts, QPoly], ...]:
     if len(elem.terms) == 1:
         ((parts, coeff),) = elem.terms.items()
         row = _coproduct_row(parts, kind, basis)
-        return row if coeff is ONE else tuple((l, r, coeff * m) for l, r, m in row)
+        return row if coeff == 1 else tuple((l, r, coeff * m) for l, r, m in row)
     pairs = (
         ((left, right), coeff * m)
         for parts, coeff in elem.terms.items()
@@ -322,15 +341,15 @@ def coproduct(elem: SeriesElement) -> tuple[tuple[Parts, Parts, QPoly], ...]:
 
 
 @lru_cache(maxsize=None)
-def _coproduct_row(parts: Parts, kind: str, basis: str) -> tuple[tuple[Parts, Parts, QPoly], ...]:
+def _coproduct_row(parts: Parts, kind: str, basis: str) -> tuple[tuple[Parts, Parts, int], ...]:
     """The coproduct of one basis label as (left, right, multiplicity)
-    triples with distinct label pairs, sorted, the multiplicities shared
-    ``QPoly`` constants: the reading-order cuts of F (in type D, none
-    before position 2), the deconcatenations of M (the left factor of a
-    type B or D label keeps its leading part), the multiplicative rule of
-    h, and Δ(s) from ``schur_coproduct``.  ``schur_coproduct`` itself
-    stays uncached: it is the direct route of ``verify.cert_coproduct``,
-    which must not read values that another route filled."""
+    triples with distinct label pairs, sorted, the multiplicities ints:
+    the reading-order cuts of F (in type D, none before position 2), the
+    deconcatenations of M (the left factor of a type B or D label keeps
+    its leading part), the multiplicative rule of h, and Δ(s) from
+    ``_schur_counts``.  ``schur_coproduct`` stays uncached: it is the
+    direct route of ``verify.cert_coproduct``, which must not read values
+    that another route filled."""
     n, ell = sum(parts), len(parts)
     if basis == "F":
         dset = parts_descents(parts)
@@ -341,7 +360,7 @@ def _coproduct_row(parts: Parts, kind: str, basis: str) -> tuple[tuple[Parts, Pa
             )
             for i in range(2 if kind == "D" else 0, n + 1)
         )
-        splits = dict.fromkeys(cuts, ONE)
+        splits = dict.fromkeys(cuts, 1)
     elif basis == "M":
         if kind == "A":
             first = 0
@@ -350,7 +369,7 @@ def _coproduct_row(parts: Parts, kind: str, basis: str) -> tuple[tuple[Parts, Pa
         else:
             first = next(j for j in range(1, ell + 1) if sum(parts[:j]) >= 2)
         cuts = ((parts[:i] if kind == "A" or i else (0,), parts[i:]) for i in range(first, ell + 1))
-        splits = dict.fromkeys(cuts, ONE)
+        splits = dict.fromkeys(cuts, 1)
     elif basis == "h":
         splits = {((), ()): 1}
         for p in parts:
@@ -359,9 +378,8 @@ def _coproduct_row(parts: Parts, kind: str, basis: str) -> tuple[tuple[Parts, Pa
                 for (left, right), mult in splits.items()
                 for c in range(p + 1)
             )
-        splits = {key: _constant(m) for key, m in splits.items()}
     else:
-        splits = schur_coproduct(composition(parts))
+        splits = _schur_counts(composition(parts))
     return tuple((l, r, m) for (l, r), m in sorted(splits.items()))
 
 
@@ -377,18 +395,12 @@ def _check_dual(space: str, other: str) -> None:
         raise ValueError("pairing needs matching types")
 
 
-def pairing(f: SeriesElement, g: SeriesElement) -> QPoly:
+def pairing(f: SeriesElement, g: SeriesElement) -> int | QPoly:
     """The bilinear pairing with <h_a, M_b> = delta, in matching types."""
     _check_dual(f.space, g.space)
     nsym, qsym = (f, g) if f.space in NSYM_SIDE else (g, f)
-    hh = convert(nsym, "h")
-    mm = convert(qsym, "M")
-    out = QPoly()
-    for parts, c in hh.terms.items():
-        other = mm.terms.get(parts)
-        if other:
-            out = out + c * other
-    return out
+    hh, mm = convert(nsym, "h").terms, convert(qsym, "M").terms
+    return _coeff(sum((c * mm[parts] for parts, c in hh.items() if parts in mm), 0))
 
 
 def antipode(elem: SeriesElement) -> SeriesElement:
@@ -539,10 +551,8 @@ def q_ribbon(parts: Parts, method: str = "det") -> QPoly:
         counts = Counter(map(lengths.__getitem__, groups.band_indices("A", n, dset, dset)))
         return QPoly(tuple([counts[k] for k in range(max(counts) + 1)]))
     if method == "ie":
-        out = QPoly()
-        for beta, sign in _conversion(parts, "A", "s", "h"):
-            out = out + sign * q_multinomial(n, beta)
-        return out
+        table = _conversion(parts, "A", "s", "h")
+        return sum((sign * q_multinomial(n, beta) for beta, sign in table), QPoly())
     if method == "det":
         sigma = (0, *accumulate(parts))
         dets = [ONE]
@@ -630,12 +640,6 @@ def ribbon_sum_identity(beta: Parts, gamma: Parts) -> tuple[QPoly, QPoly]:
 # truncated realizations
 
 
-def _int_coeff(c: QPoly) -> int:
-    if c.degree > 0:
-        raise ValueError("truncated evaluation needs constant coefficients")
-    return c.coeffs[0] if c.coeffs else 0
-
-
 def evaluate_noncommutative(elem: SeriesElement, window) -> dict[tuple[int, ...], int]:
     """Evaluate an NSym-side element on the noncommuting variables of the
     window: s_a is the sum of the reading words of the semistandard
@@ -646,8 +650,9 @@ def evaluate_noncommutative(elem: SeriesElement, window) -> dict[tuple[int, ...]
     window = tuple(sorted(set(window)))
     kind = SPACE_KIND[elem.space]
     pairs = []
-    for parts, coeff in elem.terms.items():
-        c = _int_coeff(coeff)
+    for parts, c in elem.terms.items():
+        if type(c) is not int:
+            raise ValueError("truncated evaluation needs constant coefficients")
         shape = ribbon_shape(parts, kind)
         if elem.basis == "h":
             shape = split_rows(shape)
@@ -672,8 +677,9 @@ def evaluate_commutative(elem: SeriesElement, window) -> dict[tuple[int, ...], i
         raise ValueError("the type B variable window starts at 0")
     flat = "=" if elem.basis == "M" else "<="
     pairs = []
-    for parts, coeff in elem.terms.items():
-        c = _int_coeff(coeff)
+    for parts, c in elem.terms.items():
+        if type(c) is not int:
+            raise ValueError("truncated evaluation needs constant coefficients")
         dset = parts_descents(parts)
         pattern = ["<" if j in dset else flat for j in range(sum(parts))]
         words = tableaux.pattern_words(
@@ -709,7 +715,7 @@ def series_to_json(elem: SeriesElement) -> dict:
         "space": elem.space,
         "basis": elem.basis,
         "terms": [
-            {"shape": format_shape(ribbon_shape(k, kind)), "coeff": list(v.coeffs)}
+            {"shape": format_shape(ribbon_shape(k, kind)), "coeff": list(QPoly.of(v).coeffs)}
             for k, v in sorted(elem.terms.items())
         ],
     }
@@ -728,5 +734,5 @@ def series_from_json(data: dict) -> SeriesElement:
         coeff = tuple(item["coeff"])
         if any(type(c) is not int for c in coeff):
             raise ValueError(f"coefficient of {item['shape']} is not a list of ints: {coeff}")
-        pairs.append((_check_key(empty.space, parts), QPoly.of(coeff)))
+        pairs.append((_check_key(empty.space, parts), QPoly(coeff)))
     return _normal_element(empty.space, empty.basis, _collect(pairs))

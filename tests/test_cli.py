@@ -239,6 +239,40 @@ def test_series_comul_labels(capsys):
         assert code == 2, label
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (("pair", "--left", "h[2,1]", "--right", "M[1,2]"), "0\n"),
+        (("pair", "--left", "h[2,1]", "--right", "M[1,2]", "--format", "json"), '{"value": []}\n'),
+        (("pair", "--left", "s[2,1]", "--right", "F[2,1]", "--format", "json"), '{"value": [1]}\n'),
+        (("pair", "--left", "s[2,1]", "--right", "F[2,1]", "--q-at", "3"), "1\n"),
+        (("pair", "--left", "s[2,1]", "--right", "F[2,1]", "--q-at", "3", "--format", "json"), '{"value": 1}\n'),
+        (("pair", "--left", "s[2,1]", "--right", "F[1,2]", "--q-at", "3", "--format", "json"), '{"value": 0}\n'),
+        (
+            ("comul", "--left", "h[1,1]", "--format", "json"),
+            '{"terms": [{"coeff": [1], "left": "[]", "right": "[1,1]"}, '
+            '{"coeff": [2], "left": "[1]", "right": "[1]"}, '
+            '{"coeff": [1], "left": "[1,1]", "right": "[]"}]}\n',
+        ),
+        (
+            ("convert", "--left", "s[1,1,1]", "--to", "h", "--q-at", "2"),
+            "h[1,1,1] + (-1)*h[1,2] + (-1)*h[2,1] + h[3]\n",
+        ),
+        (
+            ("convert", "--left", "s[1,1,1]", "--to", "h", "--q-at", "2", "--format", "json"),
+            '{"basis": "h", "space": "NSym", "terms": [{"coeff": [1], "shape": "[1,1,1]"}, '
+            '{"coeff": [-1], "shape": "[1,2]"}, {"coeff": [-1], "shape": "[2,1]"}, '
+            '{"coeff": [1], "shape": "[3]"}]}\n',
+        ),
+    ],
+)
+def test_series_constant_coefficient_outputs(capsys, argv, out):
+    """Pairing values, coproduct multiplicities and converted coefficients
+    are constants: a zero pairing is [] in JSON and 0 as text, a constant
+    is a one-entry list, and --q-at gives its value."""
+    assert run_cli(capsys, "series", *argv) == (0, out)
+
+
 def test_element_literal_without_a_label_names_its_option(capsys):
     for argv, option, text in [
         (("series", "convert", "--left", "s2", "--to", "h"), "--left", "s2"),

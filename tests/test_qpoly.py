@@ -179,6 +179,14 @@ def test_the_empty_qpoly_is_zero():
             QPoly(bad)
 
 
+@pytest.mark.parametrize("coeffs, bad", [("12", "'1'"), ((1.5, 2), "1.5"), ((1, True), "True"), ([2, None], "None")])
+def test_the_constructor_takes_int_coefficients_only(coeffs, bad):
+    with pytest.raises(TypeError, match=f"coefficient {bad} of .* is not an int"):
+        QPoly(coeffs)
+    with pytest.raises(TypeError, match=f"coefficient {bad} of .* is not an int"):
+        QPoly.of(coeffs)
+
+
 def test_mixed_products_keep_their_results():
     p = QPoly.of((1, 2))
     for c, out in ((1, p), (-1, QPoly((-1, -2))), (3, QPoly((3, 6))), (10**20, QPoly((10**20, 2 * 10**20)))):

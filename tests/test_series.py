@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from itertools import product
 
 import pytest
@@ -59,7 +60,7 @@ def test_unitriangular_conversion():
     # the change of basis is unitriangular for the refinement order
     for parts in comps(4):
         out = convert(E("NSym", "h", parts), "s")
-        assert out.terms[parts] == ONE
+        assert out.terms[parts] == 1
         for other in out.terms:
             assert shapes.parts_descents(other) <= shapes.parts_descents(parts)
 
@@ -71,7 +72,7 @@ def test_shuffle_product():
         key = shapes.parts_from_descents(
             groups.descents(groups.GroupElement("A", w)), 4, "A"
         )
-        expected[key] = expected.get(key, QPoly()) + 1
+        expected[key] = expected.get(key, 0) + 1
     assert prod.terms == expected
     assert qsym_product(E("QSym", "F", (1,)), E("QSym", "F", (1,))) == (
         E("QSym", "F", (2,)) + E("QSym", "F", (1, 1))
@@ -112,10 +113,10 @@ def test_nsym_product_rules():
 def test_coproduct_fundamental_display():
     got = coproduct(E("QSym", "F", (1, 2)))
     assert got == (
-        ((), (1, 2), ONE),
-        ((1,), (2,), ONE),
-        ((1, 1), (1,), ONE),
-        ((1, 2), (), ONE),
+        ((), (1, 2), 1),
+        ((1,), (2,), 1),
+        ((1, 1), (1,), 1),
+        ((1, 2), (), 1),
     )
 
 
@@ -126,14 +127,14 @@ def test_coproduct_row_is_prefix_cuts():
 
 def test_comodule_maps():
     got = coproduct(E("QSymB", "F", (2, 1)))
-    assert ((0,), (2, 1), ONE) in got and ((2, 1), (), ONE) in got
+    assert ((0,), (2, 1), 1) in got and ((2, 1), (), 1) in got
     assert len(got) == 4
     gotm = coproduct(E("QSymB", "M", (0, 2, 1)))
-    assert gotm == (((0,), (2, 1), ONE), ((0, 2), (1,), ONE), ((0, 2, 1), (), ONE))
+    assert gotm == (((0,), (2, 1), 1), ((0, 2), (1,), 1), ((0, 2, 1), (), 1))
     gotd = coproduct(E("QSymD", "F", (1, 2)))
     assert all(sum(l) >= 2 for l, _, _ in gotd)
     gotdm = coproduct(E("QSymD", "M", (1, 1, 1)))
-    assert gotdm == (((1, 1), (1,), ONE), ((1, 1, 1), (), ONE))
+    assert gotdm == (((1, 1), (1,), 1), ((1, 1, 1), (), 1))
     with pytest.raises(ValueError):
         coproduct(E("NSymB", "s", (0, 1)))
     # the zero element of a space without a coproduct has none either
@@ -210,7 +211,10 @@ def test_coassociativity_on_drawn_compositions(parts, space_basis):
 @settings(deadline=None, max_examples=40)
 @given(small_compositions())
 def test_ribbon_coproduct_memo_matches_schur_coproduct(parts):
-    want = tuple((l, r, c) for (l, r), c in sorted(schur_coproduct(composition(parts)).items()))
+    # the memoised row holds schur_coproduct's QPoly constants as ints
+    cop = schur_coproduct(composition(parts))
+    assert all(type(c) is QPoly and c.degree == 0 for c in cop.values())
+    want = tuple((l, r, c(1)) for (l, r), c in sorted(cop.items()))
     series._coproduct_row.cache_clear()
     assert coproduct(E("NSym", "s", parts)) == want  # cold: computes the label
     assert coproduct(E("NSym", "s", parts)) == want  # warm: reads it back
@@ -242,12 +246,18 @@ def labels(kind, sizes):
 
 
 def test_pairing():
-    assert pairing(E("NSym", "h", (2, 1)), E("QSym", "M", (2, 1))) == ONE
-    assert pairing(E("NSym", "h", (2, 1)), E("QSym", "M", (1, 2))) == QPoly()
+    # pairing values follow the coefficient rule: ints when constant
+    assert pairing(E("NSym", "h", (2, 1)), E("QSym", "M", (2, 1))) == 1
+    assert pairing(E("NSym", "h", (2, 1)), E("QSym", "M", (1, 2))) == 0
+    q = QPoly.q(1)
+    assert pairing(E("NSym", "h", (2, 1), q), E("QSym", "M", (2, 1), q)) == QPoly.q(2)
+    # q - q is the constant 0, and (1 + q) - q the constant 1
+    x = E("QSym", "M", (2,), q) + E("QSym", "M", (1, 1), QPoly((1, 1)))
+    assert pairing(E("NSym", "h", (2,)) - E("NSym", "h", (1, 1)), x) == -1
     for n in range(5):
         for a in shapes.enumerate_shapes(n, "A"):
             for b in shapes.enumerate_shapes(n, "A"):
-                want = QPoly.of(1 if a == b else 0)
+                want = 1 if a == b else 0
                 assert pairing(E("NSym", "s", a.parts), E("QSym", "F", b.parts)) == want
     # s/F and h/M are dual bases in types B and D too; skew relies on it
     for nsym, qsym, kind, sizes in (
@@ -256,7 +266,7 @@ def test_pairing():
     ):
         for a in labels(kind, sizes):
             for b in labels(kind, sizes):
-                want = QPoly.of(1 if a == b else 0)
+                want = 1 if a == b else 0
                 assert pairing(E(nsym, "s", a), E(qsym, "F", b)) == want, (a, b)
                 assert pairing(E(nsym, "h", a), E(qsym, "M", b)) == want, (a, b)
 
@@ -323,6 +333,35 @@ def test_schur_coproduct_of_generalized_shapes():
     # both bracket elements appear at the ends of the splitting
     assert got[((), (1, 1))] == ONE and got[((), (2,))] == ONE
     assert got[((1,), (1,))] == QPoly.of(2)
+
+
+def _via_h_from_qpoly_zero(shape):
+    """The h-route of the benchmark's coproduct spot-check
+    (perfbench/child.py, via_h), as it forms it: public conversions and
+    coproducts, each product summed onto QPoly()."""
+    h = SeriesElement("NSym", "h", {})
+    for gamma in shapes.bracket_set(shape):
+        h = h + convert(E("NSym", "s", gamma.parts), "h")
+    total = {}
+    for left, right, c in coproduct(h):
+        ls = convert(E("NSym", "h", left), "s").terms
+        rs = convert(E("NSym", "h", right), "s").terms
+        for l2, cl in ls.items():
+            for r2, cr in rs.items():
+                total[(l2, r2)] = total.get((l2, r2), QPoly()) + c * cl * cr
+    return {k: v for k, v in total.items() if v}
+
+
+def test_schur_coproduct_values_stay_qpoly_for_the_benchmark():
+    """schur_coproduct is the one exception to the coefficient rule: the
+    benchmark compares its values with sums started from QPoly(), and
+    QPoly(1) == 1 is False, so an int value would fail the benchmark."""
+    family = [s for n in range(1, 5) for s in shapes.enumerate_generalized(n, "A", 3)]
+    assert len(family) > 20
+    for shape in family:
+        direct = {k: v for k, v in schur_coproduct(shape).items() if v}
+        assert direct and all(type(v) is QPoly for v in direct.values()), shape
+        assert direct == _via_h_from_qpoly_zero(shape), shape
 
 
 def test_q_ribbon():
@@ -670,6 +709,39 @@ def test_constructor_checks_every_label():
     assert SeriesElement("NSym", "s", {(2, 1): 2}) == E("NSym", "s", [2, 1], 2)
 
 
+@pytest.mark.parametrize("coeff", ["12", (1.5, 2), (1, 2), 1.5, True, None])
+def test_constructors_reject_coefficients_that_are_not_int_or_qpoly(coeff):
+    name = re.escape(repr(coeff))
+    with pytest.raises(TypeError, match=f"coefficient {name} is not an int or a QPoly"):
+        SeriesElement("NSym", "s", {(1,): coeff})
+    with pytest.raises(TypeError, match=f"coefficient {name} is not an int or a QPoly"):
+        E("NSym", "s", (1,), coeff)
+    with pytest.raises(TypeError, match=f"coefficient {name} is not an int or a QPoly"):
+        E("NSym", "s", (1,)).scale(coeff)
+
+
+def test_constructors_apply_the_coefficient_rule():
+    # constants become ints, whether given as ints or as QPolys
+    for elem in (
+        SeriesElement("NSym", "s", {(1,): QPoly.of(2), (2,): QPoly((0, 1))}),
+        E("NSym", "s", (1,), QPoly.of(2)) + E("NSym", "s", (2,), QPoly((0, 1))),
+        series_from_json(series_to_json(E("NSym", "s", (1,), 2) + E("NSym", "s", (2,), QPoly.q(1)))),
+    ):
+        assert elem.terms == {(1,): 2, (2,): QPoly.q(1)} and type(elem.terms[(1,)]) is int
+    # a sum of two QPolys that leaves a constant is an int, and 0 is dropped
+    q = QPoly.q(1)
+    elem = SeriesElement("QSym", "F", {(1,): QPoly((1, 1)), (2,): q}) - E("QSym", "F", (1,), q)
+    assert elem.terms == {(1,): 1, (2,): q} and type(elem.terms[(1,)]) is int
+    assert (elem - E("QSym", "F", (2,), q)).terms == {(1,): 1}
+    assert E("QSym", "F", (2,), q).scale(QPoly.of(3)).terms == {(2,): QPoly.q(1, 3)}
+    assert E("QSym", "F", (2,), QPoly((0,))).terms == {} == E("QSym", "F", (2,), 2).scale(0).terms
+    assert elem.specialize_q(5).terms == {(1,): 1, (2,): 5}
+    with pytest.raises(ValueError, match="constant coefficients"):
+        evaluate_commutative(E("QSym", "F", (2,), q), (1, 2))
+    with pytest.raises(ValueError, match="constant coefficients"):
+        evaluate_noncommutative(E("NSym", "s", (2,), q), (1, 2))
+
+
 def all_labels(space, max_size=5):
     kind = series.SPACE_KIND[space]
     return [
@@ -706,7 +778,7 @@ def test_one_term_paths_match_the_general_path(space):
                 assert list(got) == sorted(got)
                 general = coproduct_dict(both)
                 for key, d in coproduct_dict(other).items():
-                    general[key] = general.get(key, QPoly()) - d
+                    general[key] = general.get(key, 0) - d
                 assert dict(((l, r), c) for l, r, c in got) == {k: v for k, v in general.items() if v}
 
 
@@ -734,14 +806,14 @@ def _reference_row(space, basis, parts):
             right = tuple(p - c for p, c in zip(parts, cuts) if p - c)
             out[left, right] = out.get((left, right), 0) + 1
     else:
-        out = {key: c.coeffs[0] for key, c in schur_coproduct(composition(parts)).items()}
+        out = {key: c(1) for key, c in schur_coproduct(composition(parts)).items()}
     return out
 
 
 def test_coproduct_rows_match_a_per_call_reference():
     """Every label's memoised row, cold and warm, equals the reference;
-    rows are tuples of triples sorted by label pair with shared QPoly
-    constants, and the row itself comes back for a coefficient of 1.
+    rows are tuples of triples sorted by label pair with int
+    multiplicities, and the row itself comes back for a coefficient of 1.
     Scaled elements and sums of two labels equal their summed rows."""
     series._coproduct_row.cache_clear()
     for space in sorted(series.SPACE_KIND):
@@ -755,16 +827,16 @@ def test_coproduct_rows_match_a_per_call_reference():
                     row = coproduct(E(space, basis, parts))
                     assert type(row) is tuple and all(type(t) is tuple for t in row)
                     assert [(l, r) for l, r, _ in row] == sorted(want)
-                    assert all(m is QPoly.of(want[l, r]) for l, r, m in row), parts
+                    assert all(type(m) is int and m == want[l, r] for l, r, m in row), parts
                 assert coproduct(E(space, basis, parts)) is row
             for x, y in zip(labels, labels[1:] + labels[:1]):
-                for c in (QPoly.of(3), QPoly((0, 1)), -ONE):
+                for c in (3, QPoly((0, 1)), -1):
                     one = E(space, basis, x, c)
                     scaled = {(l, r): c * m for (l, r), m in _reference_row(space, basis, x).items()}
                     assert coproduct_dict(one) == scaled
                     summed = dict(scaled)
                     for key, m in _reference_row(space, basis, y).items():
-                        summed[key] = summed.get(key, QPoly()) + m
+                        summed[key] = summed.get(key, 0) + m
                     got = coproduct(one + E(space, basis, y))
                     assert list(got) == sorted(got)
                     assert {(l, r): m for l, r, m in got} == {k: v for k, v in summed.items() if v}
@@ -784,25 +856,47 @@ def test_converted_terms_are_a_new_dict_every_time():
 COEFFS = st.lists(st.integers(-3, 3), max_size=3).map(tuple)
 
 
+DUAL_SPACE = dict(
+    zip(series.QSYM_SIDE + series.NSYM_SIDE, series.NSYM_SIDE + series.QSYM_SIDE)
+)
+
+
 @st.composite
 def results_of_operations(draw):
-    """The elements and coproduct terms that one drawn operation returns,
-    as (space, label, coefficient) triples."""
+    """The elements, coproduct terms, table rows and pairing values that
+    one drawn operation returns, as (space, label, coefficient) triples;
+    a pairing value has no space or label."""
     elem = draw(series_elements())
     space, basis = elem.space, elem.basis
+    kind = series.SPACE_KIND[space]
     ops = ["scale", "difference", "convert", "coproduct", "skew_right", "skew_left"]
+    ops += ["pairing", "rows"]
     if space == "QSym" or space in series.NSYM_SIDE:
         ops.append("product")
-    if series.SPACE_KIND[space] == "A":
+    if kind == "A":
         ops.append("antipode")
     op = draw(st.sampled_from(ops))
     lspace, rspace = series.coproduct_spaces(space)
+    has_coproduct = basis in "FM" or space == "NSym"
     if op == "coproduct":
-        try:
-            terms = coproduct(elem)
-        except ValueError:  # h and s have no coproduct on the B/D sides
+        if not has_coproduct:  # h and s have no coproduct on the B/D sides
             return []
-        return [t for l, r, c in terms for t in ((lspace, l, c), (rspace, r, c))]
+        return [t for l, r, c in coproduct(elem) for t in ((lspace, l, c), (rspace, r, c))]
+    if op == "pairing":
+        return [(None, None, pairing(elem, draw(series_elements(DUAL_SPACE[space]))))]
+    if op == "rows":  # the memoised conversion and coproduct rows of its labels
+        out = [
+            (space, other, sign)
+            for parts in elem.terms
+            for target in bases_of(space)
+            if target != basis
+            for other, sign in series._conversion(parts, kind, basis, target)
+        ]
+        if has_coproduct:
+            for parts in elem.terms:
+                for l, r, m in series._coproduct_row(parts, kind, basis):
+                    out += [(lspace, l, m), (rspace, r, m)]
+        return out
     if op == "scale":
         out = elem.scale(QPoly.of(draw(COEFFS)))
     elif op == "difference":  # with terms in common, which may cancel
@@ -825,9 +919,39 @@ def results_of_operations(draw):
     return [(out.space, k, c) for k, c in out.terms.items()]
 
 
+def check_normal(triples):
+    """Every label is one that _check_key keeps, and every coefficient
+    follows the coefficient rule: a nonzero int, or a QPoly of degree at
+    least 1; a pairing value (no label) may be the int 0."""
+    for space, label, c in triples:
+        if label is not None:
+            assert type(label) is tuple and series._check_key(space, label) == label
+        if type(c) is QPoly:
+            assert c.degree >= 1, f"{c!r} is a QPoly of degree {c.degree}"
+        else:
+            assert type(c) is int and (c or label is None), f"{c!r} is not a nonzero int"
+
+
 @settings(deadline=None, max_examples=300)
 @given(results_of_operations())
 def test_operations_return_normal_terms(triples):
-    for space, label, c in triples:
-        assert type(label) is tuple and series._check_key(space, label) == label
-        assert type(c) is QPoly and c.coeffs and c.coeffs[-1] != 0
+    check_normal(triples)
+
+
+def test_normal_form_check_rejects_a_degree_zero_qpoly(monkeypatch):
+    """A _collect that returns its constant sums as QPolys, as every sum did
+    before the coefficient rule, fails the check; so does a constant
+    coefficient, a zero term or a bool."""
+    collect = series._collect
+    monkeypatch.setattr(
+        series,
+        "_collect",
+        lambda pairs: {k: QPoly.of(c) if type(c) is int else c for k, c in collect(pairs).items()},
+    )
+    elem = E("NSym", "s", (2, 1)) + E("NSym", "s", (1, 2), 3)
+    with pytest.raises(AssertionError, match=r"QPoly\(coeffs=\(1,\)\) is a QPoly of degree 0"):
+        check_normal([(elem.space, k, c) for k, c in elem.terms.items()])
+    for c in (QPoly.of(2), 0, True):
+        with pytest.raises(AssertionError):
+            check_normal([("NSym", (1,), c)])
+    check_normal([("NSym", (1,), QPoly.q(1)), ("NSym", (1,), -2), (None, None, 0)])
