@@ -174,8 +174,8 @@ def cmd_tableau(args) -> int:
 
 def _module_dot(module: modules.HeckeModule) -> str:
     lines = ["digraph hecke {"]
-    for j, t in enumerate(module.basis):
-        lines.append(f'  n{j} [label="{t}"];')
+    for j, w in enumerate(module.basis):
+        lines.append(f'  n{j} [label="{tableaux.Tableau(module.basis_shape, w)}"];')
     for i in module.generator_indices():
         for j, col in enumerate(module.gens[i]):
             for r, v in col:
@@ -202,8 +202,8 @@ def cmd_module(args) -> int:
             print(json.dumps(modules.module_to_json(module), sort_keys=True))
         else:
             print(f"dimension {module.dim}")
-            for t in module.basis:
-                print(str(t))
+            for w in module.basis:
+                print(tableaux.Tableau(module.basis_shape, w))
         return 0
     if args.action == "check":
         violations = modules.check_relations(module)

@@ -303,7 +303,8 @@ def build_polynomial_module(shape: Shape, model: str | None = None):
     place: for every generator i and basis index j, pi-bar_i f_j must
     equal v f_r for the one entry (r, v) of column j of generator i, or
     zero for an empty column.  Returns (module, certified shape), the
-    module on the tableau basis with no shape, so that it reads back from
+    module on the reading words of the tableau basis, with no shape and
+    the certified shape as its ``basis_shape``, so that it reads back from
     JSON; raises ``CertificationError`` on failure.
     """
     if shape.kind != "A":
@@ -323,8 +324,7 @@ def build_polynomial_module(shape: Shape, model: str | None = None):
     base = x_alpha(gamma).terms[0][0]
     reference = sorted_exponents(base)
     basis, leads = [], set()
-    for t in target.basis:
-        w = t.entries
+    for w in target.basis:
         if w not in images:
             raise modules.CertificationError(f"polynomial model of {shape}: word {w} has no bar image")
         f = images[w]
@@ -351,4 +351,4 @@ def build_polynomial_module(shape: Shape, model: str | None = None):
                 raise modules.CertificationError(
                     f"polynomial model of {shape}: generator {i} fails at basis {j}"
                 )
-    return modules.HeckeModule("A", n, target.basis, target.gens, None), shape
+    return modules.HeckeModule("A", n, target.basis, target.gens, None, shape), shape

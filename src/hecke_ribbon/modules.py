@@ -1,7 +1,11 @@
 """Explicit 0-Hecke modules on tableau bases, as integer matrices.
 
-A module stores one square matrix per generator index, acting on the
-basis from the left; columns index source basis vectors, and a column
+A module stores its basis and one square matrix per generator index,
+acting on the basis from the left.  The basis of a tableau module is the
+tuple of reading words of its standard tableaux, all on the shape
+``basis_shape`` (the module's own shape but for ``build_c`` and twists);
+no ``Tableau`` is built per basis vector, only where a module is written
+out.  Columns index source basis vectors, and a column
 lists its nonzero entries (row, value) by increasing row.  Every column
 of a tableau module has at most one entry, 1 or -1, and products keep
 this: ``check_relations`` composes such matrices as signed index maps,
@@ -30,7 +34,8 @@ generator maps a basis vector to one of lower grade, which
 layer keeps the rows of equal grade.  The descents of a tableau T, which
 label the length quotients, are those of w(T)^-1 in every type
 (``tableaux.tableau_descents``); lengths and these descents are read off
-the group's table (``groups.left_actions``) by the index of w(T).
+the group's table (``groups.left_actions``) by the index of the basis
+word w(T).
 
 build_p is one rule in all three types: the left action of the group on
 reading words, cut down to the shape's descent band and read off the
@@ -125,17 +130,23 @@ def mat_from_dense(rows: list[list[int]]) -> Mat:
 @dataclass(frozen=True, eq=False)
 class HeckeModule:
     """A finite 0-Hecke module: a basis plus one matrix per generator.
-    Read-only, as ``build_p`` shares cached ones: ``gens`` is a read-only
-    copy of the mapping passed in."""
+    The basis of a tableau module is a tuple of reading words, those of
+    standard tableaux of ``basis_shape``, which defaults to ``shape``; a
+    module with neither (read from JSON without a shape) keeps whatever
+    labels it was given.  Read-only, as ``build_p`` shares cached ones:
+    ``gens`` is a read-only copy of the mapping passed in."""
 
     kind: str
     n: int
     basis: tuple
     gens: Mapping[int, Mat]
     shape: Shape | None = field(default=None)
+    basis_shape: Shape | None = field(default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "gens", MappingProxyType(dict(self.gens)))
+        if self.basis_shape is None:
+            object.__setattr__(self, "basis_shape", self.shape)
 
     @property
     def dim(self) -> int:
@@ -175,18 +186,19 @@ def build_p(shape: Shape) -> HeckeModule:
     D(w^-1) of its word w, s_i T has the word s_i w, and it is standard
     exactly when D(s_i w) lies in ``descent_band(shape)``.  All three are
     read off the group's left action table (``groups.left_actions``).
-    The basis is built from the shape's band (``groups.band_indices``),
-    one tableau per element in index order (``standard_tableaux``), so
-    the band's indices are its words, and a basis of another length
-    raises ``KeyError``, so a standard filling missing from the basis is
-    never read as 0.  A column is -T when i is in D(w^-1), else the basis
-    vector of s_i w when the band holds that word, and 0 outside the
-    band.  The single-entry columns are shared by every module
-    (``_unit_columns``).
+    The basis is the reading words of the shape's band
+    (``groups.band_indices``), the group table's own windows in index
+    order (``tableaux.standard_words``), so the band's indices are its
+    words and the basis costs one pointer per tableau; a basis of another
+    length raises ``KeyError``, so a standard filling missing from the
+    basis is never read as 0.  A column is -T when i is in D(w^-1), else
+    the basis vector of s_i w when the band holds that word, and 0
+    outside the band.  The single-entry columns are shared by every
+    module (``_unit_columns``).
     """
     kind, n = shape.kind, shape.size
     words = groups.band_indices(kind, n, *descent_band(shape))
-    basis = tableaux.standard_tableaux(shape, words)
+    basis = tableaux.standard_words(shape, words)
     table = groups.left_actions(kind, n)
     if len(words) != len(basis):
         raise KeyError(f"the basis holds {len(basis)} of the {len(words)} standard words of {shape}")
@@ -212,13 +224,14 @@ def build_c(alpha: Shape) -> HeckeModule:
     descent set of the shape and by 0 elsewhere.  Its basis tableau has
     the tableau descents D(alpha): ``tau1`` of the shape whose descent set
     is sigma(D(alpha)), sigma the diagram automorphism (i -> n - i in type
-    A, the identity in type B, 0 <-> 1 in type D of odd rank)."""
+    A, the identity in type B, 0 <-> 1 in type D of odd rank), which is
+    the module's ``basis_shape``."""
     kind, n = alpha.kind, alpha.size
     dset = descent_set(alpha)
     sigma = groups.diagram_automorphism(kind, n)
     label = tableaux.tau1(from_descents({sigma[i] for i in dset}, n, kind))
     gens = {i: ((((0, -1),) if i in dset else ()),) for i in positions(kind, n)}
-    return HeckeModule(kind, n, (label,), gens, alpha)
+    return HeckeModule(kind, n, (label.entries,), gens, alpha, label.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +378,7 @@ def filtration_by_descent(module: HeckeModule) -> Filtration:
     if module.shape is None:
         raise ShapeError("descent filtration needs a module built from a shape")
     table = groups.left_actions(module.kind, module.n)
-    descents = [table.descents[table.index[t.entries]] for t in module.basis]
+    descents = [table.descents[table.index[w]] for w in module.basis]
     ordered = sorted(set(descents), key=lambda d: (len(d), tuple(sorted(d))))
     rank = {d: t for t, d in enumerate(ordered)}
     grade = [rank[d] for d in descents]
@@ -381,12 +394,12 @@ def _certify_quotient(module: HeckeModule, quotient: list[int], grade: list[int]
     equal the module of the label shape under the reading-word relabeling:
     the projection onto the layer, relabeled, intertwines."""
     target = build_p(label)
-    word_to_target = {t.entries: j for j, t in enumerate(target.basis)}
+    word_to_target = {w: j for j, w in enumerate(target.basis)}
     phi: list[int | None] = [None] * module.dim
     for j in quotient:
-        phi[j] = word_to_target.get(module.basis[j].entries)
+        phi[j] = word_to_target.get(module.basis[j])
         if phi[j] is None:
-            raise CertificationError(f"quotient word {module.basis[j].entries} missing from {label}")
+            raise CertificationError(f"quotient word {module.basis[j]} missing from {label}")
     if len(quotient) != target.dim:
         raise CertificationError(f"quotient of size {len(quotient)} does not match dim {target.dim} of {label}")
     try:
@@ -404,11 +417,16 @@ def length_filtration(module: HeckeModule, generator_index: int) -> Filtration:
     Each quotient must be diagonal: a generator i in D(w^-1) acts on w by
     -1, and one outside sends w to no basis word of the same length.
     Lengths and descents are read off the group's table by the index of
-    each reading word."""
+    each reading word.  The generator is a basis index, 0 <= index < dim;
+    any other raises ``ValueError``."""
     if module.shape is None:
         raise ShapeError("length filtration needs a tableau module")
+    if not 0 <= generator_index < module.dim:
+        raise ValueError(
+            f"generator index {generator_index} is not a basis index of a module of dimension {module.dim}"
+        )
     table = groups.left_actions(module.kind, module.n)
-    words = [table.index[t.entries] for t in module.basis]
+    words = [table.index[w] for w in module.basis]
     lengths = [table.lengths[g] for g in words]
     base = lengths[generator_index]
     if any(ell < base for ell in lengths):
@@ -456,8 +474,7 @@ def restrict_p(shape: Shape, m: int) -> list[tuple[Shape, Shape]]:
     if not 0 <= m <= shape.size:
         raise ValueError(f"split point {m} out of range")
     blocks: dict[tuple[int, ...], tuple] = {}
-    for j, t in enumerate(module.basis):
-        entries = t.entries
+    for j, entries in enumerate(module.basis):
         low = tuple([k for k, v in enumerate(entries) if v <= m])
         if low not in blocks:
             high = [k for k, v in enumerate(entries) if v > m]
@@ -471,8 +488,8 @@ def restrict_p(shape: Shape, m: int) -> list[tuple[Shape, Shape]]:
             raise CertificationError(
                 f"block ({bshape}, {gshape}) has {len(members)} tableaux, expected {len(rows) * len(cols)}"
             )
-        left_index = {t.entries: a for a, t in enumerate(left_mod.basis)}
-        right_index = {t.entries: b for b, t in enumerate(right_mod.basis)}
+        left_index = {w: a for a, w in enumerate(left_mod.basis)}
+        right_index = {w: b for b, w in enumerate(right_mod.basis)}
         pair = [[0] * len(cols) for _ in rows]
         for (le, re), j in members.items():
             pair[left_index[le]][right_index[re]] = j
@@ -553,7 +570,7 @@ def twist(module: HeckeModule, which: str) -> HeckeModule:
         gens = {i: module.gens[sigma[i]] for i in module.gens}
     else:
         raise ValueError(f"unknown twist {which!r}")
-    return HeckeModule(module.kind, module.n, module.basis, gens, None)
+    return HeckeModule(module.kind, module.n, module.basis, gens, None, module.basis_shape)
 
 
 def intertwiner_check(
@@ -623,29 +640,31 @@ def intertwiner_check(
 
 
 def module_to_json(module: HeckeModule) -> dict:
-    """The module as JSON.  A basis of tableaux on another shape than the
-    module's (a C module whose label lies on the ribbon of sigma(D(alpha)),
-    see ``build_c``, and twisted modules, which carry no shape) names that
-    shape under ``basis_shape``, so that the tableaux read back."""
+    """The module as JSON, each basis word written as its tableau.  A
+    basis shape other than the module's (a C module, whose label lies on
+    the ribbon of sigma(D(alpha)), see ``build_c``, and twisted modules,
+    which carry no shape) is named under ``basis_shape``, so that the
+    tableaux read back; a basis with no shape is written as its labels."""
+    basis_shape = module.basis_shape
     data = {
         "kind": module.kind,
         "n": module.n,
         "shape": format_shape(module.shape) if module.shape is not None else None,
-        "basis": [str(t) for t in module.basis],
+        "basis": [str(b if basis_shape is None else tableaux.Tableau(basis_shape, b)) for b in module.basis],
         "generators": {
             str(i): mat_to_dense(m, module.dim) for i, m in sorted(module.gens.items())
         },
     }
-    first = module.basis[0] if module.basis else None
-    if isinstance(first, tableaux.Tableau) and first.shape != module.shape:
-        data["basis_shape"] = format_shape(first.shape)
+    if basis_shape is not None and basis_shape != module.shape:
+        data["basis_shape"] = format_shape(basis_shape)
     return data
 
 
 def module_from_json(data: dict) -> HeckeModule:
     """Read back what ``module_to_json`` writes.  When the basis is read
     as tableaux (a shape or a basis shape is given), every tableau must be
-    standard and no two may be equal."""
+    standard and no two may be equal, and the module holds their reading
+    words; otherwise it keeps the labels as given."""
     kind = data["kind"]
     shape = parse_shape(data["shape"], kind) if data.get("shape") else None
     tableau_shape = parse_shape(data["basis_shape"], kind) if data.get("basis_shape") else shape
@@ -655,10 +674,11 @@ def module_from_json(data: dict) -> HeckeModule:
     if tableau_shape is None:
         basis = tuple(data["basis"])
     else:
-        basis = tuple(tableaux.parse_tableau(text, tableau_shape) for text in data["basis"])
-        for t in basis:
+        parsed = [tableaux.parse_tableau(text, tableau_shape) for text in data["basis"]]
+        for t in parsed:
             if not tableaux.is_standard(tableau_shape, t.entries):
                 raise ValueError(f"basis tableau {t} is not standard")
+        basis = tuple([t.entries for t in parsed])
         if len(set(basis)) != len(basis):
             raise ValueError("the basis repeats a tableau")
     gens = {int(i): rows for i, rows in data["generators"].items()}
@@ -674,4 +694,4 @@ def module_from_json(data: dict) -> HeckeModule:
         if len(rows) != dim or any(len(row) != dim for row in rows):
             raise ValueError(f"generator {i} is not a {dim} x {dim} matrix")
     gens = {i: mat_from_dense(rows) for i, rows in gens.items()}
-    return HeckeModule(kind, data["n"], basis, gens, shape)
+    return HeckeModule(kind, data["n"], basis, gens, shape, tableau_shape)

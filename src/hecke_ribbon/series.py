@@ -470,7 +470,7 @@ def quasisymmetric_characteristic(module, graded: bool = False) -> SeriesElement
     weighted by q to its layer."""
     kind, n = module.kind, module.n
     table = groups.left_actions(kind, n)
-    words = [table.index[t.entries] for t in module.basis]
+    words = [table.index[w] for w in module.basis]
     if not graded:
         descents = [table.inverse_descents[g] for g in words]
         return SeriesElement(_QSYM_OF_KIND[kind], "F", _fundamental_sum(descents, repeat(0), n, kind))

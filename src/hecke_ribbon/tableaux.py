@@ -13,13 +13,14 @@ the group elements whose descent set lies in the band between the
 triangle-gluing and dot-gluing descent sets of the shape.  So s_i T, the
 filling whose reading word is s_i w(T), is standard exactly when the
 descent set of s_i w(T) lies in that band; ``modules.build_p`` reads the
-tableau action off this band rule.  A ``Tableau`` is a frozen
-dataclass with slots; the enumerated bases skip its constructor.
-Semistandard fillings are enumerated, and all fillings checked, as words
-whose consecutive letters follow the weak/strict pattern the same band
+tableau action off this band rule, and its basis is the reading words
+themselves (``standard_words``): a ``Tableau``, a frozen dataclass with
+slots, is built only where a filling is shown or parsed.  Semistandard
+fillings are enumerated, and all fillings checked, as words whose
+consecutive letters follow the weak/strict pattern the same band
 prescribes (``pattern_words``), and the diagram symmetry theta acts on
-reading words alone: it reverses them in type A and negates them in
-types B and D.
+reading words alone (``theta_word``): it reverses them in type A and
+negates them in types B and D.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class Tableau:
     immutable value with slots (declared here: the class that
     ``dataclass(slots=True)`` makes breaks the frozen ``__setattr__`` on
     Python 3.11).  The constructor raises ``ShapeError`` unless there is
-    one entry per box; enumerated bases come from ``_make``, unchecked."""
+    one entry per box."""
 
     __slots__ = ("shape", "entries")
     shape: Shape
@@ -66,17 +67,6 @@ class Tableau:
 
     def __str__(self) -> str:
         return format_tableau(self)
-
-
-_set_shape, _set_entries = Tableau.shape.__set__, Tableau.entries.__set__
-
-
-def _make(shape: Shape, entries: tuple[int, ...]) -> Tableau:
-    """A Tableau of a shape and a reading word, built unchecked."""
-    t = object.__new__(Tableau)
-    _set_shape(t, shape)
-    _set_entries(t, entries)
-    return t
 
 
 def reading_word(t: Tableau) -> groups.GroupElement:
@@ -100,17 +90,25 @@ def is_standard(shape: Shape, entries: tuple[int, ...]) -> bool:
     return _follows(shape.kind, _pattern(shape, "<"), entries)
 
 
-def standard_tableaux(shape: Shape, band: tuple[int, ...] | None = None) -> tuple[Tableau, ...]:
-    """All standard tableaux, in reading-word lexicographic order: one per
-    element of the shape's band, ``groups.band_indices`` of its descent
-    band, which a caller that already holds it passes as ``band``.  The
-    tableau guard runs before any tableau is built."""
+def standard_words(shape: Shape, band: tuple[int, ...] | None = None) -> tuple[tuple[int, ...], ...]:
+    """The reading words of all standard tableaux, in lexicographic order:
+    the windows of the elements of the shape's band, ``groups.band_indices``
+    of its descent band, which a caller that already holds it passes as
+    ``band``.  Each word is the group table's own window tuple, so the
+    result holds one pointer per tableau.  The tableau guard runs before
+    any word is taken."""
     kind, n = shape.kind, shape.size
     if band is None:
         band = groups.band_indices(kind, n, *descent_band(shape))
     groups.guard(len(band), groups.tableau_limit(), "standard tableaux of {}", shape)
     elements = groups.enumerate_group(kind, n)
-    return tuple([_make(shape, elements[g].window) for g in band])
+    return tuple([elements[g].window for g in band])
+
+
+def standard_tableaux(shape: Shape) -> tuple[Tableau, ...]:
+    """All standard tableaux, in reading-word lexicographic order: the
+    ``standard_words`` of the shape, each as a ``Tableau``."""
+    return tuple([Tableau(shape, w) for w in standard_words(shape)])
 
 
 def tableau_descents(t: Tableau) -> frozenset[int]:
@@ -156,11 +154,18 @@ def theta_map(t: Tableau) -> Tableau:
     the sign count stays even."""
     if not t.shape.is_single:
         raise ShapeError("symmetry maps are defined on single ribbons")
-    kind, w = t.shape.kind, t.entries
+    image = transpose(t.shape) if t.shape.kind == "A" else complement(t.shape)
+    return Tableau(image, theta_word(t.shape.kind, t.entries))
+
+
+def theta_word(kind: str, w: tuple[int, ...]) -> tuple[int, ...]:
+    """The reading word of theta of the standard tableau with reading word
+    w (see ``theta_map``): w reversed in type A, and w negated in types B
+    and D, but for the entry of absolute value 1 in type D of odd rank."""
     if kind == "A":
-        return _make(transpose(t.shape), w[::-1])
+        return w[::-1]
     keep_one = kind == "D" and len(w) % 2
-    return _make(complement(t.shape), tuple(e if keep_one and abs(e) == 1 else -e for e in w))
+    return tuple([e if keep_one and abs(e) == 1 else -e for e in w])
 
 
 # ---------------------------------------------------------------------------

@@ -250,8 +250,8 @@ def cert_symmetry(max_size: int = 6, max_size_bd: int = 4) -> str:
                 sigma = groups.diagram_automorphism(kind, alpha.size)
                 fills = (tableaux.tau0(alpha), tableaux.tau1(image))
             m1, m2 = modules.build_p(alpha), modules.build_p(image)
-            index2 = {t.entries: j for j, t in enumerate(m2.basis)}
-            cand = {j: index2[tableaux.theta_map(t).entries] for j, t in enumerate(m1.basis)}
+            index2 = {w: j for j, w in enumerate(m2.basis)}
+            cand = {j: index2[tableaux.theta_word(kind, w)] for j, w in enumerate(m1.basis)}
             report = modules.intertwiner_check(m1, m2, cand, index_map=sigma, mode="antidirect")
             _require(not report, "intertwiner fails for {}: {[0]}", alpha, report)
             ok = tableaux.theta_map(fills[0]) == fills[1]

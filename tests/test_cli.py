@@ -4,7 +4,7 @@ from types import MappingProxyType
 
 import pytest
 
-from hecke_ribbon import cli, demazure, groups, modules, series, shapes, verify
+from hecke_ribbon import cli, demazure, groups, modules, series, shapes, tableaux, verify
 
 
 def run_cli(capsys, *argv):
@@ -108,7 +108,7 @@ def test_module_json_round_trip(capsys):
     back = modules.module_from_json(data)
     rebuilt = modules.build_p(shapes.parse_shape("[0,2]", "B"))
     assert back.gens == rebuilt.gens
-    assert back.basis == rebuilt.basis
+    assert (back.basis, back.basis_shape) == (rebuilt.basis, rebuilt.basis_shape)
 
 
 def test_series_commands(capsys):
@@ -188,6 +188,69 @@ def test_verify_all_output_is_pinned(capsys):
     code, out = run_cli(capsys, "verify", "all", "--type", "all", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
+
+_PINNED_SINGLES = [(kind, s) for kind, size in (("A", 4), ("B", 3), ("D", 3)) for s in verify._single_shapes(kind, size)]
+
+
+def _pinned_argvs(group: str) -> list[tuple[str, ...]]:
+    """The invocations of one pinned output group: module build in every
+    format for P, M and C of the single shapes of A <= 4 and B/D <= 3 and
+    P of three generalized shapes; both twists; both polynomial models;
+    tableau enumerate and theta of every standard tableau."""
+    singles = [(kind, shapes.format_shape(s)) for kind, s in _PINNED_SINGLES]
+    if group == "build":
+        return [
+            ("module", "build", "--type", kind, "--shape", text, "--module-kind", mk, "--format", fmt)
+            for kind, text in singles
+            for mk in "PMC"
+            for fmt in ("text", "json", "dot")
+        ] + [
+            ("module", "build", "--type", kind, "--shape", text, "--format", fmt)
+            for kind, text in (("A", "[2]+[1,1]"), ("B", "[0,1]+[2]"), ("D", "[1,1]+[1]"))
+            for fmt in ("text", "json", "dot")
+        ]
+    if group == "twist":
+        return [
+            ("module", "twist", "--type", kind, "--shape", text, "--which", which, "--format", "json")
+            for kind, text in singles
+            for which in ("theta", "phi")
+        ]
+    if group == "demazure":
+        return [
+            ("demazure", "module", "--shape", text, "--model", model, "--format", "json")
+            for kind, text in singles
+            if kind == "A"
+            for model in "PM"
+        ]
+    out = []
+    for (kind, s), (_, text) in zip(_PINNED_SINGLES, singles):
+        for fmt in ("text", "json"):
+            out.append(("tableau", "enumerate", "--type", kind, "--shape", text, "--format", fmt))
+            for t in tableaux.standard_tableaux(s):
+                out.append(("tableau", "theta", "--type", kind, "--shape", text, f"--tableau={t}", "--format", fmt))
+    return out
+
+
+# sha256 over (argv, exit code, stdout) of each invocation of a group, in
+# order; the same under PYTHONHASHSEED 0 and 1
+@pytest.mark.parametrize(
+    "group, count, digest",
+    [
+        ("build", 378, "58a03a8fa27fa43a6abdfc1a4d359e2e95de6efc2e99f38a3372ae50340becbe"),
+        ("twist", 82, "576a77785874d3105f222c4101a3b0c9769a9e097cea34c3ff302db495691ea6"),
+        ("demazure", 30, "670471c6b5f331a9a1ac2c50fe9ebe1fe0bc361fe629177efd4ce89dfcb7f4b7"),
+        ("tableau", 320, "fc1620211c7e0bcaa1eea0e7ce3a2967356bd12ce767b5f1d3cbfa4a75af82b4"),
+    ],
+)
+def test_module_and_tableau_outputs_are_pinned(capsys, group, count, digest):
+    argvs = _pinned_argvs(group)
+    assert len(argvs) == count
+    h = hashlib.sha256()
+    for argv in argvs:
+        code, out = run_cli(capsys, *argv)
+        h.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -220,15 +220,17 @@ def test_one_dimensional_cases():
 
 
 def test_polynomial_module_reads_back_from_json():
-    # the basis is labeled by the target's tableaux, so it reads back
+    # the basis is the target's reading words on the certified shape, so
+    # it reads back
     for shape, model in (
         (composition((2, 1, 1)), "M"),
         (Shape("A", ((2, 1), (1,))), "P"),
         (composition((3,)), None),
     ):
-        module, _ = build_polynomial_module(shape, model)
+        module, label = build_polynomial_module(shape, model)
+        assert (module.shape, module.basis_shape) == (None, label), shape
         back = modules.module_from_json(json.loads(json.dumps(modules.module_to_json(module))))
-        assert back.basis == module.basis, shape
+        assert (back.basis, back.basis_shape) == (module.basis, module.basis_shape), shape
         assert back.gens == module.gens, shape
 
 

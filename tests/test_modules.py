@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import re
+import tracemalloc
 from collections import Counter, defaultdict
 
 import pytest
@@ -41,7 +43,7 @@ def test_displayed_small_modules():
     p211 = build_p(composition((2, 1, 1)))
     assert p211.dim == 3
     # the source tableau maps under the first generator to the middle one
-    words = [t.entries for t in p211.basis]
+    words = list(p211.basis)
     src = words.index((1, 4, 3, 2))
     mid = words.index((2, 4, 3, 1))
     snk = words.index((3, 4, 2, 1))
@@ -51,7 +53,7 @@ def test_displayed_small_modules():
 
     pb = build_p(pseudo_composition((0, 2, 1)))
     assert pb.dim == len(groups.descent_class("B", pseudo_composition((0, 2, 1))).elements)
-    wordsb = [t.entries for t in pb.basis]
+    wordsb = list(pb.basis)
     srcb = wordsb.index((-1, 3, 2))
     tgtb = wordsb.index((-2, 3, 1))
     assert pb.gens[1][srcb] == ((tgtb, 1),)
@@ -67,7 +69,8 @@ def test_build_p_matches_defining_rule():
     reference builds s_i T by the group product and tests it on the box
     coordinates, without the left action table and the descent band
     ``build_p`` reads; the B/D single ribbons of size 5 add 14,400
-    products to it."""
+    products to it.  The basis is the words of ``standard_tableaux``,
+    which finds the shape's band itself, not the one ``build_p`` passes."""
     family = [Shape("A", ())]
     for kind, top in (("A", 6), ("B", 4), ("D", 4)):
         for n in range(top + 1):
@@ -76,9 +79,12 @@ def test_build_p_matches_defining_rule():
         family.extend(Shape(kind, s.components) for s in shapes.enumerate_shapes(5, "B"))
     for shape in family:
         module = build_p(shape)
-        index_of = {t.entries: j for j, t in enumerate(module.basis)}
+        assert module.basis == tuple(t.entries for t in tableaux.standard_tableaux(shape)), shape
+        assert module.basis_shape == shape
+        index_of = {w: j for j, w in enumerate(module.basis)}
         expected = {i: [] for i in shapes.positions(shape.kind, shape.size)}
-        for j, t in enumerate(module.basis):
+        for j, w in enumerate(module.basis):
+            t = tableaux.Tableau(shape, w)
             desc = tableaux.tableau_descents(t)
             for i, col in expected.items():
                 if i in desc:
@@ -100,10 +106,21 @@ def test_build_p_raises_for_a_standard_swap_missing_from_the_basis(monkeypatch):
             r for m in module.gens.values() for j, col in enumerate(m) for r, v in col if r != j
         )
         short = module.basis[:target] + module.basis[target + 1 :]
-        monkeypatch.setattr(tableaux, "standard_tableaux", lambda s, band=None: short)
+        monkeypatch.setattr(tableaux, "standard_words", lambda s, band=None: short)
         with pytest.raises(KeyError):
             build_p.__wrapped__(shape)
         monkeypatch.undo()
+
+
+def test_build_p_runs_the_tableau_guard():
+    shape = composition((2, 1, 1))
+    groups.set_limits(None, 2)
+    try:
+        with pytest.raises(groups.ResourceLimitError, match=r"^standard tableaux of \[2,1,1\] count 3 exceeds the guard 2$"):
+            build_p.__wrapped__(shape)
+    finally:
+        groups.set_limits(None, None)
+    assert build_p.__wrapped__(shape).dim == 3
 
 
 def _random_column(rng, dim):
@@ -353,6 +370,28 @@ def test_tableau_modules_share_their_unit_columns():
     assert shared
 
 
+def test_build_p_retains_one_pointer_per_word_and_column():
+    """A tableau module's basis is the group table's own window tuples and
+    its columns are the shared unit columns or (), so once the A7 table,
+    the unit columns and the shape's band exist (one build does that),
+    building P_[2,2,2,1] (dim 272, 6 generators) retains one pointer per
+    basis word and one per column, at most 64 bytes of header for each of
+    those seven tuples, and a fixed 1 KB for the module and its mapping.
+    An object per basis vector (a 48-byte ``Tableau``) does not fit."""
+    shape = composition((2, 2, 2, 1))
+    warm = build_p.__wrapped__(shape)
+    tracemalloc.start()
+    try:
+        module = build_p.__wrapped__(shape)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    dim, gens = module.dim, len(module.gens)
+    assert (dim, gens) == (272, 6)
+    assert retained <= (8 * dim + 64) * (gens + 1) + 1024, retained
+    assert all(w is v for w, v in zip(module.basis, warm.basis))
+
+
 def test_build_p_does_not_depend_on_the_order_modules_are_built(monkeypatch):
     """The shared column table grows with the largest module built; from
     an empty table, small-then-large and large-then-small give the same
@@ -386,7 +425,7 @@ def test_action_sparsity_and_cyclicity():
             assert len(targets) == len(set(targets))
         # repeated application of all generators from the minimal tableau
         # reaches the whole basis
-        lengths = [groups.length(tableaux.reading_word(t)) for t in module.basis]
+        lengths = [groups.length(groups.GroupElement(module.kind, w)) for w in module.basis]
         start = lengths.index(min(lengths))
         seen, frontier = {start}, [start]
         while frontier:
@@ -431,7 +470,7 @@ def test_graded_filtrations_reject_an_arrow_to_a_lower_grade():
     lowest in both gradings, breaks the graded rule of both filtrations."""
     module = build_p(Shape("A", ((2,), (2,))))
     top = module.dim - 1
-    assert module.basis[0].entries == (1, 2, 3, 4)
+    assert module.basis[0] == (1, 2, 3, 4)
     assert module.gens[2][top] == ((top, -1),)
     gens = {**module.gens, 2: module.gens[2][:top] + (((0, 1),),)}
     broken = modules.HeckeModule(module.kind, module.n, module.basis, gens, module.shape)
@@ -446,7 +485,7 @@ def test_length_quotient_rejects_an_arrow_within_a_length():
     have length 2, and generator 1 is not in D(w^-1) of basis 1: an arrow
     between them keeps the graded rule but not a diagonal quotient."""
     module = build_p(composition((2, 2)))
-    assert [module.basis[j].entries for j in (1, 2)] == [(1, 4, 2, 3), (2, 3, 1, 4)]
+    assert [module.basis[j] for j in (1, 2)] == [(1, 4, 2, 3), (2, 3, 1, 4)]
     assert module.gens[1][1] == ((3, 1),)
     gens = {**module.gens, 1: module.gens[1][:1] + (((2, 1),),) + module.gens[1][2:]}
     planted = modules.HeckeModule(module.kind, module.n, module.basis, gens, module.shape)
@@ -470,7 +509,8 @@ def test_restriction():
             for m in range(n + 1):
                 sizes: Counter = Counter()
                 box_sets = defaultdict(set)
-                for t in module.basis:
+                for w in module.basis:
+                    t = tableaux.Tableau(shape, w)
                     left, right = tableaux.split_tableau(t, m)
                     sizes[left.shape, right.shape] += 1
                     box_sets[left.shape, right.shape].add(
@@ -495,7 +535,7 @@ def test_c_module_labels_carry_the_shape_descents():
         for alpha in all_single(kind, top):
             c = build_c(alpha)
             dset = shapes.descent_set(alpha)
-            assert tableaux.tableau_descents(c.basis[0]) == dset, alpha
+            assert tableaux.tableau_descents(tableaux.Tableau(c.basis_shape, c.basis[0])) == dset, alpha
             assert length_filtration(c, 0).labels == ((dset,),), alpha
             if kind == "A":
                 expected = shapes.reverse(alpha)
@@ -504,7 +544,8 @@ def test_c_module_labels_carry_the_shape_descents():
                 expected = shapes.from_descents(swapped, alpha.size, kind)
             else:
                 expected = alpha
-            assert c.basis[0] == tableaux.tau1(expected), alpha
+            label = tableaux.tau1(expected)
+            assert (c.basis[0], c.basis_shape) == (label.entries, label.shape), alpha
             count += 1
     assert count == 63 + 62 + 60
 
@@ -607,8 +648,8 @@ def test_submodule_embedding():
     # identity on reading words
     for alpha in [*all_single("A", 5), *all_single("B", 3)]:
         small, big = build_p(alpha), build_m(alpha)
-        index = {t.entries: j for j, t in enumerate(big.basis)}
-        cand = {j: index[t.entries] for j, t in enumerate(small.basis)}
+        index = {w: j for j, w in enumerate(big.basis)}
+        cand = {j: index[w] for j, w in enumerate(small.basis)}
         assert intertwiner_check(small, big, cand, mode="direct") == []
 
 
@@ -620,28 +661,39 @@ def test_length_filtration():
     assert len(length_filtration(c, 0).layers) == 1
     for alpha in all_single("A", 5):
         module = build_p(alpha)
-        lengths = [groups.length(tableaux.reading_word(t)) for t in module.basis]
+        lengths = [groups.length(groups.GroupElement(module.kind, w)) for w in module.basis]
         filtr = length_filtration(module, lengths.index(min(lengths)))
         sizes = [len(layer) for layer in filtr.layers]
         quotients = [a - b for a, b in zip(sizes, sizes[1:] + [0])]
         assert sum(quotients) == module.dim
 
 
+def test_length_filtration_takes_a_basis_index_only():
+    """The generator is a basis index: -1 names no basis vector, neither
+    the last of P_[2,2] nor the only one of a C module, and neither does
+    the dimension; each raises ValueError naming the index and the
+    dimension."""
+    p22, c = build_p(composition((2, 2))), build_c(composition((2, 1)))
+    for module, index in ((p22, -1), (c, -1), (p22, p22.dim), (c, 1), (p22, -p22.dim - 1)):
+        message = f"generator index {index} is not a basis index of a module of dimension {module.dim}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            length_filtration(module, index)
+    assert length_filtration(c, 0).labels == ((shapes.descent_set(composition((2, 1))),),)
+
+
 def test_row_separated_modules_are_cyclic():
     # the row-separated module is generated by its identity-word tableau
     for alpha in all_single("A", 4):
         module = build_m(alpha)
-        lengths = [groups.length(tableaux.reading_word(t)) for t in module.basis]
+        lengths = [groups.length(groups.GroupElement(module.kind, w)) for w in module.basis]
         filtr = length_filtration(module, lengths.index(min(lengths)))
         assert len(filtr.layers[0]) == module.dim
 
 
 def test_length_filtration_needs_cyclic():
     # a direct sum of two one-dimensional pieces is not cyclic
-    t12 = tableaux.standard_tableaux(composition((2,)))[0]
-    t21 = tableaux.standard_tableaux(composition((1, 1)))[0]
     fake = modules.HeckeModule(
-        "A", 2, (t12, t21), {1: ((), ((1, -1),))}, composition((2,))
+        "A", 2, ((1, 2), (2, 1)), {1: ((), ((1, -1),))}, composition((2,))
     )
     with pytest.raises(shapes.ShapeError):
         length_filtration(fake, 0)
@@ -659,7 +711,7 @@ def test_module_json_round_trip():
         data = module_to_json(module)
         back = module_from_json(data)
         assert back.kind == module.kind and back.n == module.n
-        assert back.basis == module.basis
+        assert (back.basis, back.basis_shape) == (module.basis, module.basis_shape)
         assert back.gens == module.gens
 
 
@@ -684,7 +736,7 @@ def test_module_json_round_trip_all_kinds(module):
     data = module_to_json(module)
     back = module_from_json(json.loads(json.dumps(data)))
     assert (back.kind, back.n, back.shape) == (module.kind, module.n, module.shape)
-    assert back.basis == module.basis
+    assert (back.basis, back.basis_shape) == (module.basis, module.basis_shape)
     assert back.gens == module.gens
     assert module_to_json(back) == data
 
@@ -697,7 +749,8 @@ def test_module_json_names_a_basis_shape_only_when_it_differs():
         assert "basis_shape" not in module_to_json(module)
     data = module_to_json(build_c(alpha))
     assert data["basis_shape"] == "[1,2]"
-    assert module_from_json(data).basis == build_c(alpha).basis
+    back = module_from_json(data)
+    assert (back.basis, back.basis_shape) == (build_c(alpha).basis, composition((1, 2)))
 
 
 def test_module_json_rejects_bad_basis():

@@ -25,9 +25,11 @@ from hecke_ribbon.tableaux import (
     semistandard_tableaux,
     split_tableau,
     standard_tableaux,
+    standard_words,
     tau0,
     tau1,
     theta_map,
+    theta_word,
 )
 
 
@@ -86,8 +88,8 @@ def test_tableau_needs_one_entry_per_box():
 
 
 def test_tableaux_are_slotted_values():
-    """Enumerated tableaux skip the dataclass constructor and are still
-    equal, hashable, replaceable and picklable like constructed ones."""
+    """Enumerated tableaux are slotted frozen values, equal, hashable,
+    replaceable and picklable like constructed ones."""
     shape = composition((2, 1, 2))
     t = standard_tableaux(shape)[1]
     built = Tableau(shape, t.entries)
@@ -196,6 +198,30 @@ def test_theta_equals_the_box_reflection():
                     assert theta_map(t) == box_reflection(t), t
                     count += 1
     assert count == 873 + 4282 + 2140  # every group element once
+
+
+def test_theta_on_words_agrees_with_theta_map():
+    """theta_word, which the symmetry certificate applies to module bases,
+    is theta_map's reading word on every standard tableau of A <= 5 and
+    B/D <= 4."""
+    count = 0
+    for kind, top in (("A", 5), ("B", 4), ("D", 4)):
+        for n in range(2 if kind == "D" else 1, top + 1):
+            for s in shapes.enumerate_shapes(n, "A" if kind == "A" else "B"):
+                for t in standard_tableaux(Shape(kind, s.components)):
+                    assert theta_word(kind, t.entries) == theta_map(t).entries, t
+                    count += 1
+    assert count == 153 + 442 + 220  # every group element once
+
+
+def test_standard_words_are_the_group_windows():
+    """The words are the group table's own window tuples, in the order
+    and with the entries of ``standard_tableaux``."""
+    for shape in (composition((2, 1, 2)), pseudo_composition((0, 2, 1)), Shape("D", ((1, 1), (2,)))):
+        windows = {w.window: w.window for w in groups.enumerate_group(shape.kind, shape.size)}
+        words = standard_words(shape)
+        assert words == tuple(t.entries for t in standard_tableaux(shape)), shape
+        assert all(windows[w] is w for w in words), shape
 
 
 def test_split_reassembly_round_trip():
@@ -341,8 +367,9 @@ def test_pattern_words_equal_relation_filter():
 def test_guard_messages_name_their_objects():
     groups.set_limits(tableau=1)
     try:
-        with pytest.raises(groups.ResourceLimitError, match=r"^standard tableaux of \[2\]\+\[1\] count 3 "):
-            standard_tableaux(Shape("A", ((2,), (1,))))
+        for enumerate_standard in (standard_words, standard_tableaux):
+            with pytest.raises(groups.ResourceLimitError, match=r"^standard tableaux of \[2\]\+\[1\] count 3 "):
+                enumerate_standard(Shape("A", ((2,), (1,))))
         with pytest.raises(groups.ResourceLimitError, match=r"^semistandard tableaux of \[2\] count 3 "):
             semistandard_tableaux(pseudo_composition((2,)), (-1, 0, 1))
         with pytest.raises(groups.ResourceLimitError, match=r"^words count 2 exceeds the guard 1$"):
