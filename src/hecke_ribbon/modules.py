@@ -17,14 +17,15 @@ The main constructions: build_p (standard tableaux of a generalized
 shape), build_m (the same with the ribbon's rows pulled apart), build_c
 (one-dimensional), descent filtrations certifying the direct-sum
 decomposition over the bracket set, restriction certificates, twists by
-the two algebra automorphisms, and one-dimensional quotients, each with
-the dimension of its Hom space, computed by an exact linear solve.
-Restriction to S_m x S_(n-m) keeps the set of boxes that hold the values
-<= m, so each such box set is one block, cut into its two subshapes
-once.  Every block and quotient is checked as a basis map that
-intertwines two actions (``_intertwining_failures``): each row and
-column of a block's table of pairs, and the relabeled projection onto a
-quotient layer.
+the two algebra automorphisms, arrow reversal (theta's), and
+one-dimensional quotients, each with the dimension of its Hom space,
+computed by an exact linear solve.  Restriction to S_m x S_(n-m) keeps
+the boxes that hold the values <= m, so each such box set is one block,
+cut into its two subshapes once.  Every block, quotient and intertwiner
+is checked as a basis map that intertwines two actions
+(``_intertwining_failures``): each row and column of a block's table of
+pairs, the relabeled projection onto a quotient layer, and theta from
+the module with its arrows reversed.
 
 Both filtrations rest on one rule.  Grade the basis: by the rank of the
 reading-word descent set, or by length above a cyclic generator.  The
@@ -315,14 +316,14 @@ def check_relations(module: HeckeModule) -> list[str]:
     return _relation_violations(module.kind, module.gens, mat_mul, mat_neg)
 
 
-def _intertwining_failures(gens: Mapping[int, Mat], target_gens: Mapping[int, Mat], phi, columns, sigma=None):
+def _intertwining_failures(gens: Mapping[int, Mat], target_gens: Mapping[int, Mat], phi, columns):
     """Yield (i, j), i in sorted order and j in ``columns``, wherever
-    phi(M_i e_j) != M'_sigma(i) phi(e_j): phi sends e_r to e_phi[r], or to 0
-    when phi[r] is None (never for r in ``columns``), injectively.  Only a
+    phi(M_i e_j) != M'_i phi(e_j): phi sends e_r to e_phi[r], or to 0 when
+    phi[r] is None (never for r in ``columns``), injectively.  Only a
     column of several entries is sorted.  A row outside the basis raises
     ``IndexError`` (``KeyError`` from a dict phi) and never wraps around."""
     for i in sorted(gens):
-        cols, target_cols = gens[i], target_gens[i if sigma is None else sigma[i]]
+        cols, target_cols = gens[i], target_gens[i]
         for j in columns:
             col = cols[j]
             if len(col) == 1:
@@ -493,16 +494,16 @@ def restrict_p(shape: Shape, m: int) -> list[tuple[Shape, Shape]]:
         pair = [[0] * len(cols) for _ in rows]
         for (le, re), j in members.items():
             pair[left_index[le]][right_index[re]] = j
-        # column b of the table carries the left module, row a the right one past m
-        shift = {i: i + m for i in right_mod.gens}
-        sides = [(left_mod.gens, rows, zip(*pair), None), (right_mod.gens, cols, pair, shift)]
+        # column b of the table carries the left module, row a the right one at i + m
+        shifted = {i: module.gens[i + m] for i in right_mod.gens}
+        sides = [(left_mod.gens, module.gens, rows, zip(*pair), 0), (right_mod.gens, shifted, cols, pair, m)]
         try:
-            for gens, columns, slices, sigma in sides:
+            for gens, target, columns, slices, offset in sides:
                 for phi in slices if gens else ():
-                    for i, a in _intertwining_failures(gens, module.gens, phi, columns, sigma):
+                    for i, a in _intertwining_failures(gens, target, phi, columns):
                         raise CertificationError(
                             f"restriction mismatch at block ({bshape}, {gshape}), "
-                            f"generator {i if sigma is None else sigma[i]}, basis {phi[a]}"
+                            f"generator {i + offset}, basis {phi[a]}"
                         )
         except IndexError:
             raise CertificationError("restriction block is not closed under the action") from None
@@ -573,65 +574,50 @@ def twist(module: HeckeModule, which: str) -> HeckeModule:
     return HeckeModule(module.kind, module.n, module.basis, gens, None, module.basis_shape)
 
 
-def intertwiner_check(
-    module1: HeckeModule,
-    module2: HeckeModule,
-    candidate,
-    index_map=None,
-    mode: str = "direct",
-) -> list[str]:
-    """Certify a basis bijection as an intertwiner.
-
-    mode 'direct' checks T M_i = M'_{sigma(i)} T for the (possibly
-    injective) basis map T; a column that carries a row outside either
-    basis, or one the candidate does not map, ends the report with a line
-    saying so rather than a lookup error.  mode 'antidirect' checks the
-    arrow-reversal law: an arrow tau -> s_i(tau) in module1 corresponds to
-    the reversed arrow in module2, a loop with eigenvalue -1 corresponds
-    to a kill, and a kill corresponds to a loop.
-    """
-    sigma = index_map or {i: i for i in module1.gens}
-    if mode not in ("direct", "antidirect"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "direct":
-        failures = _intertwining_failures(module1.gens, module2.gens, candidate, range(module1.dim), sigma)
-        report = []
-        try:
-            for i, j in failures:
-                report.append(f"direct intertwiner fails at generator {i}, basis {j}")
-        except (IndexError, KeyError):
-            report.append("direct intertwiner maps a basis vector outside the basis")
-        return report
-    report = []
-    for i in module1.generator_indices():
-        m1 = module1.gens[i]
-        m2 = module2.gens[sigma[i]]
-        # arrow reversal: each arrow j -> k turns into candidate[k] ->
-        # candidate[j]; a loop or kill not touched by an arrow swaps to a
-        # kill or loop, while arrow endpoints have their loops forced by
-        # the quadratic relation.
-        incoming = {}
-        for j in range(module1.dim):
-            col = m1[j]
-            if len(col) == 1 and col[0][1] == 1:
-                incoming[col[0][0]] = j
-        for j in range(module1.dim):
-            col = m1[j]
-            tcol = m2[candidate[j]]
-            if len(col) == 1 and col[0][1] == 1:
-                ok = tcol == ((candidate[j], -1),)
-            elif j in incoming:
-                ok = col == ((j, -1),) and tcol == ((candidate[incoming[j]], 1),)
-            elif col == ((j, -1),):
-                ok = tcol == ()
-            elif col == ():
-                ok = tcol == ((candidate[j], -1),)
+def reverse_arrows(module: HeckeModule) -> HeckeModule:
+    """The module with the arrows of every generator reversed, as theta
+    does: an arrow j -> k into a loop (k -> -k) turns into a loop at j and
+    an arrow k -> j, and a kill (j -> 0) swaps with a loop no arrow reaches.
+    Any other column raises ``CertificationError``: several entries, an
+    arrow into a vector that is not a loop, two arrows into one loop.  An
+    involution; the result keeps the basis and carries no shape."""
+    dim = module.dim
+    minus, plus = _unit_columns(dim)
+    gens = {}
+    for i, cols in module.gens.items():
+        out = minus[:dim]  # a kill, and the source of an arrow, turn into a loop
+        arrows = []
+        for j, col in enumerate(cols):
+            if not col:
+                continue
+            if col == minus[j]:
+                out[j] = ()  # a loop turns into a kill, unless an arrow ends there
+            elif len(col) == 1 and col[0][1] == 1:
+                arrows.append((j, col[0][0]))
             else:
-                ok = False
-            if not ok:
-                report.append(
-                    f"antidirect arrow reversal fails at generator {i}, basis {j}"
-                )
+                raise CertificationError(f"generator {i}, basis {j}: {col} is no kill, loop or arrow")
+        for j, k in arrows:
+            if not 0 <= k < dim or cols[k] != minus[k]:
+                raise CertificationError(f"generator {i}: the arrow from basis {j} to {k} ends at no loop")
+            if out[k]:
+                raise CertificationError(f"generator {i}: two arrows end at the loop at basis {k}")
+            out[k] = plus[j]
+        gens[i] = tuple(out)
+    return HeckeModule(module.kind, module.n, module.basis, gens, None, module.basis_shape)
+
+
+def intertwiner_check(module1: HeckeModule, module2: HeckeModule, candidate) -> list[str]:
+    """Certify an injective basis map T, candidate[j] the image of basis
+    j, as an intertwiner: T M_i = M'_i T for every generator i.  A column
+    that carries a row outside either basis, or one the candidate does
+    not map, ends the report with a line saying so rather than a lookup
+    error."""
+    report = []
+    try:
+        for i, j in _intertwining_failures(module1.gens, module2.gens, candidate, range(module1.dim)):
+            report.append(f"intertwiner fails at generator {i}, basis {j}")
+    except (IndexError, KeyError, TypeError):  # TypeError: a basis vector mapped to None
+        report.append("intertwiner maps a basis vector outside the basis")
     return report
 
 
@@ -664,7 +650,8 @@ def module_from_json(data: dict) -> HeckeModule:
     """Read back what ``module_to_json`` writes.  When the basis is read
     as tableaux (a shape or a basis shape is given), every tableau must be
     standard and no two may be equal, and the module holds their reading
-    words; otherwise it keeps the labels as given."""
+    words; otherwise it keeps the labels as given.  Each generator must be
+    a square list of rows of ints, else ``ValueError`` names it."""
     kind = data["kind"]
     shape = parse_shape(data["shape"], kind) if data.get("shape") else None
     tableau_shape = parse_shape(data["basis_shape"], kind) if data.get("basis_shape") else shape
@@ -691,7 +678,11 @@ def module_from_json(data: dict) -> HeckeModule:
         )
     dim = len(basis)
     for i, rows in gens.items():
-        if len(rows) != dim or any(len(row) != dim for row in rows):
+        square = isinstance(rows, list) and len(rows) == dim
+        if not square or any(not isinstance(row, list) or len(row) != dim for row in rows):
             raise ValueError(f"generator {i} is not a {dim} x {dim} matrix")
+        bad = [v for row in rows for v in row if type(v) is not int]
+        if bad:
+            raise ValueError(f"generator {i} has an entry that is not an int: {bad[0]!r}")
     gens = {i: mat_from_dense(rows) for i, rows in gens.items()}
     return HeckeModule(kind, data["n"], basis, gens, shape, tableau_shape)

@@ -57,7 +57,7 @@ def _generalized(kind: str, max_size: int, max_components: int = 3) -> list[shap
 
 
 def cert_relations(kind: str = "A", max_size: int | None = None) -> str:
-    family = _single_shapes(kind, max_size or KIND_SIZES[kind])
+    family = _single_shapes(kind, KIND_SIZES[kind] if max_size is None else max_size)
     for alpha in family:
         for module in (modules.build_p(alpha), modules.build_m(alpha), modules.build_c(alpha)):
             violations = modules.check_relations(module)
@@ -73,7 +73,7 @@ def cert_dimensions(kind: str = "A", max_size: int | None = None) -> str:
         for parts, dim in (((2, 1, 1), 3), ((1, 2, 1), 5)):
             got = modules.build_p(shapes.composition(parts)).dim
             _require(got == dim, "dim P_{} is {}, not {}", parts, got, dim)
-    family = _single_shapes(kind, max_size or KIND_SIZES[kind])
+    family = _single_shapes(kind, KIND_SIZES[kind] if max_size is None else max_size)
     for alpha in family:
         size = len(groups.descent_class(kind, alpha).elements)
         _require(modules.build_p(alpha).dim == size, "dim P_{} != descent class size", alpha)
@@ -91,7 +91,7 @@ def cert_induction(kind: str = "A", max_size: int | None = None) -> str:
     got = {b.parts for b in shapes.bracket_set(regression)}
     want = {(2, 2, 2, 3, 2), (4, 2, 3, 2), (2, 2, 5, 2), (4, 5, 2)}
     _require(got == want, "bracket set of {} is {}", regression, got)
-    family = _generalized(kind, max_size or KIND_SIZES[kind])
+    family = _generalized(kind, KIND_SIZES[kind] if max_size is None else max_size)
     for shape in family:
         labels = set(modules.filtration_by_descent(modules.build_p(shape)).labels)
         expected = set(shapes.bracket_set(shape))
@@ -236,24 +236,28 @@ def cert_antipode(max_size: int = 6) -> str:
 
 
 def cert_symmetry(max_size: int = 6, max_size_bd: int = 4) -> str:
-    """theta reverses the arrows of P_alpha onto P of the transpose in type
-    A, and onto P of the complement, up to the diagram automorphism, in
-    types B and D; it carries one canonical filling to the other."""
+    """theta is a basis bijection from P_alpha, arrows reversed, onto P of
+    the transpose in type A, and onto P of the complement twisted by phi
+    in types B and D, that intertwines; it carries one canonical filling
+    to the other."""
     checked = 0
     for kind, size in (("A", max_size), ("B", max_size_bd), ("D", max_size_bd)):
         for alpha in _single_shapes(kind, size):
             if kind == "A":
-                image, sigma = shapes.transpose(alpha), None
+                image = shapes.transpose(alpha)
                 fills = (tableaux.tau1(alpha), tableaux.tau0(image))
             else:
                 image = shapes.complement(alpha)
-                sigma = groups.diagram_automorphism(kind, alpha.size)
                 fills = (tableaux.tau0(alpha), tableaux.tau1(image))
             m1, m2 = modules.build_p(alpha), modules.build_p(image)
+            _require(m1.dim == m2.dim, "dim P_{} is {}, dim P_{} is {}", alpha, m1.dim, image, m2.dim)
             index2 = {w: j for j, w in enumerate(m2.basis)}
-            cand = {j: index2[tableaux.theta_word(kind, w)] for j, w in enumerate(m1.basis)}
-            report = modules.intertwiner_check(m1, m2, cand, index_map=sigma, mode="antidirect")
-            _require(not report, "intertwiner fails for {}: {[0]}", alpha, report)
+            cand = [index2.get(tableaux.theta_word(kind, w)) for w in m1.basis]
+            ok = None not in cand and len(set(cand)) == len(cand)
+            _require(ok, "theta is no bijection from P_{} onto P_{}: {}", alpha, image, cand)
+            target = m2 if kind == "A" else modules.twist(m2, "phi")
+            report = modules.intertwiner_check(modules.reverse_arrows(m1), target, cand)
+            _require(not report, "theta fails for {}: {[0]}", alpha, report)
             ok = tableaux.theta_map(fills[0]) == fills[1]
             _require(ok, "theta misses the canonical filling of {}", image)
             checked += 1

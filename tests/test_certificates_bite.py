@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 import pytest
 
-from hecke_ribbon import demazure, groups, modules, series, shapes, verify
+from hecke_ribbon import demazure, groups, modules, series, shapes, tableaux, verify
 from hecke_ribbon.qpoly import QPoly
 
 
@@ -312,6 +312,72 @@ def test_restriction_reports_an_image_outside_its_block(monkeypatch):
             patch.setattr(modules, "build_p", lambda shape: planted if shape == half else build_p(shape))
             with pytest.raises(modules.CertificationError, match="not closed under the action"):
                 modules.restrict_p(SHAPE_22, 2)
+
+
+def test_restriction_checks_the_right_factor_against_the_shifted_generators(monkeypatch):
+    """The right factor's generator i is the module's generator i + m.  At
+    m = 2 the blocks of P_[2,3] are ([1]+[1], [1]+[2]) and ([2], [2]+[1]);
+    a planted column of the right factor [2]+[1] alone, whose left factor
+    differs from it, is reported at generator i + 2, and a row past the
+    end of its basis as an image outside the block."""
+    build_p, shape = modules.build_p, shapes.composition((2, 3))
+    right = shapes.Shape("A", ((2,), (1,)))
+    assert (shapes.composition((2,)), right) in modules.restrict_p(shape, 2)
+    module = build_p(right)
+    assert module.gens[1][1] == ((2, 1),) and module.gens[2][1] == ((1, -1),)
+    for i, col, witness in (
+        (1, ((2, -1),), "restriction mismatch at block ([2], [2]+[1]), generator 3, basis "),
+        (2, ((module.dim, -1),), "restriction block is not closed under the action"),
+    ):
+        planted = _with_column(module, i, 1, col)
+        with monkeypatch.context() as patch:
+            patch.setattr(modules, "build_p", lambda s: planted if s == right else build_p(s))
+            with pytest.raises(modules.CertificationError, match=re.escape(witness)):
+                modules.restrict_p(shape, 2)
+
+
+def test_retargeted_arrow_bites_symmetry(monkeypatch):
+    """theta is certified on the module with its arrows reversed.  An arrow
+    of P_alpha sent to another vector is caught there: into a vector that
+    is no loop (the arrow 0 -> 1 of generator 1 of P_[2,1], sent to 0) by
+    ``reverse_arrows``, and into a loop that no arrow reaches (the arrow
+    1 -> 0 of generator 1 of P_[1,1] in type B, sent to 2) by the
+    intertwining rule."""
+    build_p = modules.build_p
+    for shape, j, col, witness in (
+        (shapes.composition((2, 1)), 0, ((0, 1),), "generator 1: the arrow from basis 0 to 0 ends at no loop"),
+        (shapes.parse_shape("[1,1]", "B"), 1, ((2, 1),), "theta fails for [1,1]: intertwiner fails at generator 1"),
+    ):
+        module = build_p(shape)
+        assert len(module.gens[1][j]) == 1 and module.gens[1][j][0][1] == 1
+        planted = _with_column(module, 1, j, col)
+        with monkeypatch.context() as patch:
+            patch.setattr(modules, "build_p", lambda s: planted if s == shape else build_p(s))
+            (result,) = verify.run(["symmetry"], max_size=3)
+        assert not result.passed
+        assert result.detail.startswith(witness), result.detail
+
+
+def test_symmetry_requires_a_bijection(monkeypatch):
+    """theta must send the basis of P_alpha one to one onto that of P of
+    the image: a word sent outside the image's basis or two words sent to
+    one, and an image of another dimension, each report FAIL."""
+    theta_word, transpose = tableaux.theta_word, shapes.transpose
+    with monkeypatch.context() as patch:
+        # the two words of P_[2,1], 1,3,2 and 2,3,1, sent to one word of P_[2,1],
+        # its own transpose
+        patch.setattr(tableaux, "theta_word", lambda kind, w: theta_word(kind, (1, 3, 2) if w == (2, 3, 1) else w))
+        (result,) = verify.run(["symmetry"], max_size=3)
+    assert not result.passed
+    assert result.detail == "theta is no bijection from P_[2,1] onto P_[2,1]: [1, 1]"
+    with monkeypatch.context() as patch:
+        patch.setattr(tableaux, "theta_word", lambda kind, w: w)
+        (result,) = verify.run(["symmetry"], max_size=3)
+    assert result.detail == "theta is no bijection from P_[2] onto P_[1,1]: [None]"
+    with monkeypatch.context() as patch:
+        patch.setattr(shapes, "transpose", lambda a: shapes.composition((1, 2)) if a.size == 3 else transpose(a))
+        (result,) = verify.run(["symmetry"], max_size=3)
+    assert result.detail == "dim P_[3] is 1, dim P_[1,2] is 2"
 
 
 def test_quotient_reports_a_row_outside_the_basis():

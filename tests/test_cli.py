@@ -178,6 +178,21 @@ def test_verify_command(capsys):
     assert out.count("PASS") == 3
 
 
+def test_verify_max_size_zero_sweeps_nothing(capsys):
+    """--max-size 0 is a size bound like any other: the type-aware
+    certificates sweep no shape, as restriction does, rather than falling
+    back to their default sizes."""
+    for suite, detail in (
+        ("relations", "0 modules of type A pass the quadratic and braid relations"),
+        ("dimensions", "0 dimension identities verified in type A"),
+        ("induction", "0 descent filtrations certified in type A"),
+    ):
+        code, out = run_cli(capsys, "verify", suite, "--type", "A", "--max-size", "0")
+        assert (code, out) == (0, f"PASS {suite}[A]: {detail}\n1/1 certificates passed\n")
+    code, out = run_cli(capsys, "verify", "restriction", "--max-size", "0")
+    assert (code, out) == (0, "PASS restriction: 0 restriction certificates pass in type A\n1/1 certificates passed\n")
+
+
 # sha256 of the stdout of `verify all --type all --format json`: every
 # certificate at its default size; a change that strengthens a certificate
 # updates the pin and says so, as it does for the acceptance details

@@ -27,6 +27,7 @@ from hecke_ribbon.modules import (
     module_to_json,
     one_dim_quotients,
     restrict_p,
+    reverse_arrows,
     twist,
 )
 from hecke_ribbon.shapes import Shape, composition, pseudo_composition
@@ -224,39 +225,36 @@ INTERTWINING_SHAPES = [
 
 def _intertwining_case(rng_choice, rng_bool, rng_shuffle):
     """A source tableau module (theta-twisted or not), an injective partial
-    map phi (a relabeling, None on the rows it projects away), a
-    permutation sigma of the generator indices, and the target that phi
-    makes intertwine: column phi[j] of M'_sigma(i) is column j of M_i
-    carried and projected.  One source column is then planted with a
+    map phi (a relabeling, None on the rows it projects away), and the
+    target that phi makes intertwine: column phi[j] of M'_i is column j of
+    M_i carried and projected.  One source column is then planted with a
     random column half of the time."""
     shape = rng_choice(INTERTWINING_SHAPES)
     module = build_p(shape)
     if rng_bool():
         module = twist(module, "theta")
     dim, idx = module.dim, sorted(module.gens)
-    order, images = list(range(dim)), list(idx)
+    order = list(range(dim))
     rng_shuffle(order)
-    rng_shuffle(images)
     phi = [k if rng_bool() else None for k in order]
     columns = [j for j in range(dim) if phi[j] is not None]
-    sigma = dict(zip(idx, images))
     target_gens = {}
     for i in idx:
         cols = [None] * dim
         for j, col in enumerate(module.gens[i]):
             keep = j in columns
             cols[order[j]] = tuple(sorted((order[r], v) for r, v in col if not keep or phi[r] is not None))
-        target_gens[sigma[i]] = tuple(cols)
+        target_gens[i] = tuple(cols)
     gens, planted = dict(module.gens), rng_bool()
     if planted:
         i, j = rng_choice(idx), rng_choice(columns if columns and rng_bool() else range(dim))
         rows = sorted({rng_choice(range(dim)) for _ in range(rng_choice((0, 1, 1, 2)))})
         gens[i] = gens[i][:j] + (tuple((r, rng_choice((1, -1))) for r in rows),) + gens[i][j + 1 :]
-    return (gens, target_gens, phi, columns, sigma), planted
+    return (gens, target_gens, phi, columns), planted
 
 
-def _dense_failures(gens, target_gens, phi, columns, sigma):
-    """The (i, j) where column j of T M_i and of M'_sigma(i) T differ, T the
+def _dense_failures(gens, target_gens, phi, columns):
+    """The (i, j) where column j of T M_i and of M'_i T differ, T the
     0/1 matrix of phi, all as dense matrices."""
     dim = len(phi)
     t = mat_to_dense(tuple(() if k is None else ((k, 1),) for k in phi), dim)
@@ -267,7 +265,7 @@ def _dense_failures(gens, target_gens, phi, columns, sigma):
     out = []
     for i in sorted(gens):
         left = product(t, mat_to_dense(gens[i], dim))
-        right = product(mat_to_dense(target_gens[sigma[i]], dim), t)
+        right = product(mat_to_dense(target_gens[i], dim), t)
         out += [(i, j) for j in columns if [row[j] for row in left] != [row[j] for row in right]]
     return out
 
@@ -622,9 +620,9 @@ def test_twists():
 def test_intertwiner_direct_identity():
     module = build_p(composition((2, 1)))
     ident = {j: j for j in range(module.dim)}
-    assert intertwiner_check(module, module, ident, mode="direct") == []
+    assert intertwiner_check(module, module, ident) == []
     other = build_p(composition((1, 2)))
-    report = intertwiner_check(module, other, ident, mode="direct")
+    report = intertwiner_check(module, other, ident)
     assert report
 
 
@@ -639,8 +637,54 @@ def test_intertwiner_direct_reports_rows_outside_the_basis():
         gens = {**module.gens, 1: module.gens[1][:last] + (((row, -1),),)}
         planted = modules.HeckeModule(module.kind, module.n, module.basis, gens, module.shape)
         for candidate in (list(range(module.dim)), {j: j for j in range(module.dim)}):
-            report = intertwiner_check(planted, module, candidate, mode="direct")
-            assert report[-1] == "direct intertwiner maps a basis vector outside the basis", (row, candidate)
+            report = intertwiner_check(planted, module, candidate)
+            assert report[-1] == "intertwiner maps a basis vector outside the basis", (row, candidate)
+
+
+def test_intertwiner_reports_a_partial_candidate():
+    """A candidate that leaves a basis vector unmapped, a dict without it
+    or a list holding None, ends the report with one line, as a row
+    outside the basis does, and raises no KeyError or TypeError."""
+    module = reverse_arrows(build_p(composition((2, 1))))
+    for candidate in ({0: 0}, [0, None]):
+        report = intertwiner_check(module, build_p(composition((1, 2))), candidate)
+        assert report[-1] == "intertwiner maps a basis vector outside the basis", candidate
+
+
+def test_reverse_arrows_is_an_involution_onto_a_module():
+    """Reversing the arrows of P_alpha gives a module on the same basis,
+    which passes the relations, and reversing again gives P_alpha back."""
+    for alpha in [*all_single("A", 5), *all_single("B", 3), *all_single("D", 3)]:
+        module = build_p(alpha)
+        reversed_module = reverse_arrows(module)
+        assert reversed_module.basis == module.basis and reversed_module.shape is None
+        assert check_relations(reversed_module) == [], alpha
+        assert reverse_arrows(reversed_module).gens == module.gens, alpha
+
+
+def _replace_column(module, i, j, col):
+    gens = {**module.gens, i: module.gens[i][:j] + (col,) + module.gens[i][j + 1 :]}
+    return modules.HeckeModule(module.kind, module.n, module.basis, gens, module.shape)
+
+
+@pytest.mark.parametrize(
+    "kind, shape, i, j, col, witness",
+    [
+        # generator 1 of P_[2,1]: the arrow 0 -> 1 and the loop at 1
+        ("A", "[2,1]", 1, 0, ((0, -1), (1, 1)), "generator 1, basis 0: ((0, -1), (1, 1)) is no kill, loop or arrow"),
+        ("A", "[2,1]", 1, 1, ((0, -1),), "generator 1, basis 1: ((0, -1),) is no kill, loop or arrow"),
+        # generator 2 of P_[2,1]: the loop at 0 and the kill at 1
+        ("A", "[2,1]", 2, 0, ((1, 1),), "generator 2: the arrow from basis 0 to 1 ends at no loop"),
+        ("A", "[2,1]", 1, 0, ((2, 1),), "generator 1: the arrow from basis 0 to 2 ends at no loop"),
+        # generator 1 of P_[1,1] in type B: the loop at 0, the arrow 1 -> 0
+        # and the loop at 2, now a second arrow into 0
+        ("B", "[1,1]", 1, 2, ((0, 1),), "generator 1: two arrows end at the loop at basis 0"),
+    ],
+)
+def test_reverse_arrows_rejects_malformed_columns(kind, shape, i, j, col, witness):
+    planted = _replace_column(build_p(shapes.parse_shape(shape, kind)), i, j, col)
+    with pytest.raises(CertificationError, match=f"^{re.escape(witness)}$"):
+        reverse_arrows(planted)
 
 
 def test_submodule_embedding():
@@ -650,7 +694,7 @@ def test_submodule_embedding():
         small, big = build_p(alpha), build_m(alpha)
         index = {w: j for j, w in enumerate(big.basis)}
         cand = {j: index[w] for j, w in enumerate(small.basis)}
-        assert intertwiner_check(small, big, cand, mode="direct") == []
+        assert intertwiner_check(small, big, cand) == []
 
 
 def test_length_filtration():
@@ -776,9 +820,23 @@ def test_module_json_rejects_malformed_generators():
         {**data["generators"], "7": data["generators"]["1"]},  # no generator 7 in rank 3
         {"1": data["generators"]["1"]},  # generator 2 missing
         {"1": data["generators"]["1"], "2": [[0, 0], [0]]},  # a short row
+        {"1": data["generators"]["1"], "2": [0, 0]},  # rows that are not lists
+        {"1": data["generators"]["1"], "2": 0},  # a matrix that is not a list
     ):
         with pytest.raises(ValueError):
             module_from_json({**data, "generators": bad})
     four = {str(i): [[0, 0], [0, 0]] for i in range(1, 5)}
     with pytest.raises(ValueError):  # rank 5 on a shape of size 3
         module_from_json({**data, "n": 5, "generators": four})
+
+
+@pytest.mark.parametrize("entry", [-1.0, "1", True, None, [1]])
+def test_module_json_rejects_entries_that_are_not_ints(entry):
+    """Any entry that is not an int is rejected where it is read, naming
+    the generator, and not left to fail later: an entry -1.0 raises
+    TypeError in check_relations and one_dim_quotients."""
+    data = module_to_json(build_p(composition((2, 1))))
+    rows = [list(row) for row in data["generators"]["2"]]
+    rows[0][0] = entry
+    with pytest.raises(ValueError, match="^generator 2 has an entry that is not an int"):
+        module_from_json({**data, "generators": {**data["generators"], "2": rows}})
